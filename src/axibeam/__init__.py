@@ -1,6 +1,6 @@
 """axibeam: dimension-generic axisymmetric directivity and panning design.
 
-Evaluate ultraspherical polynomials for any real dimension D >= 2, generate
+Evaluate ultraspherical polynomials for any real dimension 2 <= D <= 64, generate
 the classic Ambisonic order-weighting designs (basic/max-DI, max-rE,
 supercardioid, inphase, max-flat, spherical caps), compute their
 P/E/Q/rV/rE/FBR metrics both analytically and by quadrature, and verify

@@ -6,7 +6,8 @@ printed with 12 significant digits so repeated runs are byte-identical and the
 two formats round-trip through each other.
 
 Exit codes: 0 ok / t-design passed, 1 t-design failed, 2 argument validation,
-3 file or parse errors.
+3 file or parse errors.  Arguments that size arrays are capped (orders, pattern
+samples, t-design degree and trials); a value past its cap exits 2.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .sampling import (
     load_nodes,
     tdesign_check,
 )
-from .ultraspherical import Dimension
+from .ultraspherical import MAX_DIMENSION, Dimension
 
 DESIGN_NAMES = (
     "basic",
@@ -55,6 +56,12 @@ DESIGN_NAMES = (
 )
 
 _DB_FLOOR = -120.0
+
+# Caps on the arguments that size arrays (a largest pattern holds 1.3e7 values).
+_MAX_ORDER = 128
+_MAX_SAMPLES = 100_000
+_MAX_T = 256
+_MAX_TRIALS = 1024
 
 
 class _CliError(Exception):
@@ -117,6 +124,11 @@ def _provenance(ns, command: str, **extra) -> dict:
     return prov
 
 
+def _bounded(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise _CliError(f"{name} must lie in {lo}..{hi}, got {value}")
+
+
 def _dim(ns) -> Dimension:
     try:
         return Dimension(ns.dim)
@@ -137,6 +149,7 @@ def _design_weights(ns, order: int, dim: Dimension):
     """Build the requested design; returns (WeightVector, extras for provenance)."""
     name = ns.design
     extras: dict = {}
+    _bounded("order", order, 0, _MAX_ORDER)
     if name == "basic":
         vec = basic(order, dim)
     elif name == "maxre":
@@ -198,6 +211,7 @@ def _parse_orders(ns) -> list:
         try:
             if sep is not None:
                 lo, hi = (int(p) for p in text.split(sep, 1))
+                _bounded("--orders", hi, 0, _MAX_ORDER)
                 orders = list(range(lo, hi + 1))
             else:
                 orders = [int(p) for p in text.split(",")]
@@ -231,9 +245,12 @@ def _read_weights_file(path, dim: Dimension) -> WeightVector:
             continue
         parts = body.split(",")
         try:
-            values[int(parts[0])] = float(parts[1])
+            degree, value = int(parts[0]), float(parts[1])
+            if not math.isfinite(value):
+                raise ValueError(value)
         except (ValueError, IndexError) as exc:
             raise _CliError(f"{path}: line {lineno}: bad row {body!r}", code=3) from exc
+        values[degree] = value
     if not header_seen or not values:
         raise _CliError(f"{path}: no weight rows", code=3)
     order = max(values)
@@ -249,6 +266,11 @@ def _spread_deg(value) -> float:
     return math.degrees(math.acos(min(1.0, max(-1.0, value))))
 
 
+def _fbr_db(fbr: float) -> float:
+    # FBR <= 0 is rounding noise: the back energy exceeds the front by > 1/eps
+    return 10.0 * math.log10(fbr) if fbr > 0.0 else float("nan")
+
+
 def _metric_row(label: str, order: int, vec: WeightVector) -> tuple:
     met = compute_metrics(vec)
     return (
@@ -257,7 +279,7 @@ def _metric_row(label: str, order: int, vec: WeightVector) -> tuple:
         met.q,
         _spread_deg(met.r_v),
         _spread_deg(met.r_e),
-        10.0 * math.log10(met.fbr),
+        _fbr_db(met.fbr),
     )
 
 
@@ -286,8 +308,7 @@ def _cmd_metrics(ns) -> int:
 
 def _cmd_pattern(ns) -> int:
     dim = _dim(ns)
-    if ns.samples < 2:
-        raise _CliError("--samples must be >= 2")
+    _bounded("--samples", ns.samples, 2, _MAX_SAMPLES)
     try:
         vec, extras = _design_weights(ns, ns.order, dim)
     except AxibeamError as exc:
@@ -316,6 +337,8 @@ def _cmd_pattern(ns) -> int:
 
 
 def _cmd_tdesign(ns) -> int:
+    _bounded("--t", ns.t, 0, _MAX_T)
+    _bounded("--trials", ns.trials, 1, _MAX_TRIALS)
     sources = [ns.builtin is not None, ns.circle is not None, ns.nodes_file is not None]
     if sum(sources) != 1:
         raise _CliError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
@@ -332,8 +355,6 @@ def _cmd_tdesign(ns) -> int:
             nodes = load_nodes(ns.nodes_file, dim=ns.node_dim)
         except (ParseError, NormError, OSError) as exc:
             raise _CliError(str(exc), code=3) from exc
-    if ns.t < 0:
-        raise _CliError("--t must be >= 0")
     report = tdesign_check(nodes, ns.t, trials=ns.trials, seed=ns.seed)
     prov = _provenance(
         ns,
@@ -353,7 +374,8 @@ def _cmd_tdesign(ns) -> int:
 
 
 def _add_common(sub, with_design: bool = True) -> None:
-    sub.add_argument("--dim", type=float, default=3.0, help="space dimension D >= 2 (real)")
+    sub.add_argument("--dim", type=float, default=3.0,
+                     help=f"space dimension, a real 2 <= D <= {MAX_DIMENSION:g}")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="stdout", help="output path or 'stdout'")
     if with_design:
@@ -380,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_w = subs.add_parser("weights", help="emit design weights a_0..a_N")
     _add_common(p_w)
-    p_w.add_argument("--order", type=int, required=True, help="design order N >= 0")
+    p_w.add_argument("--order", type=int, required=True, help=f"design order 0..{_MAX_ORDER}")
     p_w.set_defaults(func=_cmd_weights)
 
     p_m = subs.add_parser("metrics", help="emit Q / rV / rE / FBR per design order")
@@ -394,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_p = subs.add_parser("pattern", help="sample the pattern over 0..180 degrees")
     _add_common(p_p)
     p_p.add_argument("--order", type=int, required=True)
-    p_p.add_argument("--samples", type=int, default=181)
+    p_p.add_argument("--samples", type=int, default=181, help=f"2..{_MAX_SAMPLES}")
     p_p.set_defaults(func=_cmd_pattern)
 
     p_t = subs.add_parser("tdesign", help="verify a node set as a spherical/circular t-design")
@@ -405,8 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--nodes-file", default=None)
     p_t.add_argument("--node-dim", type=int, choices=(2, 3), default=None,
                      help="force the ambient dimension of a 2-column nodes file")
-    p_t.add_argument("--t", type=int, required=True)
-    p_t.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_t.add_argument("--t", type=int, required=True, help=f"0..{_MAX_T}")
+    p_t.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=f"1..{_MAX_TRIALS}")
     p_t.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_t.set_defaults(func=_cmd_tdesign)
     return parser

@@ -61,7 +61,10 @@ class Normalization(str, Enum):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Design weights a_0..a_N for one dimension, tagged with their scaling."""
+    """Design weights a_0..a_N for one dimension, tagged with their scaling.
+
+    The weights must be finite; NaN or an infinite weight raises DomainError.
+    """
 
     dim: Dimension
     a: np.ndarray
@@ -71,6 +74,8 @@ class WeightVector:
         arr = np.atleast_1d(np.asarray(self.a, dtype=float)).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("weights must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("weights must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
         object.__setattr__(self, "normalization", Normalization(self.normalization))
@@ -200,73 +205,24 @@ def max_re(order: int, dim: Dimension) -> MaxReSolution:
     )
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a small dense symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below `tol`
-    (absolute; Gram matrices in this package are O(1)-scaled).  Returns
-    eigenvalues ascending and the matching orthonormal eigenvector columns.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        return math.sqrt(float(np.sum(a[off_mask] ** 2)))
-
-    for _ in range(max_sweeps):
-        if off_norm() < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:  # asymptotic rotation, avoids tau^2 overflow
-                    t = 0.5 / tau
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                vot_p = c * v[:, p] - s * v[:, q]
-                vot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vot_p, vot_q
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order], v[:, order]
-
-
 def supercardioid(order: int, dim: Dimension) -> WeightVector:
     """Weights maximizing the front-to-back energy ratio FBR = a^T G_f a / a^T G_b a.
 
-    G_f is the front-half Gram matrix and (G_b)_nm = (-1)^(n+m) (G_f)_nm its
-    back-half counterpart.  The generalized Rayleigh quotient is reduced by a
-    Cholesky factor of G_b to a standard symmetric problem, solved by cyclic
-    Jacobi rotations; the eigenvector of the largest eigenvalue is
-    back-substituted, sign-fixed so g(1) > 0, and normalized to a_0 = 1.
+    By orthogonality G_f + G_b = diag(1/N_n^2), so with u = diag(1/N_n) a the
+    optimum minimizes ||B diag(N_n) u|| / ||u||, B = `GramMatrix.back_factor`.
+    u is the last right singular vector of B diag(N_n); a = diag(N_n) u is
+    sign-fixed so g(1) > 0 and normalized to a_0 = 1.  Every N <= 18 is
+    resolved for D in [2, 4]; once B diag(N_n) loses numerical rank,
+    DegenerateProblem is raised.
     """
     if order < 1:
         raise DomainError("supercardioid requires order >= 1")
-    gram = gram_front(order, dim)
-    g_f = gram.entries
-    g_b = gram.back_entries
-    try:
-        chol = np.linalg.cholesky(g_b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateProblem("back-half Gram matrix is not positive definite") from exc
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, g_f).T).T
-    reduced = 0.5 * (reduced + reduced.T)
-    eigvals, eigvecs = _jacobi_eigh(reduced)
-    y = eigvecs[:, int(np.argmax(eigvals))]
-    a = np.linalg.solve(chol.T, y)
+    norms = np.sqrt(norms_squared(order, dim))
+    scaled = gram_front(order, dim).back_factor * norms
+    _, sigma, vt = np.linalg.svd(scaled, full_matrices=False)
+    if sigma[-1] <= sigma[0] * max(scaled.shape) * np.finfo(float).eps:
+        raise DegenerateProblem(f"back-half factor lost numerical rank at N={order}, D={dim.d}")
+    a = norms * vt[-1]
     vec = WeightVector(dim, a, Normalization.RAW)
     if vec.front_value() < 0.0:
         vec = WeightVector(dim, -a, Normalization.RAW)

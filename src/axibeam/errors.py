@@ -14,7 +14,10 @@ class NoConvergence(AxibeamError, RuntimeError):
 
 
 class DegenerateProblem(AxibeamError, RuntimeError):
-    """A matrix that must be positive definite failed its factorization."""
+    """The supercardioid's back-half factor lost numerical rank (N >= 19, 2 <= D <= 4).
+
+    sigma_min <= sigma_max * max(rows, cols) * eps: the double-precision floor.
+    """
 
 
 class InvalidFlatness(AxibeamError, ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import WeightVector
-from .errors import ZeroPressure
+from .errors import DomainError, ZeroPressure
 from .quadrature import gram_front, integrate_axisym
 from .ultraspherical import beta_coeff, eval_sequence, norms_squared
 
@@ -63,6 +63,8 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
     require_rv : bool
         When True, raise ZeroPressure if a_0 = 0; otherwise r_v is reported
         as None in that case.
+
+    Raises DomainError when the energy E is zero (all-zero weights).
     """
     dim = weights.dim
     a = weights.a
@@ -70,6 +72,8 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
     n2 = norms_squared(order, dim)
     inv = 1.0 / (dim.subsurface * n2)
     e = float(np.sum(a * a * inv))
+    if e == 0.0:
+        raise DomainError("metrics are undefined for a pattern of zero energy")
     g1 = float(np.sum(a * inv))
     q = dim.surface * g1 * g1 / e
     if a[0] == 0.0:
@@ -109,6 +113,8 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
 
     p = sub * integrate_axisym(g, dim, order)
     e = sub * integrate_axisym(g2, dim, 2 * order)
+    if e == 0.0:
+        raise DomainError("metrics are undefined for a pattern of zero energy")
     g1 = eval_pattern(weights, 1.0)
     q = dim.surface * g1 * g1 / e
     if weights.a[0] == 0.0:

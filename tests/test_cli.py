@@ -94,6 +94,11 @@ class TestWeightsCommand:
                        "--dim", "1.5", check=False)
         assert proc.returncode == 2
 
+    def test_dimension_above_max_exits_2(self):
+        proc = run_cli("weights", "--design", "basic", "--order", "2",
+                       "--dim", "400", check=False)
+        assert proc.returncode == 2
+
 
 class TestMetricsCommand:
     def test_basic_sphere_directivity_column(self):
@@ -141,6 +146,41 @@ class TestMetricsCommand:
         path.write_text("not,a,header\n1,2,3\n")
         proc = run_cli("metrics", "--weights-file", str(path), "--dim", "3", check=False)
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_weights_file_non_finite_exits_3(self, tmp_path, bad):
+        path = tmp_path / "weights.csv"
+        path.write_text(f"n,a_n\n0,1\n1,{bad}\n")
+        proc = run_cli("metrics", "--weights-file", str(path), "--dim", "3", check=False)
+        assert proc.returncode == 3
+        assert "line 3" in proc.stderr
+
+    def test_weights_file_all_zero_is_typed_error(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("n,a_n\n0,0\n1,0\n2,0\n")
+        proc = run_cli("metrics", "--weights-file", str(path), "--dim", "3", check=False)
+        assert proc.returncode in (2, 3)
+        assert "zero energy" in proc.stderr
+
+    def test_weights_file_back_dominant_pattern(self, tmp_path):
+        # the mirrored supercardioid has FBR -229.7 dB, far below the analytic
+        # quadratic form's floor, where the computed FBR is rounding noise
+        from axibeam import Dimension, supercardioid
+
+        a = supercardioid(16, Dimension(3.0)).a * (-1.0) ** np.arange(17)
+        path = tmp_path / "mirrored.csv"
+        path.write_text("n,a_n\n" + "".join(f"{n},{float(v)!r}\n" for n, v in enumerate(a)))
+        proc = run_cli("metrics", "--weights-file", str(path), "--dim", "3")
+        _, columns, rows = parse_csv(proc.stdout)
+        fbr_db = float(rows[0][columns.index("fbr_db")])
+        assert math.isnan(fbr_db) or fbr_db < -150.0
+
+    def test_nonpositive_fbr_has_no_db_value(self):
+        from axibeam.cli import _fbr_db
+
+        assert math.isnan(_fbr_db(-3.8e-16))
+        assert math.isnan(_fbr_db(0.0))
+        assert _fbr_db(100.0) == pytest.approx(20.0, abs=1e-12)
 
     def test_needs_source(self):
         proc = run_cli("metrics", "--dim", "3", "--order", "2", check=False)
@@ -226,6 +266,32 @@ class TestTDesignCommand:
         proc = run_cli("tdesign", "--builtin", "cube", "--circle", "4", "--t", "2",
                        check=False)
         assert proc.returncode == 2
+
+
+class TestSizeCaps:
+    # one past each cap: small enough to run, so a missing cap shows as exit 0/1
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("weights", "--design", "basic", "--order", "129"),
+            ("metrics", "--design", "basic", "--orders", "0..129"),
+            ("metrics", "--design", "basic", "--orders", "1,129"),
+            ("pattern", "--design", "basic", "--order", "2", "--samples", "100001"),
+            ("tdesign", "--builtin", "cube", "--t", "257"),
+            ("tdesign", "--builtin", "cube", "--t", "2", "--trials", "1025"),
+        ],
+        ids=["order", "orders-range", "orders-list", "samples", "t", "trials"],
+    )
+    def test_value_past_cap_exits_2(self, args):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 2
+        assert "must lie in" in proc.stderr
+
+    def test_values_at_cap_accepted(self):
+        run_cli("weights", "--design", "basic", "--order", "128")
+        proc = run_cli("tdesign", "--builtin", "octahedron", "--t", "256",
+                       "--trials", "1024", check=False)
+        assert proc.returncode == 1
 
 
 class TestOutputContracts:

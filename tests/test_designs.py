@@ -1,9 +1,12 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from axibeam import (
+    DegenerateProblem,
     Dimension,
     DomainError,
     InvalidFlatness,
@@ -14,6 +17,7 @@ from axibeam import (
     basic,
     cap,
     cap_trapezoid,
+    compute_metrics_numeric,
     derivative,
     eval_pattern,
     eval_sequence,
@@ -24,7 +28,6 @@ from axibeam import (
     supercardioid,
     supercardioid_approx,
 )
-from axibeam.designs import _jacobi_eigh
 from axibeam.quadrature import gram_front, integrate_axisym
 
 D2 = Dimension(2.0)
@@ -59,6 +62,11 @@ class TestWeightVector:
         vec = cap(4, 0.2, D3)
         back = vec.normalized("g1").normalized("a0")
         assert back.a == pytest.approx(vec.normalized("a0").a, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(DomainError):
+            WeightVector(D3, [1.0, bad], Normalization.RAW)
 
 
 class TestBasic:
@@ -142,19 +150,6 @@ class TestMaxRe:
         assert sol.weights.a == pytest.approx(window, abs=1e-13)
 
 
-class TestJacobiEigh:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(9)
-        for size in (2, 5, 11):
-            m = rng.normal(size=(size, size))
-            m = 0.5 * (m + m.T)
-            vals, vecs = _jacobi_eigh(m)
-            ref = np.linalg.eigvalsh(m)
-            assert vals == pytest.approx(ref, abs=1e-11)
-            assert np.max(np.abs(m @ vecs - vecs * vals)) < 1e-11
-            assert np.max(np.abs(vecs.T @ vecs - np.eye(size))) < 1e-12
-
-
 class TestSupercardioid:
     def test_first_order_sphere(self):
         assert supercardioid(1, D3).a == pytest.approx(
@@ -196,6 +191,55 @@ class TestSupercardioid:
     def test_requires_first_order(self):
         with pytest.raises(DomainError):
             supercardioid(0, D3)
+
+    @pytest.mark.parametrize("order, tol", [(8, 1e-12), (12, 1e-9), (16, 7e-7)])
+    def test_matches_exact_legendre_reference(self, order, tol):
+        # D = 3: the back-half Gram in orthonormal coordinates, built from the
+        # exact rational Legendre half-interval integrals, solved at 80 digits
+        mp = pytest.importorskip("mpmath")
+
+        def p0(n):
+            if n % 2:
+                return Fraction(0)
+            return Fraction((-1) ** (n // 2) * math.comb(n, n // 2), 2**n)
+
+        dp0 = [n * p0(n - 1) if n else Fraction(0) for n in range(order + 1)]
+        with mp.workdps(80):
+            norm = [mp.sqrt(mp.mpf(2) / (2 * n + 1)) for n in range(order + 1)]
+            back = mp.matrix(order + 1, order + 1)
+            for n in range(order + 1):
+                for m in range(order + 1):
+                    if n == m:
+                        raw = Fraction(1, 2 * n + 1)
+                    elif (n - m) % 2:
+                        raw = (dp0[n] * p0(m) - dp0[m] * p0(n)) / (n * (n + 1) - m * (m + 1))
+                    else:
+                        raw = Fraction(0)
+                    value = mp.mpf(raw.numerator) / raw.denominator
+                    back[n, m] = (-1) ** (n + m) * value / (norm[n] * norm[m])
+            vals, vecs = mp.eigsy(back)
+            k = min(range(order + 1), key=lambda i: vals[i])
+            a = [norm[n] * vecs[n, k] for n in range(order + 1)]
+            exact = np.array([float(x / a[0]) for x in a])
+        assert np.max(np.abs(supercardioid(order, D3).a - exact)) <= tol
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0])
+    def test_resolved_through_order_eighteen(self, d):
+        # quadrature FBR, which stays accurate past the analytic form's floor
+        dim = Dimension(d)
+        previous = 0.0
+        for order in range(1, 19):
+            best = compute_metrics_numeric(supercardioid(order, dim)).fbr
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RangeWarning)
+                approx = compute_metrics_numeric(supercardioid_approx(order, dim)).fbr
+            assert best >= approx
+            assert best > previous
+            previous = best
+
+    def test_raises_past_rank_floor(self):
+        with pytest.raises(DegenerateProblem):
+            supercardioid(20, D3)
 
 
 class TestSupercardioidApprox:

@@ -5,6 +5,7 @@ import pytest
 
 from axibeam import (
     Dimension,
+    DomainError,
     Normalization,
     WeightVector,
     ZeroPressure,
@@ -149,6 +150,13 @@ class TestComputeMetrics:
         with pytest.raises(ZeroPressure):
             compute_metrics(vec, require_rv=True)
         assert compute_metrics_numeric(vec).r_v is None
+
+    def test_zero_energy_is_domain_error(self):
+        vec = raw(D3, [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            compute_metrics(vec)
+        with pytest.raises(DomainError):
+            compute_metrics_numeric(vec)
 
 
 class TestNumericOracle:

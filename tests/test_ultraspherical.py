@@ -18,6 +18,7 @@ from axibeam import (
     value_at_zero,
 )
 from axibeam.quadrature import integrate_axisym
+from axibeam.ultraspherical import MAX_DIMENSION
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -50,6 +51,16 @@ class TestDimension:
     def test_rejects_dim_below_two(self, bad):
         with pytest.raises(DomainError):
             Dimension(bad)
+
+    @pytest.mark.parametrize("bad", [MAX_DIMENSION + 0.5, 400.0])
+    def test_rejects_dim_above_max(self, bad):
+        # D = 400 used to overflow math.gamma in the sphere surfaces
+        with pytest.raises(DomainError):
+            norms_squared(3, Dimension(bad))
+
+    def test_max_dimension_in_range(self):
+        n2 = norms_squared(3, Dimension(MAX_DIMENSION))
+        assert np.all(np.isfinite(n2)) and np.all(n2 > 0.0)
 
 
 class TestSurfaceArea:
@@ -94,6 +105,13 @@ class TestEvalSequence:
     def test_rejects_large_x(self):
         with pytest.raises(DomainError):
             eval_sequence(1.001, 3, D3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_x(self, bad):
+        with pytest.raises(DomainError):
+            eval_sequence(bad, 3, D3)
+        with pytest.raises(DomainError):
+            eval_sequence(np.array([0.5, bad]), 3, D3)
 
     def test_array_shape(self):
         xs = np.linspace(-1.0, 1.0, 7)
