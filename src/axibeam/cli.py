@@ -7,7 +7,8 @@ two formats round-trip through each other.
 
 Exit codes: 0 ok / t-design passed, 1 t-design failed, 2 argument validation,
 3 file or parse errors.  Arguments that size arrays are capped (orders, pattern
-samples, t-design degree and trials); a value past its cap exits 2.
+samples, t-design degree, trials and node count, and the product
+(t+1) * trials * nodes); a value past its cap exits 2.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ from .sampling import (
 )
 from .ultraspherical import MAX_DIMENSION, Dimension
 
-DESIGN_NAMES = (
-    "basic",
-    "maxre",
-    "supercard",
-    "supercard-approx",
-    "inphase",
-    "maxflat",
-    "cap",
-    "cap-trapezoid",
-)
-
 _DB_FLOOR = -120.0
 
 # Caps on the arguments that size arrays (a largest pattern holds 1.3e7 values).
@@ -62,6 +52,7 @@ _MAX_ORDER = 128
 _MAX_SAMPLES = 100_000
 _MAX_T = 256
 _MAX_TRIALS = 1024
+_MAX_TDESIGN_CELLS = 1 << 22  # (t+1) * trials * nodes polynomial values, 34 MB
 
 
 class _CliError(Exception):
@@ -129,67 +120,57 @@ def _bounded(name: str, value: int, lo: int, hi: int) -> None:
         raise _CliError(f"{name} must lie in {lo}..{hi}, got {value}")
 
 
-def _dim(ns) -> Dimension:
-    try:
-        return Dimension(ns.dim)
-    except AxibeamError as exc:
-        raise _CliError(str(exc)) from exc
+def _maxre(order: int, dim: Dimension, ns):
+    sol = max_re(order, dim)
+    return sol.weights, {"r_e_max": sol.r_e_max, "newton_iterations": sol.iterations}
 
 
-def _cap_x0(ns) -> float:
-    given = [ns.cap_x0 is not None, ns.cap_angle_deg is not None]
-    if sum(given) != 1:
+def _maxflat(order: int, dim: Dimension, ns):
+    if ns.flat_l is None:
+        raise _CliError("maxflat design needs --flat-l")
+    return maxflat(order, ns.flat_l, dim), {"flat_l": ns.flat_l}
+
+
+def _cap(order: int, dim: Dimension, ns):
+    if (ns.cap_x0 is None) == (ns.cap_angle_deg is None):
         raise _CliError("cap design needs exactly one of --cap-x0 / --cap-angle-deg")
-    if ns.cap_x0 is not None:
-        return ns.cap_x0
-    return math.cos(math.radians(ns.cap_angle_deg) / 2.0)
+    x0 = ns.cap_x0 if ns.cap_x0 is not None else math.cos(math.radians(ns.cap_angle_deg) / 2.0)
+    return cap(order, x0, dim), {"cap_x0": x0}
+
+
+def _cap_trapezoid(order: int, dim: Dimension, ns):
+    if ns.spacing_deg is None:
+        raise _CliError("cap-trapezoid design needs --spacing-deg")
+    return cap_trapezoid(order, ns.spacing_deg, dim), {"spacing_deg": ns.spacing_deg}
+
+
+# The --design choices, in order; each maps (order, dim, ns) to (WeightVector, provenance extras)
+_DESIGNS = {
+    "basic": lambda order, dim, ns: (basic(order, dim), {}),
+    "maxre": _maxre,
+    "supercard": lambda order, dim, ns: (supercardioid(order, dim), {}),
+    "supercard-approx": lambda order, dim, ns: (supercardioid_approx(order, dim), {}),
+    "inphase": lambda order, dim, ns: (inphase(order, dim), {}),
+    "maxflat": _maxflat,
+    "cap": _cap,
+    "cap-trapezoid": _cap_trapezoid,
+}
 
 
 def _design_weights(ns, order: int, dim: Dimension):
     """Build the requested design; returns (WeightVector, extras for provenance)."""
-    name = ns.design
-    extras: dict = {}
+    if ns.design is None:
+        raise _CliError(f"{ns.command} needs --design")
     _bounded("order", order, 0, _MAX_ORDER)
-    if name == "basic":
-        vec = basic(order, dim)
-    elif name == "maxre":
-        sol = max_re(order, dim)
-        vec = sol.weights
-        extras["r_e_max"] = sol.r_e_max
-        extras["newton_iterations"] = sol.iterations
-    elif name == "supercard":
-        vec = supercardioid(order, dim)
-    elif name == "supercard-approx":
-        vec = supercardioid_approx(order, dim)
-    elif name == "inphase":
-        vec = inphase(order, dim)
-    elif name == "maxflat":
-        if ns.flat_l is None:
-            raise _CliError("maxflat design needs --flat-l")
-        vec = maxflat(order, ns.flat_l, dim)
-        extras["flat_l"] = ns.flat_l
-    elif name == "cap":
-        x0 = _cap_x0(ns)
-        vec = cap(order, x0, dim)
-        extras["cap_x0"] = x0
-    elif name == "cap-trapezoid":
-        if ns.spacing_deg is None:
-            raise _CliError("cap-trapezoid design needs --spacing-deg")
-        vec = cap_trapezoid(order, ns.spacing_deg, dim)
-        extras["spacing_deg"] = ns.spacing_deg
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(f"unknown design {name!r}")
+    vec, extras = _DESIGNS[ns.design](order, dim, ns)
     if ns.norm is not None:
         vec = vec.normalized(Normalization(ns.norm))
     return vec, extras
 
 
 def _cmd_weights(ns) -> int:
-    dim = _dim(ns)
-    try:
-        vec, extras = _design_weights(ns, ns.order, dim)
-    except AxibeamError as exc:
-        raise _CliError(str(exc)) from exc
+    dim = Dimension(ns.dim)
+    vec, extras = _design_weights(ns, ns.order, dim)
     prov = _provenance(
         ns,
         "weights",
@@ -284,7 +265,7 @@ def _metric_row(label: str, order: int, vec: WeightVector) -> tuple:
 
 
 def _cmd_metrics(ns) -> int:
-    dim = _dim(ns)
+    dim = Dimension(ns.dim)
     columns = ["design", "order", "q", "rv_spread_deg", "re_spread_deg", "fbr_db"]
     rows = []
     if ns.weights_file is not None:
@@ -295,24 +276,18 @@ def _cmd_metrics(ns) -> int:
         if ns.design is None:
             raise _CliError("metrics needs --design or --weights-file")
         orders = _parse_orders(ns)
-        try:
-            for order in orders:
-                vec, _ = _design_weights(ns, order, dim)
-                rows.append(_metric_row(ns.design, order, vec))
-        except AxibeamError as exc:
-            raise _CliError(str(exc)) from exc
+        for order in orders:
+            vec, _ = _design_weights(ns, order, dim)
+            rows.append(_metric_row(ns.design, order, vec))
         prov = _provenance(ns, "metrics", design=ns.design, dim=dim.d)
     _emit(ns, prov, columns, rows)
     return 0
 
 
 def _cmd_pattern(ns) -> int:
-    dim = _dim(ns)
+    dim = Dimension(ns.dim)
     _bounded("--samples", ns.samples, 2, _MAX_SAMPLES)
-    try:
-        vec, extras = _design_weights(ns, ns.order, dim)
-    except AxibeamError as exc:
-        raise _CliError(str(exc)) from exc
+    vec, extras = _design_weights(ns, ns.order, dim)
     phi = np.linspace(0.0, 180.0, ns.samples)
     x = np.cos(np.radians(phi))
     g = np.atleast_1d(eval_pattern(vec, x))
@@ -347,14 +322,13 @@ def _cmd_tdesign(ns) -> int:
 
         nodes = platonic(ns.builtin)
     elif ns.circle is not None:
-        if ns.circle < 1:
-            raise _CliError("--circle needs at least one node")
         nodes = circle_nodes(ns.circle, math.radians(ns.offset_deg))
     else:
         try:
             nodes = load_nodes(ns.nodes_file, dim=ns.node_dim)
         except (ParseError, NormError, OSError) as exc:
             raise _CliError(str(exc), code=3) from exc
+    _bounded("(t+1)*trials*nodes", (ns.t + 1) * ns.trials * nodes.count, 1, _MAX_TDESIGN_CELLS)
     report = tdesign_check(nodes, ns.t, trials=ns.trials, seed=ns.seed)
     prov = _provenance(
         ns,
@@ -379,7 +353,7 @@ def _add_common(sub, with_design: bool = True) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="stdout", help="output path or 'stdout'")
     if with_design:
-        sub.add_argument("--design", choices=DESIGN_NAMES)
+        sub.add_argument("--design", choices=_DESIGNS)
         sub.add_argument("--norm", choices=("a0", "g1", "raw"), default=None,
                          help="re-normalize the weights (default: design natural)")
         sub.add_argument("--flat-l", type=int, default=None,

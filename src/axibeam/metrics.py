@@ -15,7 +15,7 @@ import numpy as np
 from .designs import WeightVector
 from .errors import DomainError, ZeroPressure
 from .quadrature import gram_front, integrate_axisym
-from .ultraspherical import beta_coeff, eval_sequence, norms_squared
+from .ultraspherical import _betas, eval_sequence, norms_squared
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
 
@@ -57,6 +57,13 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
     rE = sum_{n<N} 2 beta_{n+1} a_n a_{n+1} / N_n^2 over sum a_n^2 / N_n^2;
     FBR is the Gram-matrix quadratic-form ratio.
 
+    The sums are formed on the weights scaled by the power of two 2^-k that
+    brings max |a_n| into [0.5, 1).  That scaling is exact, so Q, rV, rE and
+    FBR are unchanged bit for bit, yet they stay finite for any non-zero
+    weights, however large or small.  P and E are reported in the caller's
+    scale; E is inf or 0 only where the true energy lies outside the double
+    range.
+
     Parameters
     ----------
     weights : WeightVector
@@ -64,11 +71,12 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
         When True, raise ZeroPressure if a_0 = 0; otherwise r_v is reported
         as None in that case.
 
-    Raises DomainError when the energy E is zero (all-zero weights).
+    Raises DomainError when every weight is zero.
     """
     dim = weights.dim
-    a = weights.a
     order = weights.order
+    _, k = np.frexp(np.max(np.abs(weights.a)))
+    a = np.ldexp(weights.a, -k)
     n2 = norms_squared(order, dim)
     inv = 1.0 / (dim.subsurface * n2)
     e = float(np.sum(a * a * inv))
@@ -76,21 +84,19 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
         raise DomainError("metrics are undefined for a pattern of zero energy")
     g1 = float(np.sum(a * inv))
     q = dim.surface * g1 * g1 / e
-    if a[0] == 0.0:
+    if weights.a[0] == 0.0:
         if require_rv:
             raise ZeroPressure("r_V is undefined for a_0 = 0")
         r_v: float | None = None
     else:
-        r_v = float(a[1] / a[0]) if order >= 1 else 0.0
-    if order >= 1:
-        betas = np.array([beta_coeff(n + 1, dim) for n in range(order)])
-        num = float(np.sum(2.0 * betas * a[:-1] * a[1:] / n2[:-1]))
-        r_e = num / float(np.sum(a * a / n2))
-    else:
-        r_e = 0.0
+        r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
+    num = float(np.sum(2.0 * _betas(order, dim)[:-1] * a[:-1] * a[1:] / n2[:-1]))
+    r_e = num / float(np.sum(a * a / n2))
     gram = gram_front(order, dim)
     fbr = float(a @ gram.entries @ a) / float(a @ gram.back_entries @ a)
-    return PatternMetrics(p=float(a[0]), e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)
+    with np.errstate(over="ignore"):
+        e = float(np.ldexp(e, 2 * k))
+    return PatternMetrics(p=float(weights.a[0]), e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)
 
 
 def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:

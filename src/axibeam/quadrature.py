@@ -148,17 +148,8 @@ class GramMatrix:
         return self.entries * np.outer(sign, sign)
 
 
-def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
-    """Numeric front-half Gram matrix of the normalized polynomials.
-
-    The scaling 1/(N_n^2 N_m^2) matches the pattern convention
-    g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
-    to the front-half energy of the pattern.  The square-root factor F of the
-    front-half rule is formed once and entries = F^T F is one matrix product;
-    see `GramMatrix` for why definiteness past N ~ 10 is judged from F.
-    """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
+@lru_cache(maxsize=128)
+def _gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     x, q = _rule(dim, _node_count(2 * max_degree, dim), 0.0, 1.0)
     seq = eval_sequence(x, max_degree, dim) / norms_squared(max_degree, dim)[:, None]
     factor = seq.T * np.sqrt(q)[:, None]
@@ -167,7 +158,24 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     degree = np.arange(max_degree + 1)
     diff = degree[:, None] - degree[None, :]
     g[(diff != 0) & (diff % 2 == 0)] = 0.0
+    factor.setflags(write=False)
+    g.setflags(write=False)
     return GramMatrix(order=max_degree, dim=dim, factor=factor, entries=g)
+
+
+def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
+    """Numeric front-half Gram matrix of the normalized polynomials.
+
+    The scaling 1/(N_n^2 N_m^2) matches the pattern convention
+    g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
+    to the front-half energy of the pattern.  The square-root factor F of the
+    front-half rule is formed once and entries = F^T F is one matrix product;
+    see `GramMatrix` for why definiteness past N ~ 10 is judged from F.  The
+    result is cached per (N, D); its factor and entries are read-only.
+    """
+    if max_degree < 0:
+        raise DomainError("max_degree must be >= 0")
+    return _gram_front(max_degree, dim)
 
 
 def gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:

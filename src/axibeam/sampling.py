@@ -31,6 +31,7 @@ __all__ = [
     "tdesign_check",
     "discrete_metrics",
     "PASS_TOLERANCE",
+    "MAX_NODES",
     "DEFAULT_SEED",
     "DEFAULT_TRIALS",
 ]
@@ -42,14 +43,22 @@ PASS_TOLERANCE = 1e-9
 DEFAULT_SEED = 20240
 DEFAULT_TRIALS = 64
 
+# NodeSet's duplicate check forms L x L matrices; 2048 nodes keep each at 34 MB.
+MAX_NODES = 2048
+
 _UNIT_TOL = 1e-12
 _FILE_NORM_TOL = 1e-6
 _DUPLICATE_TOL = 1e-9  # radians
 
 
+def _check_node_count(count: int) -> None:
+    if not 1 <= count <= MAX_NODES:
+        raise DomainError(f"node count must lie in 1..{MAX_NODES}, got {count}")
+
+
 @dataclass(frozen=True)
 class NodeSet:
-    """L unit direction vectors in 2 or 3 ambient dimensions."""
+    """1 <= L <= MAX_NODES (2048) unit direction vectors in 2 or 3 ambient dimensions."""
 
     dim: int
     nodes: np.ndarray
@@ -59,8 +68,9 @@ class NodeSet:
         if self.dim not in (2, 3):
             raise DomainError(f"ambient dimension must be 2 or 3, got {self.dim}")
         pts = np.atleast_2d(np.asarray(self.nodes, dtype=float)).copy()
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != self.dim:
-            raise DomainError(f"nodes must be an (L, {self.dim}) array with L >= 1")
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DomainError(f"nodes must be an (L, {self.dim}) array")
+        _check_node_count(pts.shape[0])
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise NormError("every node must have unit norm within 1e-12")
@@ -105,8 +115,7 @@ class DiscreteMetrics:
 
 def circle_nodes(count: int, offset_rad: float = 0.0) -> NodeSet:
     """Equiangular ring of `count` unit vectors at angles offset + 2 pi (l-1)/L."""
-    if count < 1:
-        raise DomainError("node count must be >= 1")
+    _check_node_count(count)
     ang = offset_rad + 2.0 * math.pi * np.arange(count) / count
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     return NodeSet(2, pts, label=f"circle-{count}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,10 +169,28 @@ def beta_coeff(n: int, dim: Dimension) -> float:
     """
     if n < 1:
         raise DomainError("beta_coeff requires n >= 1")
-    if n == 1:
-        return 1.0
+    return float(_betas(n - 1, dim)[n - 1])
+
+
+@lru_cache(maxsize=128)
+def _betas(max_degree: int, dim: Dimension) -> np.ndarray:
+    """beta_1 .. beta_{N+1} (see `beta_coeff`) as one read-only array."""
+    n = np.arange(2.0, max_degree + 2.0)
     a = dim.alpha
-    return (n - 1.0 + 2.0 * a) / (2.0 * (n - 1.0 + a))
+    out = np.concatenate(([1.0], (n - 1.0 + 2.0 * a) / (2.0 * (n - 1.0 + a))))
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=128)
+def _norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
+    beta = _betas(max_degree, dim)
+    out = np.empty(max_degree + 1, dtype=float)
+    out[0] = dim.n0_squared
+    for n in range(1, max_degree + 1):
+        out[n] = out[n - 1] * (1.0 - beta[n]) / beta[n - 1]
+    out.setflags(write=False)
+    return out
 
 
 def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
@@ -179,15 +198,12 @@ def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
 
     Computed by the product recurrence N_n^2 = (1 - beta_{n+1}) / beta_n * N_{n-1}^2
     seeded with N_0^2 = S_{D-1}/S_{D-2}.  The recurrence is the ground truth;
-    `norm_squared_gamma` provides the closed form for cross-checking.
+    `norm_squared_gamma` provides the closed form for cross-checking.  The
+    result is cached per (N, D) and read-only.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    out = np.empty(max_degree + 1, dtype=float)
-    out[0] = dim.n0_squared
-    for n in range(1, max_degree + 1):
-        out[n] = out[n - 1] * (1.0 - beta_coeff(n + 1, dim)) / beta_coeff(n, dim)
-    return out
+    return _norms_squared(max_degree, dim)
 
 
 def norm_squared(n: int, dim: Dimension) -> float:
@@ -299,7 +315,7 @@ def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     direct = np.tensordot(1.0 / n2, seq_x[: N + 1] * seq_0[: N + 1, None], axes=(0, 0))
     denom = np.where(near, 1.0, xs - x0)
     closed = (
-        beta_coeff(N + 1, dim)
+        _betas(N, dim)[N]
         * (seq_x[N + 1] * seq_0[N] - seq_x[N] * seq_0[N + 1])
         / (denom * n2[N])
     )

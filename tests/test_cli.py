@@ -73,10 +73,21 @@ class TestWeightsCommand:
         _, _, rows = parse_csv(out)
         assert float(rows[0][1]) == 1.0
 
-    def test_missing_design_parameter_exits_2(self):
-        proc = run_cli("weights", "--design", "maxflat", "--order", "3", check=False)
+    @pytest.mark.parametrize(
+        "design, flag",
+        [
+            ("maxflat", "--flat-l"),
+            ("cap", "--cap-x0"),
+            ("cap-trapezoid", "--spacing-deg"),
+            (None, "--design"),
+        ],
+        ids=["maxflat", "cap", "cap-trapezoid", "no-design"],
+    )
+    def test_missing_design_parameter_exits_2(self, design, flag):
+        args = ("--design", design) if design else ()
+        proc = run_cli("weights", *args, "--order", "3", check=False)
         assert proc.returncode == 2
-        assert "flat-l" in proc.stderr
+        assert flag in proc.stderr
 
     def test_cap_needs_exactly_one_boundary(self):
         proc = run_cli(
@@ -279,8 +290,12 @@ class TestSizeCaps:
             ("pattern", "--design", "basic", "--order", "2", "--samples", "100001"),
             ("tdesign", "--builtin", "cube", "--t", "257"),
             ("tdesign", "--builtin", "cube", "--t", "2", "--trials", "1025"),
+            ("tdesign", "--circle", "2049", "--t", "2"),
+            # (t+1) * trials * nodes = 205 * 1024 * 20, just past 2^22
+            ("tdesign", "--builtin", "dodecahedron", "--t", "204", "--trials", "1024"),
         ],
-        ids=["order", "orders-range", "orders-list", "samples", "t", "trials"],
+        ids=["order", "orders-range", "orders-list", "samples", "t", "trials", "nodes",
+             "tdesign-cells"],
     )
     def test_value_past_cap_exits_2(self, args):
         proc = run_cli(*args, check=False)

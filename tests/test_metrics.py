@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,24 @@ class TestComputeMetrics:
         with pytest.raises(ZeroPressure):
             compute_metrics(vec, require_rv=True)
         assert compute_metrics_numeric(vec).r_v is None
+
+    @pytest.mark.parametrize(
+        "a, shift", [([1e200, 5e199, 1e199], 664), ([1e-200, 5e-201, 1e-201], -664)],
+        ids=["1e200", "1e-200"],
+    )
+    def test_extreme_scales_match_unscaled(self, a, shift):
+        base = compute_metrics(raw(D3, [1.0, 0.5, 0.1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            met = compute_metrics(raw(D3, a))
+            exact = compute_metrics(raw(D3, np.ldexp([1.0, 0.5, 0.1], shift)))
+        for field in ("q", "r_v", "r_e", "fbr"):
+            assert getattr(met, field) == pytest.approx(getattr(base, field), rel=1e-14)
+            # a power-of-two scale leaves every ratio bit-identical
+            assert getattr(exact, field) == getattr(base, field)
+        assert met.p == a[0]
+        # the true energy, about 0.14 * a_0^2, lies outside the double range
+        assert met.e == (math.inf if shift > 0 else 0.0)
 
     def test_zero_energy_is_domain_error(self):
         vec = raw(D3, [0.0, 0.0, 0.0])

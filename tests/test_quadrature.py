@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from axibeam import Dimension, eval_sequence, norms_squared
 from axibeam.quadrature import (
+    _gram_front,
     _node_count,
     gram_closed_form,
     gram_front,
@@ -106,6 +108,19 @@ class TestTransformCoeffs:
 
 
 class TestGramMatrix:
+    def test_cached_read_only(self):
+        # a plain function in front of the cache: perfbench/spans.py traces only
+        # objects that pass inspect.isfunction, which an lru_cache wrapper does not
+        assert inspect.isfunction(gram_front)
+        first = gram_front(9, D3)
+        assert gram_front(9, Dimension(3)) is first
+        for arr in (first.entries, first.factor):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        fresh = _gram_front.__wrapped__(9, D3)
+        assert np.array_equal(first.entries, fresh.entries)
+        assert np.array_equal(first.factor, fresh.factor)
+
     def test_symmetry_exact(self):
         g = gram_front(6, D3).entries
         assert np.array_equal(g, g.T)

@@ -17,7 +17,7 @@ from axibeam import (
     platonic,
     tdesign_check,
 )
-from axibeam.sampling import NodeSet
+from axibeam.sampling import MAX_NODES, NodeSet
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -36,6 +36,12 @@ class TestNodeSet:
         with pytest.raises(DomainError):
             NodeSet(4, [[1.0, 0.0, 0.0, 0.0]])
 
+    def test_rejects_more_than_max_nodes(self):
+        # distinct unit vectors, so only the count cap can reject them
+        ang = 2.0 * math.pi * np.arange(MAX_NODES + 1) / (MAX_NODES + 1)
+        with pytest.raises(DomainError, match="must lie in"):
+            NodeSet(2, np.column_stack([np.cos(ang), np.sin(ang)]))
+
 
 class TestCircleNodes:
     def test_square_layout(self):
@@ -43,9 +49,10 @@ class TestCircleNodes:
         expected = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
         assert nodes.nodes == pytest.approx(expected, abs=1e-15)
 
-    def test_count_validation(self):
+    @pytest.mark.parametrize("count", [0, MAX_NODES + 1])
+    def test_count_validation(self, count):
         with pytest.raises(DomainError):
-            circle_nodes(0)
+            circle_nodes(count)
 
     def test_offset_rotates(self):
         nodes = circle_nodes(3, offset_rad=0.5)
