@@ -25,7 +25,6 @@ from .errors import (
     DegenerateProblem,
     DomainError,
     InvalidFlatness,
-    NoConvergence,
     NormError,
     ParseError,
     RangeWarning,
@@ -69,7 +68,6 @@ __all__ = [
     "GramMatrix",
     "InvalidFlatness",
     "MaxReSolution",
-    "NoConvergence",
     "NodeSet",
     "NormError",
     "Normalization",

@@ -25,12 +25,11 @@ from .errors import (
     DegenerateProblem,
     DomainError,
     InvalidFlatness,
-    NoConvergence,
     RangeWarning,
     ZeroPressure,
 )
 from .quadrature import gram_front, integrate_axisym
-from .ultraspherical import Dimension, derivative, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _betas, derivative, eval_sequence, norms_squared
 
 __all__ = [
     "Normalization",
@@ -111,6 +110,8 @@ class MaxReSolution:
     r_e_max is the largest root of P_{N+1}; it equals the rE metric of the
     weights.  It lies in (0, 1) for every N >= 1 (for N = 0 the only root of
     P_1 is 0 and the weights degenerate to the omnidirectional pattern).
+    iterations counts the Newton steps that polish the eigenvalue estimate of
+    r; it is always 1.
     """
 
     weights: WeightVector
@@ -125,84 +126,23 @@ def basic(order: int, dim: Dimension) -> WeightVector:
     return WeightVector(dim, np.ones(order + 1), Normalization.A0_UNITY)
 
 
-def _poly_top(x: float, deg: int, dim: Dimension) -> float:
-    return float(eval_sequence(x, deg, dim)[deg])
-
-
-def _largest_root_bisect(deg: int, dim: Dimension) -> float:
-    """Largest root of P_deg by scanning from x = 1 for the first sign change.
-
-    P_deg(1) = 1 > 0, so the first bracket found while walking down in the
-    angle variable contains the largest root regardless of D.
-    """
-    steps = 8 * (deg + 2)
-    prev_x, prev_f = 1.0, 1.0
-    for j in range(1, steps + 1):
-        x = math.cos(math.pi * j / steps)
-        f = _poly_top(x, deg, dim)
-        if f <= 0.0:
-            lo, hi, flo = x, prev_x, f
-            break
-        prev_x, prev_f = x, f
-    else:  # pragma: no cover - P_deg always changes sign on (-1, 1)
-        raise NoConvergence("no sign change found for the largest root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = _poly_top(mid, deg, dim)
-        if fm <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def max_re(order: int, dim: Dimension) -> MaxReSolution:
     """Weights a_n = P_n(r) at the largest root r of P_{N+1}, maximizing rE.
 
-    Newton iteration starts from cos(137.9 deg / (N + 1.51)) for D >= 2.5 and
-    from the Chebyshev root cos(pi / (2 (N + 1))) otherwise; both guesses sit
-    near the target root for their dimension range.  If Newton steps out of
-    (0, 1) the largest root is re-bracketed by a scan from x = 1 and bisected
-    instead, which cannot pick an interior root.
+    The roots of P_{N+1} are the eigenvalues of its (N+1) x (N+1) symmetric
+    tridiagonal Jacobi matrix (Golub-Welsch): zero diagonal and off-diagonal
+    sqrt(beta_n (1 - beta_{n+1})), n = 1..N.  r is the largest eigenvalue,
+    polished by one Newton step on P_{N+1}.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    if order == 0:
-        # P_1 = x: the root is 0 exactly and the pattern is omnidirectional.
-        return MaxReSolution(
-            WeightVector(dim, np.ones(1), Normalization.A0_UNITY), 0.0, 0
-        )
+    beta = _betas(order, dim)
+    off = np.sqrt(beta[:-1] * (1.0 - beta[1:]))
+    r = float(np.linalg.eigvalsh(np.diag(off, -1))[-1])
     deg = order + 1
-    if dim.d >= 2.5:
-        x = math.cos(math.radians(137.9) / (order + 1.51))
-    else:
-        x = math.cos(math.pi / (2.0 * (order + 1.0)))
-    iterations = 0
-    converged = False
-    for _ in range(100):
-        iterations += 1
-        f = _poly_top(x, deg, dim)
-        df = derivative(x, deg, dim)
-        step = f / df
-        x_new = x - step
-        if abs(step) < 1e-15:
-            x = x_new
-            converged = True
-            break
-        if not (0.0 < x_new < 1.0):
-            x = _largest_root_bisect(deg, dim)
-            iterations += 1
-            converged = True
-            break
-        x = x_new
-    if not converged:
-        raise NoConvergence(f"max-rE Newton did not converge for N={order}, D={dim.d}")
-    weights = eval_sequence(x, order, dim)
-    return MaxReSolution(
-        WeightVector(dim, weights, Normalization.A0_UNITY), float(x), iterations
-    )
+    r -= float(eval_sequence(r, deg, dim)[deg]) / derivative(r, deg, dim)
+    weights = eval_sequence(r, order, dim)
+    return MaxReSolution(WeightVector(dim, weights, Normalization.A0_UNITY), r, 1)
 
 
 def supercardioid(order: int, dim: Dimension) -> WeightVector:

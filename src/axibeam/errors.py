@@ -9,10 +9,6 @@ class DomainError(AxibeamError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class NoConvergence(AxibeamError, RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class DegenerateProblem(AxibeamError, RuntimeError):
     """The supercardioid's back-half factor lost numerical rank (N >= 19, 2 <= D <= 4).
 

@@ -239,8 +239,10 @@ def derivative(x, n: int, dim: Dimension):
         2 (n + alpha) (1 - x^2) P_n'(x) = n (n + 2 alpha) [P_{n-1}(x) - P_{n+1}(x)]
 
     and otherwise the endpoint value P_n'(1) = n (n + D - 2)/(D - 1) with the
-    parity sign (-1)^(n+1) at x = -1.
+    parity sign (-1)^(n+1) at x = -1.  n < 0 raises DomainError.
     """
+    if n < 0:
+        raise DomainError("degree must be >= 0")
     x = _clamp_argument(x)
     scalar = x.ndim == 0
     if n == 0:

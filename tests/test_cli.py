@@ -370,8 +370,15 @@ class TestSubprocessEntryPoints:
 
     def test_exit_code_propagates(self):
         proc = run_cli_subprocess("tdesign", "--builtin", "cube", "--t", "4")
+        # a child that cannot import axibeam also exits 1, but prints no table
         assert proc.returncode == 1
+        assert "degree,max_abs_error" in proc.stdout.splitlines()
 
     def test_subprocess_reruns_byte_identical(self):
         args = ("metrics", "--design", "maxre", "--orders", "1..3", "--dim", "3")
-        assert run_cli_subprocess(*args).stdout == run_cli_subprocess(*args).stdout
+        first = run_cli_subprocess(*args)
+        assert first.returncode == 0
+        _, columns, rows = parse_csv(first.stdout)
+        assert columns[:3] == ["design", "order", "q"]
+        assert rows
+        assert run_cli_subprocess(*args).stdout == first.stdout

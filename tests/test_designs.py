@@ -149,6 +149,38 @@ class TestMaxRe:
         window = np.cos(np.pi * np.arange(order + 1) / (2.0 * (order + 1)))
         assert sol.weights.a == pytest.approx(window, abs=1e-13)
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 64.0])
+    def test_matches_gauss_jacobi_nodes(self, d):
+        # P_{N+1} is a multiple of the Jacobi polynomial P^(a, a)_{N+1}, a = (D - 3)/2
+        from scipy.special import roots_jacobi
+
+        dim = Dimension(d)
+        a = (d - 3.0) / 2.0
+        for order in range(129):
+            ref = roots_jacobi(order + 1, a, a)[0][-1]
+            assert abs(max_re(order, dim).r_e_max - ref) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2.5, 7.3])
+    def test_matches_mpmath_root(self, d):
+        mp = pytest.importorskip("mpmath")
+        dim = Dimension(d)
+        with mp.workdps(50):
+            alpha = mp.mpf(dim.alpha)
+            for order in (8, 64, 128):
+                deg = order + 1
+                r = max_re(order, dim).r_e_max
+
+                def top(x):
+                    return mp.gegenbauer(deg, alpha, x) / mp.gegenbauer(deg, alpha, 1)
+
+                ref = mp.findroot(top, mp.mpf(r), tol=mp.mpf(10) ** -40)
+                assert abs(r - float(ref)) <= 4.5e-16
+
+    def test_single_newton_step(self):
+        for d in (2.0, 3.0, 64.0):
+            for order in (0, 1, 128):
+                assert max_re(order, Dimension(d)).iterations == 1
+
 
 class TestSupercardioid:
     def test_first_order_sphere(self):

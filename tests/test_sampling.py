@@ -32,6 +32,21 @@ class TestNodeSet:
         with pytest.raises(DomainError):
             NodeSet(2, [[1.0, 0.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("ambient", [2, 3])
+    def test_duplicate_threshold_is_1e9_rad(self, ambient):
+        # p and a unit u orthogonal to it; the pair is t rad apart
+        if ambient == 2:
+            p, u = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        else:
+            p, u = np.ones(3) / math.sqrt(3.0), np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+        def pair(t):
+            return [p, math.cos(t) * p + math.sin(t) * u]
+
+        NodeSet(ambient, pair(1e-8))
+        with pytest.raises(DomainError, match="duplicate"):
+            NodeSet(ambient, pair(1e-10))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(DomainError):
             NodeSet(4, [[1.0, 0.0, 0.0, 0.0]])

@@ -303,6 +303,12 @@ class TestDerivative:
                 (-1.0) ** (n + 1) * derivative(1.0, n, D3), rel=1e-13
             )
 
+    @pytest.mark.parametrize("x", [0.5, 1.0])
+    def test_negative_degree_rejected(self, x):
+        # interior and endpoint branches alike
+        with pytest.raises(DomainError):
+            derivative(x, -1, D3)
+
     def test_linear_term(self):
         assert derivative(0.0, 1, D2) == pytest.approx(1.0, abs=1e-14)
         assert derivative(0.0, 1, Dimension(4.5)) == pytest.approx(1.0, abs=1e-14)
