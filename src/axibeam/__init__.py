@@ -22,7 +22,6 @@ from .designs import (
 )
 from .errors import (
     AxibeamError,
-    DegenerateProblem,
     DomainError,
     InvalidFlatness,
     NormError,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AxibeamError",
-    "DegenerateProblem",
     "Dimension",
     "DiscreteMetrics",
     "DomainError",

@@ -9,13 +9,6 @@ class DomainError(AxibeamError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class DegenerateProblem(AxibeamError, RuntimeError):
-    """The supercardioid's back-half factor lost numerical rank (N >= 19, 2 <= D <= 4).
-
-    sigma_min <= sigma_max * max(rows, cols) * eps: the double-precision floor.
-    """
-
-
 class InvalidFlatness(AxibeamError, ValueError):
     """Max-flat design with a flatness split outside 0 <= L <= N-1."""
 

@@ -304,6 +304,12 @@ class TestSizeCaps:
 
     def test_values_at_cap_accepted(self):
         run_cli("weights", "--design", "basic", "--order", "128")
+        for dim in ("3", "64"):
+            out = run_cli("weights", "--design", "supercard", "--order", "128",
+                          "--dim", dim).stdout
+            _, _, rows = parse_csv(out)
+            assert len(rows) == 129
+            assert all(math.isfinite(float(r[1])) for r in rows)
         proc = run_cli("tdesign", "--builtin", "octahedron", "--t", "256",
                        "--trials", "1024", check=False)
         assert proc.returncode == 1
