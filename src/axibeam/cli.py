@@ -41,6 +41,7 @@ from .sampling import (
     PLATONIC_NAMES,
     circle_nodes,
     load_nodes,
+    platonic,
     tdesign_check,
 )
 from .ultraspherical import MAX_DIMENSION, Dimension
@@ -109,7 +110,7 @@ def _emit(ns, provenance: dict, columns: list, rows: list) -> None:
             raise _CliError(f"cannot write {ns.out}: {exc}", code=3) from exc
 
 
-def _provenance(ns, command: str, **extra) -> dict:
+def _provenance(command: str, **extra) -> dict:
     prov = {"tool": "axibeam", "version": __version__, "command": command}
     prov.update(extra)
     return prov
@@ -172,7 +173,6 @@ def _cmd_weights(ns) -> int:
     dim = Dimension(ns.dim)
     vec, extras = _design_weights(ns, ns.order, dim)
     prov = _provenance(
-        ns,
         "weights",
         design=ns.design,
         order=ns.order,
@@ -271,7 +271,7 @@ def _cmd_metrics(ns) -> int:
     if ns.weights_file is not None:
         vec = _read_weights_file(ns.weights_file, dim)
         rows.append(_metric_row(ns.weights_file, vec.order, vec))
-        prov = _provenance(ns, "metrics", source=ns.weights_file, dim=dim.d)
+        prov = _provenance("metrics", source=ns.weights_file, dim=dim.d)
     else:
         if ns.design is None:
             raise _CliError("metrics needs --design or --weights-file")
@@ -279,7 +279,7 @@ def _cmd_metrics(ns) -> int:
         for order in orders:
             vec, _ = _design_weights(ns, order, dim)
             rows.append(_metric_row(ns.design, order, vec))
-        prov = _provenance(ns, "metrics", design=ns.design, dim=dim.d)
+        prov = _provenance("metrics", design=ns.design, dim=dim.d)
     _emit(ns, prov, columns, rows)
     return 0
 
@@ -298,7 +298,6 @@ def _cmd_pattern(ns) -> int:
         db = _DB_FLOOR if ratio == 0.0 else max(20.0 * math.log10(ratio), _DB_FLOOR)
         rows.append((float(p), float(xi), float(gi), float(db)))
     prov = _provenance(
-        ns,
         "pattern",
         design=ns.design,
         order=ns.order,
@@ -318,8 +317,6 @@ def _cmd_tdesign(ns) -> int:
     if sum(sources) != 1:
         raise _CliError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
     if ns.builtin is not None:
-        from .sampling import platonic
-
         nodes = platonic(ns.builtin)
     elif ns.circle is not None:
         nodes = circle_nodes(ns.circle, math.radians(ns.offset_deg))
@@ -331,7 +328,6 @@ def _cmd_tdesign(ns) -> int:
     _bounded("(t+1)*trials*nodes", (ns.t + 1) * ns.trials * nodes.count, 1, _MAX_TDESIGN_CELLS)
     report = tdesign_check(nodes, ns.t, trials=ns.trials, seed=ns.seed)
     prov = _provenance(
-        ns,
         "tdesign",
         source=nodes.label,
         node_count=nodes.count,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure
 from .quadrature import integrate_axisym
-from .ultraspherical import Dimension, _betas, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _betas, _with_derivatives, eval_sequence, norms_squared
 
 __all__ = [
     "Normalization",
@@ -137,11 +137,8 @@ def max_re(order: int, dim: Dimension) -> MaxReSolution:
     if order < 0:
         raise DomainError("order must be >= 0")
     r = float(np.linalg.eigvalsh(np.diag(_jacobi_off(order, dim), -1))[-1])
-    n, a = order + 1, dim.alpha
-    seq = eval_sequence(r, n + 1, dim)
-    # the interior identity of `ultraspherical.derivative`: r < 1 - 1e-8 for N <= 128
-    slope = n * (n + 2.0 * a) * (seq[n - 1] - seq[n + 1]) / (2.0 * (n + a) * (1.0 - r * r))
-    r -= float(seq[n] / slope)
+    seq, der = _with_derivatives(r, order + 1, dim)
+    r -= float(seq[-1] / der[-1])
     weights = eval_sequence(r, order, dim)
     return MaxReSolution(WeightVector(dim, weights, Normalization.A0_UNITY), r, 1)
 

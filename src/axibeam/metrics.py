@@ -14,7 +14,7 @@ import numpy as np
 
 from .designs import WeightVector
 from .errors import DomainError, ZeroPressure
-from .quadrature import gram_front, integrate_axisym
+from .quadrature import gram_closed_form, integrate_axisym
 from .ultraspherical import _betas, eval_sequence, norms_squared
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
@@ -55,7 +55,8 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
     P = a_0; E = sum a_n^2/(S_{D-2} N_n^2); Q = S_{D-1} g(1)^2 / E with g(1)
     taken from the weight sum to avoid cancellation; rV = a_1/a_0;
     rE = sum_{n<N} 2 beta_{n+1} a_n a_{n+1} / N_n^2 over sum a_n^2 / N_n^2;
-    FBR is the Gram-matrix quadratic-form ratio.
+    FBR is the ratio of the closed-form half-interval Gram quadratic forms of
+    a and of its mirror (-1)^n a_n.
 
     The sums are formed on the weights scaled by the power of two 2^-k that
     brings max |a_n| into [0.5, 1).  That scaling is exact, so Q, rV, rE and
@@ -92,8 +93,9 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
         r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
     num = float(np.sum(2.0 * _betas(order, dim)[:-1] * a[:-1] * a[1:] / n2[:-1]))
     r_e = num / float(np.sum(a * a / n2))
-    gram = gram_front(order, dim)
-    fbr = float(a @ gram.entries @ a) / float(a @ gram.back_entries @ a)
+    gram = gram_closed_form(order, dim)
+    back = a * (-1.0) ** np.arange(order + 1)
+    fbr = float(a @ gram @ a) / float(back @ gram @ back)
     with np.errstate(over="ignore"):
         e = float(np.ldexp(e, 2 * k))
     return PatternMetrics(p=float(weights.a[0]), e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sps
 
 from .errors import DomainError
-from .ultraspherical import Dimension, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _with_derivatives, eval_sequence, norms_squared
 
 __all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front", "gram_closed_form"]
 
@@ -31,6 +30,9 @@ def _legendre_rule(count: int):
 
 @lru_cache(maxsize=128)
 def _jacobi_rule(count: int, a: float, b: float):
+    # scipy is imported here, not at module load: only non-integer D needs it
+    from scipy import special as sps
+
     return sps.roots_jacobi(count, a, b)
 
 
@@ -58,10 +60,9 @@ def _rule(dim: Dimension, count: int, lower: float, upper: float):
         x = lower + scale * (u + 1.0)
         return x, w * scale ** (a + 1.0) * (1.0 + x) ** a
     if lower == -1.0:
-        u, w = _jacobi_rule(count, 0.0, a)
-        scale = 0.5 * (upper + 1.0)
-        x = -1.0 + scale * (u + 1.0)
-        return x, w * scale ** (a + 1.0) * (1.0 - x) ** a
+        # w is even: mirror the rule on [-upper, 1]
+        x, w = _rule(dim, count, -upper, 1.0)
+        return -x, w
     # interior range: w is smooth there, plain Gauss-Legendre on x
     t, w = _legendre_rule(count)
     half = 0.5 * (upper - lower)
@@ -164,7 +165,7 @@ def _gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
 
 
 def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
-    """Numeric front-half Gram matrix of the normalized polynomials.
+    """Numeric front-half Gram matrix; the quadrature cross-check of `gram_closed_form`.
 
     The scaling 1/(N_n^2 N_m^2) matches the pattern convention
     g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
@@ -178,29 +179,34 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     return _gram_front(max_degree, dim)
 
 
-def gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
-    """Closed-form cross-check of `gram_front`.
+@lru_cache(maxsize=128)
+def _gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
+    p0, dp0 = _with_derivatives(0.0, max_degree, dim)
+    n = np.arange(max_degree + 1)
+    lam = n * (n + dim.d - 2.0)
+    n2 = norms_squared(max_degree, dim)
+    # one of the two products is zero for every n != m, so no digits cancel;
+    # the 0/0 diagonal is overwritten below
+    with np.errstate(invalid="ignore"):
+        raw = (np.outer(dp0, p0) - np.outer(p0, dp0)) / (lam[:, None] - lam[None, :])
+    g = raw / np.outer(n2, n2)
+    np.fill_diagonal(g, 1.0 / (2.0 * n2))
+    g.setflags(write=False)
+    return g
 
-    Diagonal entries are 1/(2 N_n^2); opposite-parity entries follow from the
+
+def gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
+    """Front-half Gram matrix of `gram_front` in closed form; the analytic FBR reads it.
+
+    Diagonal entries are 1/(2 N_n^2); off-diagonal entries follow from the
     boundary term of the Sturm-Liouville identity evaluated at x = 0,
 
         int_0^1 P_n P_m w dx = [P_n'(0) P_m(0) - P_m'(0) P_n(0)] / (lambda_n - lambda_m)
 
-    with lambda_n = n (n + D - 2).  Same-parity off-diagonal entries vanish.
+    with lambda_n = n (n + D - 2), scaled by 1/(N_n^2 N_m^2).  Same-parity
+    entries vanish because P_n(0) = 0 for odd n and P_n'(0) = 0 for even n.
+    The result is cached per (N, D), exactly symmetric and read-only.
     """
-    from .ultraspherical import derivative, value_at_zero
-
-    n2 = norms_squared(max_degree, dim)
-    d = dim.d
-    lam = np.array([n * (n + d - 2.0) for n in range(max_degree + 1)])
-    p0 = np.array([value_at_zero(n, dim) for n in range(max_degree + 1)])
-    dp0 = np.array([derivative(0.0, n, dim) for n in range(max_degree + 1)])
-    g = np.zeros((max_degree + 1, max_degree + 1), dtype=float)
-    for n in range(max_degree + 1):
-        g[n, n] = 1.0 / (2.0 * n2[n])
-        for m in range(n + 1, max_degree + 1):
-            if (m - n) % 2 == 0:
-                continue
-            raw = (dp0[n] * p0[m] - dp0[m] * p0[n]) / (lam[n] - lam[m])
-            g[n, m] = g[m, n] = raw / (n2[n] * n2[m])
-    return g
+    if max_degree < 0:
+        raise DomainError("max_degree must be >= 0")
+    return _gram_closed_form(max_degree, dim)

@@ -148,28 +148,25 @@ def _signed(coords) -> list:
     return sorted(out)
 
 
-def _platonic_vertices(name: str) -> np.ndarray:
-    if name == "tetrahedron":
-        pts = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    elif name == "octahedron":
-        pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    elif name == "cube":
-        pts = _signed((1.0, 1.0, 1.0))
-    elif name == "icosahedron":
-        pts = _cyclic_signed(1.0, _GOLDEN)
-    elif name == "dodecahedron":
-        pts = sorted(set(_signed((1.0, 1.0, 1.0))) | set(_cyclic_signed(1.0 / _GOLDEN, _GOLDEN)))
-    else:
-        raise DomainError(f"unknown polyhedron {name!r}")
-    return np.asarray(pts, dtype=float)
+# vertex sets of the five regular polyhedra, in the order the CLI lists them
+_PLATONIC_VERTICES = {
+    "tetrahedron": [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)],
+    "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    "cube": _signed((1.0, 1.0, 1.0)),
+    "icosahedron": _cyclic_signed(1.0, _GOLDEN),
+    "dodecahedron": sorted(
+        set(_signed((1.0, 1.0, 1.0))) | set(_cyclic_signed(1.0 / _GOLDEN, _GOLDEN))
+    ),
+}
 
-
-PLATONIC_NAMES = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
+PLATONIC_NAMES = tuple(_PLATONIC_VERTICES)
 
 
 def platonic(name: str) -> NodeSet:
     """Vertices of one of the five regular polyhedra, normalized to unit length."""
-    pts = _platonic_vertices(name)
+    if name not in PLATONIC_NAMES:
+        raise DomainError(f"unknown polyhedron {name!r}")
+    pts = np.asarray(_PLATONIC_VERTICES[name], dtype=float)
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     return NodeSet(3, pts, label=name)
 

@@ -43,9 +43,6 @@ MAX_DIMENSION = 64.0
 # |x| may overshoot 1 by at most this much before it is an error.
 _X_CLAMP = 1e-12
 
-# Crossover to the endpoint formula in `derivative`.
-_EDGE = 1e-8
-
 
 def _sphere_surface(d: float) -> float:
     """Surface of the unit sphere S^(d-1) embedded in d dimensions, d >= 1."""
@@ -231,40 +228,37 @@ def norm_squared_gamma(n: int, dim: Dimension) -> float:
     return math.exp(log_ratio) * dim.n0_squared
 
 
+def _with_derivatives(x, max_degree: int, dim: Dimension):
+    """P_0 .. P_N and P_0' .. P_N' at x, each shaped as `eval_sequence` returns.
+
+    The derivatives follow the x-derivative of the three-term recurrence,
+
+        P'_{n+1}(x) = [(2n + D - 2)(P_n(x) + x P'_n(x)) - n P'_{n-1}(x)] / (n + D - 2),
+
+    from P'_0 = 0 and P'_1 = 1; it holds on all of [-1, 1], endpoints included.
+    """
+    x = _clamp_argument(x)
+    seq = eval_sequence(x, max_degree, dim)
+    d = dim.d
+    der = np.zeros_like(seq)
+    if max_degree >= 1:
+        der[1] = 1.0
+    for n in range(1, max_degree):
+        der[n + 1] = ((2.0 * n + d - 2.0) * (seq[n] + x * der[n]) - n * der[n - 1]) / (n + d - 2.0)
+    return seq, der
+
+
 def derivative(x, n: int, dim: Dimension):
-    """First derivative P_n'(x).
+    """First derivative P_n'(x), from the differentiated three-term recurrence.
 
-    For |x| < 1 - 1e-8 uses the recurrence
-
-        2 (n + alpha) (1 - x^2) P_n'(x) = n (n + 2 alpha) [P_{n-1}(x) - P_{n+1}(x)]
-
-    and otherwise the endpoint value P_n'(1) = n (n + D - 2)/(D - 1) with the
-    parity sign (-1)^(n+1) at x = -1.  n < 0 raises DomainError.
+    The recurrence holds at every x in [-1, 1], so the endpoint values
+    P_n'(+-1) = (+-1)^(n+1) n (n + D - 2)/(D - 1) need no separate formula.
+    n < 0 raises DomainError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
-    x = _clamp_argument(x)
-    scalar = x.ndim == 0
-    if n == 0:
-        res = np.zeros_like(x)
-        return float(res) if scalar else res
-    a = dim.alpha
-    edge_val = n * (n + 2.0 * a) / (dim.d - 1.0)
-    xs = np.atleast_1d(x)
-    out = np.empty_like(xs)
-    interior = np.abs(xs) < 1.0 - _EDGE
-    if np.any(interior):
-        xi = xs[interior]
-        seq = eval_sequence(xi, n + 1, dim)
-        out[interior] = (
-            n * (n + 2.0 * a) * (seq[n - 1] - seq[n + 1])
-            / (2.0 * (n + a) * (1.0 - xi * xi))
-        )
-    edge = ~interior
-    if np.any(edge):
-        sign = np.where(xs[edge] > 0.0, 1.0, (-1.0) ** (n + 1))
-        out[edge] = sign * edge_val
-    return float(out[0]) if scalar else out.reshape(x.shape)
+    der = _with_derivatives(x, n, dim)[1][n]
+    return float(der) if der.ndim == 0 else der
 
 
 def value_at_zero(n: int, dim: Dimension) -> float:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -176,6 +178,18 @@ class TestComputeMetrics:
             compute_metrics(vec)
         with pytest.raises(DomainError):
             compute_metrics_numeric(vec)
+
+    def test_analytic_path_does_not_load_scipy(self):
+        # scipy serves only the Gauss-Jacobi quadrature rules of non-integer D
+        code = (
+            "import sys, axibeam\n"
+            "from axibeam import Dimension, compute_metrics, max_re\n"
+            "compute_metrics(max_re(8, Dimension(2.5)).weights)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestNumericOracle:

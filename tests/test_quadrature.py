@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from axibeam import Dimension, eval_sequence, norms_squared
+from axibeam import Dimension, compute_metrics, eval_sequence, max_re, norms_squared
 from axibeam.quadrature import (
+    _gram_closed_form,
     _gram_front,
     _node_count,
     gram_closed_form,
@@ -120,6 +121,12 @@ class TestGramMatrix:
         fresh = _gram_front.__wrapped__(9, D3)
         assert np.array_equal(first.entries, fresh.entries)
         assert np.array_equal(first.factor, fresh.factor)
+        assert inspect.isfunction(gram_closed_form)
+        closed = gram_closed_form(9, D3)
+        assert gram_closed_form(9, Dimension(3)) is closed
+        with pytest.raises(ValueError):
+            closed[0, 0] = 1.0
+        assert np.array_equal(closed, _gram_closed_form.__wrapped__(9, D3))
 
     def test_symmetry_exact(self):
         g = gram_front(6, D3).entries
@@ -149,7 +156,7 @@ class TestGramMatrix:
         assert g[0, 2] == 0.0
         assert g[1, 3] == 0.0
 
-    @pytest.mark.parametrize("d", [2.0, 3.0])
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0])
     def test_closed_form_cross_check(self, d):
         dim = Dimension(d)
         numeric = gram_front(8, dim).entries
@@ -204,6 +211,59 @@ class TestGramMatrix:
             lam_min = float(min(mp.eigsy(exact, eigvals_only=True)))
         sigma_min = np.linalg.svd(gram_front(order, D3).factor, compute_uv=False)[-1]
         assert sigma_min**2 == pytest.approx(lam_min, rel=1e-3, abs=0.0)
+
+    def test_closed_form_matches_mpmath(self):
+        # 60-digit Sturm-Liouville Gram from the Gegenbauer values
+        # C_n^a(1) = (2a)_n / n!, C_2k^a(0) = (-1)^k (a)_k / k!, the derivative
+        # rule C_n^a' = 2a C_(n-1)^(a+1) and the Gamma-function norms
+        mp = pytest.importorskip("mpmath")
+
+        def at_zero(n, a):
+            if n % 2:
+                return mp.mpf(0)
+            return (-1) ** (n // 2) * mp.rf(a, n // 2) / mp.factorial(n // 2)
+
+        def reference(order, d):
+            a = (mp.mpf(d) - 2) / 2
+            n0 = mp.sqrt(mp.pi) * mp.gamma((mp.mpf(d) - 1) / 2) / mp.gamma(mp.mpf(d) / 2)
+            n2, p0, dp0, lam = [], [], [], []
+            for n in range(order + 1):
+                c1 = mp.rf(2 * a, n) / mp.factorial(n)
+                p0.append(at_zero(n, a) / c1)
+                dp0.append(2 * a * at_zero(n - 1, a + 1) / c1 if n else mp.mpf(0))
+                lam.append(n * (n + mp.mpf(d) - 2))
+                n2.append(
+                    n0 if n == 0 else mp.factorial(n) * mp.gamma(mp.mpf(d) - 1)
+                    / ((2 * n + mp.mpf(d) - 2) * mp.gamma(n + mp.mpf(d) - 2)) * n0
+                )
+            g = mp.matrix(order + 1, order + 1)
+            for n in range(order + 1):
+                for m in range(order + 1):
+                    if n == m:
+                        g[n, m] = 1 / (2 * n2[n])
+                    else:
+                        raw = (dp0[n] * p0[m] - dp0[m] * p0[n]) / (lam[n] - lam[m])
+                        g[n, m] = raw / (n2[n] * n2[m])
+            return g
+
+        with mp.workdps(60):
+            exact = reference(16, 2.5)
+            closed = gram_closed_form(16, Dimension(2.5))
+            err = max(abs(mp.mpf(closed[n, m]) - exact[n, m]) for n in range(17) for m in range(17))
+            assert err <= 1e-14 * np.max(np.abs(closed))
+
+            # the analytic FBR of a max-rE design against the 60-digit quadratic forms
+            order = 32
+            weights = max_re(order, Dimension(2.2)).weights
+            a = weights.a
+            exact = reference(order, 2.2)
+            front = back = mp.mpf(0)
+            for n in range(order + 1):
+                for m in range(order + 1):
+                    front += mp.mpf(a[n]) * exact[n, m] * mp.mpf(a[m])
+                    back += (-1) ** (n + m) * mp.mpf(a[n]) * exact[n, m] * mp.mpf(a[m])
+            fbr = compute_metrics(weights).fbr
+            assert abs(fbr - front / back) <= 1e-9 * front / back
 
     def test_back_entries_sign_pattern(self):
         gram = gram_front(4, D3)

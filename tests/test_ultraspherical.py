@@ -303,9 +303,18 @@ class TestDerivative:
                 (-1.0) ** (n + 1) * derivative(1.0, n, D3), rel=1e-13
             )
 
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_chebyshev_near_endpoints(self, n):
+        # T_n'(cos t) = n sin(n t) / sin t, with t from 1 - |x| (exact for these
+        # x) and the parity T_n'(-x) = (-1)^(n+1) T_n'(x)
+        for x in (1 - 5e-9, 1 - 1e-10, 1 - 2e-8, -(1 - 2e-8), 1 - 1e-6):
+            t = 2.0 * math.asin(math.sqrt((1.0 - abs(x)) / 2.0))
+            exact = n * math.sin(n * t) / math.sin(t) * math.copysign(1.0, x) ** (n + 1)
+            assert abs(derivative(x, n, D2) - exact) <= 1e-12 * n * n
+
     @pytest.mark.parametrize("x", [0.5, 1.0])
     def test_negative_degree_rejected(self, x):
-        # interior and endpoint branches alike
+        # at an interior point and at the endpoint alike
         with pytest.raises(DomainError):
             derivative(x, -1, D3)
 
