@@ -135,7 +135,12 @@ def _maxflat(order: int, dim: Dimension, ns):
 def _cap(order: int, dim: Dimension, ns):
     if (ns.cap_x0 is None) == (ns.cap_angle_deg is None):
         raise _CliError("cap design needs exactly one of --cap-x0 / --cap-angle-deg")
-    x0 = ns.cap_x0 if ns.cap_x0 is not None else math.cos(math.radians(ns.cap_angle_deg) / 2.0)
+    if ns.cap_x0 is not None:
+        x0 = ns.cap_x0
+    elif 0.0 < ns.cap_angle_deg < 360.0:
+        x0 = math.cos(math.radians(ns.cap_angle_deg) / 2.0)
+    else:
+        raise _CliError(f"--cap-angle-deg must satisfy 0 < angle < 360, got {ns.cap_angle_deg}")
     return cap(order, x0, dim), {"cap_x0": x0}
 
 

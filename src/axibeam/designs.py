@@ -22,7 +22,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure
-from .quadrature import integrate_axisym
 from .ultraspherical import Dimension, _betas, _with_derivatives, eval_sequence, norms_squared
 
 __all__ = [
@@ -246,13 +245,58 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
     return vec.normalized(Normalization.G1_UNITY)
 
 
+def _beta_fraction(p: float, q: float, x: float) -> float:
+    """Continued fraction of I_x(p, q) by modified Lentz, for x < (p+1)/(p+q+2).
+
+    There it converges within 50 steps for p, q <= 32, and no partial
+    denominator falls below 0.05, so Lentz's guard against zero is not needed.
+    """
+    c = 1.0
+    d = 1.0 / (1.0 - (p + q) * x / (p + 1.0))
+    h = d
+    for m in range(1, 200):
+        for aa in (m * (q - m) * x / ((p + 2 * m - 1.0) * (p + 2 * m)),
+                   -(p + m) * (p + q + m) * x / ((p + 2 * m) * (p + 2 * m + 1.0))):
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _cap_mass(x0: float, dim: Dimension) -> float:
+    """Cap mass int_x0^1 (1 - x^2)^c dx, c = (D-3)/2, as an incomplete beta.
+
+    With p = c + 1 and q = 1/2 the mass over [|x0|, 1] is (1/2) B_z(p, q),
+    z = (1 - x0)(1 + x0), 1 - z = x0^2.  For z >= (p+1)/(p+q+2), where the
+    continued fraction converges slowly, the symmetric form
+    B_z(p, q) = B(p, q) - B_{1-z}(q, p) is used, and x0 < 0 takes the
+    complement B(p, q) - tail, so no branch subtracts nearly equal numbers.
+    """
+    p, q = dim.alpha + 0.5, 0.5
+    z, zc = (1.0 - x0) * (1.0 + x0), x0 * x0
+    beta = math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+    if zc == 0.0:
+        tail = 0.5 * beta
+    else:
+        # z^p (1 - z)^q, the common factor of both incomplete-beta forms
+        power = math.exp(p * math.log(z) + q * math.log(zc))
+        if z < (p + 1.0) / (p + q + 2.0):
+            tail = 0.5 * power * _beta_fraction(p, q, z) / p
+        else:
+            tail = 0.5 * (beta - power * _beta_fraction(q, p, zc) / q)
+    return tail if x0 >= 0.0 else beta - tail
+
+
 def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
     """Expansion weights of the spherical-cap indicator of the region x >= x0.
 
     a_n = w(x0)/(2n + 2 alpha) [P_{n-1}(x0) - P_{n+1}(x0)] for n >= 1.  The
-    zeroth weight is the cap area integral: arccos(x0) for D = 2, 1 - x0 for
-    D = 3, and the quadrature of w over [x0, 1] for any other dimension
-    (standing in for the hypergeometric closed form).
+    zeroth weight is the cap mass, the integral of w over [x0, 1]: arccos(x0)
+    for D = 2, 1 - x0 for D = 3, and for any other dimension the incomplete
+    beta function (1/2) B_{1-x0^2}((D-1)/2, 1/2) (or its complement for
+    x0 < 0), summed as a continued fraction.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -264,7 +308,7 @@ def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
     elif dim.d == 3.0:
         a[0] = 1.0 - x0
     else:
-        a[0] = integrate_axisym(np.ones_like, dim, 0, lower=x0)
+        a[0] = _cap_mass(x0, dim)
     if order >= 1:
         seq = eval_sequence(x0, order + 1, dim)
         w0 = (1.0 - x0 * x0) ** (dim.alpha - 0.5)

@@ -96,6 +96,13 @@ class TestWeightsCommand:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("angle", ["0", "360", "540", "-30", "1e300", "inf", "nan"])
+    def test_cap_angle_outside_open_range_exits_2(self, angle):
+        proc = run_cli("weights", "--design", "cap", "--order", "2",
+                       "--cap-angle-deg", angle, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("axibeam: --cap-angle-deg must satisfy 0 < angle < 360")
+
     def test_argparse_validation_exit_code(self):
         proc = run_cli("weights", "--design", "nope", "--order", "2", check=False)
         assert proc.returncode == 2

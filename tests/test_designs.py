@@ -428,6 +428,23 @@ class TestCap:
         direct = integrate_axisym(np.ones_like, dim, 0, lower=x0)
         assert cap(2, x0, dim).a[0] == pytest.approx(direct, rel=1e-13)
 
+    def test_zeroth_weight_matches_mpmath_incomplete_beta(self):
+        # a_0 = int_x0^1 (1 - x^2)^((D-3)/2) dx = B_{1-x0^2}(p, 1/2) / 2, p = (D-1)/2,
+        # or its complement B(p, 1/2) - B_{1-x0^2}(p, 1/2) / 2 for x0 < 0
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(50):
+            for d in (2.0001, 2.5, 3.5, 7.3, 33.3, 64.0):
+                p = (mp.mpf(d) - 1) / 2
+                for x0 in (0.99999, -0.99999, 0.5, -0.5, 1e-9, -1e-9, 0.0, 0.3):
+                    x = mp.mpf(x0)
+                    ref = mp.betainc(p, mp.mpf(1) / 2, 0, 1 - x * x) / 2
+                    if x0 < 0:
+                        ref = mp.beta(p, mp.mpf(1) / 2) - ref
+                    err = abs(cap(0, x0, Dimension(d)).a[0] - ref) / ref
+                    worst = max(worst, float(err))
+        assert worst <= 1e-12
+
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0])
     def test_weights_equal_segment_integrals(self, d):
         dim = Dimension(d)

@@ -183,8 +183,10 @@ class TestComputeMetrics:
         # scipy serves only the Gauss-Jacobi quadrature rules of non-integer D
         code = (
             "import sys, axibeam\n"
-            "from axibeam import Dimension, compute_metrics, max_re\n"
+            "from axibeam import Dimension, cap, cap_trapezoid, compute_metrics, max_re\n"
             "compute_metrics(max_re(8, Dimension(2.5)).weights)\n"
+            "cap(8, -0.99999, Dimension(2.5))\n"
+            "cap_trapezoid(8, 40.0, Dimension(3.5))\n"
             "print('scipy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
