@@ -6,9 +6,10 @@ printed with 12 significant digits so repeated runs are byte-identical and the
 two formats round-trip through each other.
 
 Exit codes: 0 ok / t-design passed, 1 t-design failed, 2 argument validation,
-3 file or parse errors.  Arguments that size arrays are capped (orders, pattern
-samples, t-design degree, trials and node count, and the product
-(t+1) * trials * nodes); a value past its cap exits 2.
+3 file or parse errors.  A command returns 0 or 1; `main` maps any error to 2
+or 3 by its type alone (`_EXIT_CODES`).  Arguments that size arrays are capped
+(orders, pattern samples, t-design degree, trials and node count, and the
+product (t+1) * trials * nodes); a value past its cap exits 2.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from .designs import (
     supercardioid,
     supercardioid_approx,
 )
-from .errors import AxibeamError, NormError, ParseError
+from .errors import AxibeamError, DomainError, NormError, ParseError
 from .metrics import compute_metrics, eval_pattern
 from .sampling import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     PLATONIC_NAMES,
+    _file_lines,
     circle_nodes,
     load_nodes,
     platonic,
@@ -55,11 +57,8 @@ _MAX_T = 256
 _MAX_TRIALS = 1024
 _MAX_TDESIGN_CELLS = 1 << 22  # (t+1) * trials * nodes polynomial values, 34 MB
 
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+# exit code of an error, by the first type it matches; file and parse errors are 3
+_EXIT_CODES = ((ParseError, 3), (NormError, 3), (OSError, 3), (AxibeamError, 2))
 
 
 def _fmt(value) -> str:
@@ -103,11 +102,8 @@ def _emit(ns, provenance: dict, columns: list, rows: list) -> None:
     if ns.out == "stdout":
         sys.stdout.write(text)
     else:
-        try:
-            with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _CliError(f"cannot write {ns.out}: {exc}", code=3) from exc
+        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _provenance(command: str, **extra) -> dict:
@@ -118,7 +114,7 @@ def _provenance(command: str, **extra) -> dict:
 
 def _bounded(name: str, value: int, lo: int, hi: int) -> None:
     if not lo <= value <= hi:
-        raise _CliError(f"{name} must lie in {lo}..{hi}, got {value}")
+        raise DomainError(f"{name} must lie in {lo}..{hi}, got {value}")
 
 
 def _maxre(order: int, dim: Dimension, ns):
@@ -128,25 +124,25 @@ def _maxre(order: int, dim: Dimension, ns):
 
 def _maxflat(order: int, dim: Dimension, ns):
     if ns.flat_l is None:
-        raise _CliError("maxflat design needs --flat-l")
+        raise DomainError("maxflat design needs --flat-l")
     return maxflat(order, ns.flat_l, dim), {"flat_l": ns.flat_l}
 
 
 def _cap(order: int, dim: Dimension, ns):
     if (ns.cap_x0 is None) == (ns.cap_angle_deg is None):
-        raise _CliError("cap design needs exactly one of --cap-x0 / --cap-angle-deg")
+        raise DomainError("cap design needs exactly one of --cap-x0 / --cap-angle-deg")
     if ns.cap_x0 is not None:
         x0 = ns.cap_x0
     elif 0.0 < ns.cap_angle_deg < 360.0:
         x0 = math.cos(math.radians(ns.cap_angle_deg) / 2.0)
     else:
-        raise _CliError(f"--cap-angle-deg must satisfy 0 < angle < 360, got {ns.cap_angle_deg}")
+        raise DomainError(f"--cap-angle-deg must satisfy 0 < angle < 360, got {ns.cap_angle_deg}")
     return cap(order, x0, dim), {"cap_x0": x0}
 
 
 def _cap_trapezoid(order: int, dim: Dimension, ns):
     if ns.spacing_deg is None:
-        raise _CliError("cap-trapezoid design needs --spacing-deg")
+        raise DomainError("cap-trapezoid design needs --spacing-deg")
     return cap_trapezoid(order, ns.spacing_deg, dim), {"spacing_deg": ns.spacing_deg}
 
 
@@ -166,7 +162,7 @@ _DESIGNS = {
 def _design_weights(ns, order: int, dim: Dimension):
     """Build the requested design; returns (WeightVector, extras for provenance)."""
     if ns.design is None:
-        raise _CliError(f"{ns.command} needs --design")
+        raise DomainError(f"{ns.command} needs --design")
     _bounded("order", order, 0, _MAX_ORDER)
     vec, extras = _DESIGNS[ns.design](order, dim, ns)
     if ns.norm is not None:
@@ -191,57 +187,45 @@ def _cmd_weights(ns) -> int:
 
 
 def _parse_orders(ns) -> list:
-    if ns.orders is not None:
-        text = ns.orders
-        sep = ".." if ".." in text else (":" if ":" in text else None)
-        try:
-            if sep is not None:
-                lo, hi = (int(p) for p in text.split(sep, 1))
-                _bounded("--orders", hi, 0, _MAX_ORDER)
-                orders = list(range(lo, hi + 1))
-            else:
-                orders = [int(p) for p in text.split(",")]
-        except ValueError as exc:
-            raise _CliError(f"cannot parse --orders {text!r}") from exc
-        if not orders or any(o < 0 for o in orders):
-            raise _CliError(f"invalid order range {text!r}")
-        return orders
-    if ns.order is None:
-        raise _CliError("metrics needs --order or --orders")
-    return [ns.order]
+    if ns.orders is None:
+        if ns.order is None:
+            raise DomainError("metrics needs --order or --orders")
+        return [ns.order]
+    text = ns.orders
+    sep = ".." if ".." in text else (":" if ":" in text else None)
+    try:
+        orders = [int(p) for p in (text.split(sep, 1) if sep else text.split(","))]
+    except ValueError as exc:
+        raise DomainError(f"cannot parse --orders {text!r}") from exc
+    # DomainError is a ValueError, so the cap is checked outside the try
+    if sep is not None:
+        lo, hi = orders
+        _bounded("--orders", hi, 0, _MAX_ORDER)
+        orders = list(range(lo, hi + 1))
+    if not orders or any(o < 0 for o in orders):
+        raise DomainError(f"invalid order range {text!r}")
+    return orders
 
 
 def _read_weights_file(path, dim: Dimension) -> WeightVector:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", code=3) from exc
+    lines = list(_file_lines(path))
+    if lines and [c.strip() for c in lines[0][1].split(",")] != ["n", "a_n"]:
+        raise ParseError(f"{path}: line {lines[0][0]}: expected header n,a_n")
     values = {}
-    header_seen = False
-    for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if not header_seen:
-            cols = [c.strip() for c in body.split(",")]
-            if cols != ["n", "a_n"]:
-                raise _CliError(f"{path}: line {lineno}: expected header n,a_n", code=3)
-            header_seen = True
-            continue
+    for lineno, body in lines[1:]:
         parts = body.split(",")
         try:
             degree, value = int(parts[0]), float(parts[1])
             if not math.isfinite(value):
                 raise ValueError(value)
         except (ValueError, IndexError) as exc:
-            raise _CliError(f"{path}: line {lineno}: bad row {body!r}", code=3) from exc
+            raise ParseError(f"{path}: line {lineno}: bad row {body!r}") from exc
         values[degree] = value
-    if not header_seen or not values:
-        raise _CliError(f"{path}: no weight rows", code=3)
+    if not values:
+        raise ParseError(f"{path}: no weight rows")
     order = max(values)
     if sorted(values) != list(range(order + 1)):
-        raise _CliError(f"{path}: degrees must cover 0..{order} without gaps", code=3)
+        raise ParseError(f"{path}: degrees must cover 0..{order} without gaps")
     a = np.array([values[n] for n in range(order + 1)])
     return WeightVector(dim, a, Normalization.RAW)
 
@@ -279,7 +263,7 @@ def _cmd_metrics(ns) -> int:
         prov = _provenance("metrics", source=ns.weights_file, dim=dim.d)
     else:
         if ns.design is None:
-            raise _CliError("metrics needs --design or --weights-file")
+            raise DomainError("metrics needs --design or --weights-file")
         orders = _parse_orders(ns)
         for order in orders:
             vec, _ = _design_weights(ns, order, dim)
@@ -320,16 +304,13 @@ def _cmd_tdesign(ns) -> int:
     _bounded("--trials", ns.trials, 1, _MAX_TRIALS)
     sources = [ns.builtin is not None, ns.circle is not None, ns.nodes_file is not None]
     if sum(sources) != 1:
-        raise _CliError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
+        raise DomainError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
     if ns.builtin is not None:
         nodes = platonic(ns.builtin)
     elif ns.circle is not None:
         nodes = circle_nodes(ns.circle, math.radians(ns.offset_deg))
     else:
-        try:
-            nodes = load_nodes(ns.nodes_file, dim=ns.node_dim)
-        except (ParseError, NormError, OSError) as exc:
-            raise _CliError(str(exc), code=3) from exc
+        nodes = load_nodes(ns.nodes_file, dim=ns.node_dim)
     _bounded("(t+1)*trials*nodes", (ns.t + 1) * ns.trials * nodes.count, 1, _MAX_TDESIGN_CELLS)
     report = tdesign_check(nodes, ns.t, trials=ns.trials, seed=ns.seed)
     prov = _provenance(
@@ -410,16 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except _CliError as exc:
+    except (AxibeamError, OSError) as exc:
         print(f"axibeam: {exc}", file=sys.stderr)
-        return exc.code
-    except AxibeamError as exc:
-        print(f"axibeam: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -151,10 +151,10 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     n (n + D - 1)), n = 0..N-1, off = `_jacobi_off` (Grünbaum, Longhi &
     Perlstadt 1982), and u is its top eigenvector.  That sub-diagonal
     is positive, so by Perron-Frobenius the eigenvalue is simple and every
-    exact weight is positive.  a = diag(N_n) u is sign-fixed so g(1) > 0 and
-    normalized to a_0 = 1.  Well conditioned for N <= 128, 2 <= D <= 64;
-    trailing weights below 1e-15 max|a| (from N ~ 48) are only absolutely
-    accurate.
+    exact weight has the sign of a_0: a = diag(N_n) u divided by a_0 is
+    positive whatever sign the eigensolver returns.  Well conditioned for
+    N <= 128, 2 <= D <= 64; trailing weights below 1e-15 max|a| (from N ~ 48)
+    are only absolutely accurate.
     """
     if order < 1:
         raise DomainError("supercardioid requires order >= 1")
@@ -162,10 +162,7 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     spread = order * (order + dim.d - 1.0) - n * (n + dim.d - 1.0)
     _, vecs = np.linalg.eigh(np.diag(_jacobi_off(order, dim) * spread, -1))
     a = np.sqrt(norms_squared(order, dim)) * vecs[:, -1]
-    vec = WeightVector(dim, a, Normalization.RAW)
-    if vec.front_value() < 0.0:
-        vec = WeightVector(dim, -a, Normalization.RAW)
-    return vec.normalized(Normalization.A0_UNITY)
+    return WeightVector(dim, a / a[0], Normalization.A0_UNITY)
 
 
 def supercardioid_approx(order: int, dim: Dimension) -> WeightVector:

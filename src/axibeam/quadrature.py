@@ -23,9 +23,16 @@ from .ultraspherical import Dimension, _with_derivatives, eval_sequence, norms_s
 __all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front", "gram_closed_form"]
 
 
+def _read_only(*arrays) -> tuple:
+    # cached rules reach user callbacks unchanged, so they must not be writable
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=128)
 def _legendre_rule(count: int):
-    return np.polynomial.legendre.leggauss(count)
+    return _read_only(*np.polynomial.legendre.leggauss(count))
 
 
 @lru_cache(maxsize=128)
@@ -33,7 +40,7 @@ def _jacobi_rule(count: int, a: float, b: float):
     # scipy is imported here, not at module load: only non-integer D needs it
     from scipy import special as sps
 
-    return sps.roots_jacobi(count, a, b)
+    return _read_only(*sps.roots_jacobi(count, a, b))
 
 
 def _node_count(degree_hint: int, dim: Dimension) -> int:

@@ -61,7 +61,8 @@ def _check_node_count(count: int) -> None:
 class NodeSet:
     """1 <= L <= MAX_NODES (2048) unit direction vectors in 2 or 3 ambient dimensions.
 
-    Two directions closer than 1e-9 rad are duplicates and raise DomainError.
+    Non-finite coordinates, and two directions closer than 1e-9 rad
+    (duplicates), raise DomainError.
     """
 
     dim: int
@@ -75,6 +76,8 @@ class NodeSet:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DomainError(f"nodes must be an (L, {self.dim}) array")
         _check_node_count(pts.shape[0])
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("node coordinates must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise NormError("every node must have unit norm within 1e-12")
@@ -171,17 +174,28 @@ def platonic(name: str) -> NodeSet:
     return NodeSet(3, pts, label=name)
 
 
+def _file_lines(path):
+    """Yield (line number, text) for each non-blank line of a UTF-8 file, `#` comments cut."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
+
+
 def _rows_from_file(path) -> list:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = [p for p in body.replace(",", " ").split() if p]
+    for lineno, body in _file_lines(path):
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in body.replace(",", " ").split()]
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     width = len(rows[0])
@@ -195,11 +209,12 @@ def load_nodes(path, dim: int | None = None) -> NodeSet:
 
     Accepted layouts: 3 columns x,y,z (3-d unit vectors); 2 columns
     azimuth_deg,zenith_deg (3-d); 2 columns x,y (2-d unit vectors); 1 column
-    azimuth_deg (2-d).  `#` starts a comment.  A two-column file is ambiguous,
-    so pass `dim` to force a reading; otherwise rows that are all unit-norm
-    are taken as 2-d Cartesian and anything else as azimuth/zenith.  Rows
-    whose norm deviates from 1 by less than 1e-6 are renormalized; worse rows
-    raise NormError.
+    azimuth_deg (2-d).  The file is UTF-8 text and `#` starts a comment;
+    undecodable bytes or a non-finite value raise ParseError.  A two-column
+    file is ambiguous, so pass `dim` to force a reading; otherwise rows that
+    are all unit-norm are taken as 2-d Cartesian and anything else as
+    azimuth/zenith.  Rows whose norm deviates from 1 by less than 1e-6 are
+    renormalized; worse rows raise NormError.
     """
     data = np.asarray(_rows_from_file(path), dtype=float)
     width = data.shape[1]

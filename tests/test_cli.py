@@ -285,6 +285,77 @@ class TestTDesignCommand:
                        check=False)
         assert proc.returncode == 2
 
+    def test_non_finite_offset_exits_2(self):
+        proc = run_cli("tdesign", "--circle", "8", "--offset-deg", "nan", "--t", "2",
+                       check=False)
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+
+
+# undecodable input: a UTF-16 byte-order mark and a NUL
+NOT_UTF8 = b"\xff\xfe\x00" + "n,a_n\n0,1\n".encode("utf-16-le")
+
+
+class TestFileErrors:
+    """Every unreadable or malformed input file exits 3 with one `axibeam:` line."""
+
+    CASES = [
+        ("--weights-file", None),
+        ("--weights-file", "dir"),
+        ("--weights-file", NOT_UTF8),
+        ("--weights-file", "n,value\n0,1\n"),
+        ("--weights-file", "n,a_n\n0,1\n1\n"),
+        ("--weights-file", "n,a_n\n0,1\n2,0.5\n"),
+        ("--weights-file", "n,a_n\n0,1\n1,nan\n"),
+        ("--nodes-file", None),
+        ("--nodes-file", "dir"),
+        ("--nodes-file", NOT_UTF8),
+        ("--nodes-file", "1,0,0\nfoo,0,0\n"),
+        ("--nodes-file", "1,0,0\n0,1\n"),
+        ("--nodes-file", "1,0,0\n0,inf,0\n"),
+    ]
+    IDS = ["weights-missing", "weights-dir", "weights-not-utf8", "weights-header",
+           "weights-row", "weights-gap", "weights-nan", "nodes-missing", "nodes-dir",
+           "nodes-not-utf8", "nodes-row", "nodes-columns", "nodes-inf"]
+
+    @staticmethod
+    def _argv(flag, path):
+        if flag == "--weights-file":
+            return ("metrics", flag, str(path), "--dim", "3")
+        return ("tdesign", flag, str(path), "--t", "2")
+
+    @staticmethod
+    def _input(tmp_path, content):
+        path = tmp_path / "input.csv"
+        if content == "dir":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        return path
+
+    @pytest.mark.parametrize("flag,content", CASES, ids=IDS)
+    def test_exits_3_with_one_line(self, tmp_path, flag, content):
+        proc = run_cli(*self._argv(flag, self._input(tmp_path, content)), check=False)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("axibeam: ")
+
+    @pytest.mark.parametrize("flag", ["--weights-file", "--nodes-file"])
+    def test_not_utf8_exits_3_without_traceback(self, tmp_path, flag):
+        proc = run_cli_subprocess(*self._argv(flag, self._input(tmp_path, NOT_UTF8)))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("axibeam: ") and "not UTF-8" in proc.stderr
+
+    def test_out_into_missing_directory_exits_3(self, tmp_path):
+        proc = run_cli("weights", "--design", "basic", "--order", "2",
+                       "--out", str(tmp_path / "missing" / "w.csv"), check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("axibeam: ") and len(proc.stderr.splitlines()) == 1
+
 
 class TestSizeCaps:
     # one past each cap: small enough to run, so a missing cap shows as exit 0/1

@@ -9,6 +9,8 @@ from axibeam import Dimension, compute_metrics, eval_sequence, max_re, norms_squ
 from axibeam.quadrature import (
     _gram_closed_form,
     _gram_front,
+    _jacobi_rule,
+    _legendre_rule,
     _node_count,
     gram_closed_form,
     gram_front,
@@ -64,6 +66,33 @@ class TestIntegrateAxisym:
             integrate_axisym(np.ones_like, D3, 0, lower=0.5, upper=0.5)
         with pytest.raises(DomainError):
             integrate_axisym(np.ones_like, D3, 0, lower=-2.0)
+
+    @pytest.mark.parametrize("d", [2.5, 3.7, 7.3])
+    def test_interior_bounds_non_integer_dim(self, d):
+        # the interior Gauss-Legendre branch against the difference of two
+        # upper tails, which run through the Gauss-Jacobi (a, 0) branch
+        dim = Dimension(d)
+        interior = integrate_axisym(np.exp, dim, lower=-0.4, upper=0.7)
+        tails = (integrate_axisym(np.exp, dim, lower=-0.4)
+                 - integrate_axisym(np.exp, dim, lower=0.7))
+        assert interior == pytest.approx(tails, rel=5e-14)
+
+    def test_cached_rules_are_read_only(self):
+        dim = Dimension(2.5)
+        before = transform_coeffs(np.cos, 3, dim)
+
+        def clobber(x):
+            x *= 0.0
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_axisym(clobber, dim)
+        # int x^2 (1-x^2)^(-1/4) dx over [-1, 1] = B(3/2, 3/4)
+        exact = math.gamma(1.5) * math.gamma(0.75) / math.gamma(2.25)
+        assert integrate_axisym(lambda x: x * x, dim) == pytest.approx(exact, rel=1e-13)
+        assert np.array_equal(transform_coeffs(np.cos, 3, dim), before)
+        for arr in (*_legendre_rule(64), *_jacobi_rule(64, -0.25, -0.25)):
+            assert not arr.flags.writeable
 
 
 class TestTransformCoeffs:

@@ -17,7 +17,7 @@ from axibeam import (
     platonic,
     tdesign_check,
 )
-from axibeam.sampling import MAX_NODES, NodeSet
+from axibeam.sampling import MAX_NODES, NodeSet, _file_lines
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -51,6 +51,14 @@ class TestNodeSet:
         with pytest.raises(DomainError):
             NodeSet(4, [[1.0, 0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        # DomainError, not NormError: NaN slips through the unit-norm test
+        with pytest.raises(DomainError, match="finite"):
+            NodeSet(2, [[bad, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            NodeSet(3, [[1.0, 0.0, 0.0], [0.0, bad, 0.0]])
+
     def test_rejects_more_than_max_nodes(self):
         # distinct unit vectors, so only the count cap can reject them
         ang = 2.0 * math.pi * np.arange(MAX_NODES + 1) / (MAX_NODES + 1)
@@ -68,6 +76,10 @@ class TestCircleNodes:
     def test_count_validation(self, count):
         with pytest.raises(DomainError):
             circle_nodes(count)
+
+    def test_non_finite_offset_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            circle_nodes(4, math.nan)
 
     def test_offset_rotates(self):
         nodes = circle_nodes(3, offset_rad=0.5)
@@ -182,6 +194,24 @@ class TestLoadNodes:
         path.write_text("# only comments\n")
         with pytest.raises(ParseError):
             load_nodes(path)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\x00" + "1,0,0\n".encode("utf-16-le"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_nodes(path)
+
+    @pytest.mark.parametrize("text", ["1,0,0\nnan,0,0\n", "0\ninf\n"])
+    def test_non_finite_value(self, tmp_path, text):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_nodes(path)
+
+    def test_file_lines_cut_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        path.write_text("# head\n\n 1, 0 # tail\n  \n0,1\n")
+        assert list(_file_lines(path)) == [(3, "1, 0"), (5, "0,1")]
 
 
 class TestTDesignCheck:
