@@ -211,23 +211,21 @@ def _read_weights_file(path, dim: Dimension) -> WeightVector:
     lines = list(_file_lines(path))
     if lines and [c.strip() for c in lines[0][1].split(",")] != ["n", "a_n"]:
         raise ParseError(f"{path}: line {lines[0][0]}: expected header n,a_n")
-    values = {}
+    a = []
     for lineno, body in lines[1:]:
-        parts = body.split(",")
+        # exactly n,a_n, with the degrees 0, 1, ..., N in order
         try:
-            degree, value = int(parts[0]), float(parts[1])
-            if not math.isfinite(value):
-                raise ValueError(value)
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: bad row {body!r}") from exc
-        values[degree] = value
-    if not values:
+            degree, text = body.split(",")
+            value = float(text)
+            if int(degree) != len(a) or not math.isfinite(value):
+                raise ValueError(body)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: expected row {len(a)},a_{len(a)}, "
+                             f"got {body!r}") from exc
+        a.append(value)
+    if not a:
         raise ParseError(f"{path}: no weight rows")
-    order = max(values)
-    if sorted(values) != list(range(order + 1)):
-        raise ParseError(f"{path}: degrees must cover 0..{order} without gaps")
-    a = np.array([values[n] for n in range(order + 1)])
-    return WeightVector(dim, a, Normalization.RAW)
+    return WeightVector(dim, np.array(a), Normalization.RAW)
 
 
 def _spread_deg(value) -> float:
@@ -336,7 +334,7 @@ def _add_common(sub, with_design: bool = True) -> None:
     sub.add_argument("--out", default="stdout", help="output path or 'stdout'")
     if with_design:
         sub.add_argument("--design", choices=_DESIGNS)
-        sub.add_argument("--norm", choices=("a0", "g1", "raw"), default=None,
+        sub.add_argument("--norm", choices=[n.value for n in Normalization], default=None,
                          help="re-normalize the weights (default: design natural)")
         sub.add_argument("--flat-l", type=int, default=None,
                          help="maxflat: flatness degrees L at x = 1 (0 <= L <= N-1)")

@@ -104,33 +104,27 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
 def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     """Metrics by direct quadrature of the pattern; the verification oracle.
 
-    P = S_{D-2} int g w dx, E = S_{D-2} int g^2 w dx, the vector lengths from
-    the first-moment integrals, and FBR from the two half-interval energies.
-    Shares nothing with `compute_metrics` beyond the pattern evaluation.
+    Two `integrate_axisym` calls: the stack [g, g^2, g x, g^2 x] over [-1, 1]
+    gives P = S_{D-2} int g w dx, E = S_{D-2} int g^2 w dx and the first
+    moments over P and E that are rV and rE; [g(x)^2, g(-x)^2] over [0, 1]
+    gives the front and back energies of FBR, since w is even.  Shares
+    nothing with `compute_metrics` beyond the pattern evaluation.
     """
     dim = weights.dim
     order = weights.order
-    sub = dim.subsurface
 
-    def g(x):
-        return eval_pattern(weights, x)
+    def moments(x):
+        g = eval_pattern(weights, x)
+        g2 = g * g
+        return np.stack([g, g2, g * x, g2 * x])
 
-    def g2(x):
-        val = eval_pattern(weights, x)
-        return val * val
-
-    p = sub * integrate_axisym(g, dim, order)
-    e = sub * integrate_axisym(g2, dim, 2 * order)
+    p, e, p1, e1 = (dim.subsurface * integrate_axisym(moments, dim, 2 * order + 1)).tolist()
     if e == 0.0:
         raise DomainError("metrics are undefined for a pattern of zero energy")
     g1 = eval_pattern(weights, 1.0)
     q = dim.surface * g1 * g1 / e
-    if weights.a[0] == 0.0:
-        r_v: float | None = None
-    else:
-        r_v = sub * integrate_axisym(lambda x: g(x) * x, dim, order + 1) / p
-    r_e = sub * integrate_axisym(lambda x: g2(x) * x, dim, 2 * order + 1) / e
-    fbr = integrate_axisym(g2, dim, 2 * order, lower=0.0) / integrate_axisym(
-        g2, dim, 2 * order, upper=0.0
+    r_v = None if weights.a[0] == 0.0 else p1 / p
+    front, back = integrate_axisym(
+        lambda x: eval_pattern(weights, np.stack([x, -x])) ** 2, dim, 2 * order, lower=0.0
     )
-    return PatternMetrics(p=p, e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)
+    return PatternMetrics(p=p, e=e, q=q, r_v=r_v, r_e=e1 / e, fbr=float(front / back))

@@ -1,12 +1,12 @@
 """Numerical integration oracle for the axisymmetric measure w(x) = (1-x^2)^((D-3)/2).
 
-For integer D the substitution x = cos(phi) turns int f(x) w(x) dx into
-int f(cos phi) sin(phi)^(D-2) dphi, a smooth integrand that one Gauss-Legendre
-rule integrates spectrally for every bound pair, including the D = 2 endpoint
-singularity of w itself.  For non-integer D the substituted integrand keeps
-algebraic endpoint singularities in its derivatives and Gauss-Legendre decays
-only polynomially, so those dimensions use Gauss-Jacobi rules on x instead,
-which absorb the fractional weight exactly.
+The substitution x = cos(phi) turns int f(x) w(x) dx into
+int f(cos phi) sin(phi)^(D-2) dphi, smooth for integer D on every bound pair
+(including the D = 2 endpoint singularity of w itself) and for any D inside
+(-1, 1), where one Gauss-Legendre rule in phi integrates it spectrally.  A
+bound at +-1 with non-integer D leaves algebraic singularities in its
+derivatives that slow Gauss-Legendre to polynomial decay, so those ranges use
+Gauss-Jacobi rules on x instead, which absorb the fractional weight exactly.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def _node_count(degree_hint: int, dim: Dimension) -> int:
 def _rule(dim: Dimension, count: int, lower: float, upper: float):
     """Nodes x_i and weights q_i with sum q_i f(x_i) ~= int_lower^upper f w dx."""
     d = dim.d
-    if d == math.floor(d):
+    if d == math.floor(d) or (-1.0 < lower and upper < 1.0):
+        # phi = arccos x; sin(phi)^(D-2) is smooth unless non-integer D meets phi = 0 or pi
         phi_lo = math.acos(upper)
         phi_hi = math.acos(lower)
         t, w = _legendre_rule(count)
@@ -66,26 +67,23 @@ def _rule(dim: Dimension, count: int, lower: float, upper: float):
         scale = 0.5 * (1.0 - lower)
         x = lower + scale * (u + 1.0)
         return x, w * scale ** (a + 1.0) * (1.0 + x) ** a
-    if lower == -1.0:
-        # w is even: mirror the rule on [-upper, 1]
-        x, w = _rule(dim, count, -upper, 1.0)
-        return -x, w
-    # interior range: w is smooth there, plain Gauss-Legendre on x
-    t, w = _legendre_rule(count)
-    half = 0.5 * (upper - lower)
-    x = lower + half * (t + 1.0)
-    return x, half * w * (1.0 - x * x) ** a
+    # lower == -1: w is even, so mirror the rule on [-upper, 1]
+    x, w = _rule(dim, count, -upper, 1.0)
+    return -x, w
 
 
 def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
-                     lower: float = -1.0, upper: float = 1.0) -> float:
+                     lower: float = -1.0, upper: float = 1.0) -> float | np.ndarray:
     """Integral of f(x) (1-x^2)^((D-3)/2) dx over [lower, upper] within [-1, 1].
 
     Parameters
     ----------
     f : callable
-        Accepts a numpy array of points in [-1, 1] and returns values of the
-        same shape.  Must be finite on the open interval.
+        Maps a 1-d array x of nodes in [-1, 1] to values whose last axis runs
+        over x: one integrand of x's shape (the result is a float), or a stack
+        of shape (..., len(x)) (the result is an array of shape (...); its rows
+        share one rule, so size degree_hint for the highest degree).  Must be
+        finite on the open interval.
     dim : Dimension
     degree_hint : int
         Polynomial degree of f if f is polynomial; sizes the rule as
@@ -98,7 +96,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
     if not (-1.0 <= lower < upper <= 1.0):
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
-    return float(np.dot(q, np.asarray(f(x), dtype=float)))
+    out = np.asarray(f(x), dtype=float) @ q
+    return float(out) if out.ndim == 0 else out
 
 
 def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -> np.ndarray:
@@ -109,10 +108,8 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    x, q = _rule(dim, _node_count(degree_hint + max_degree, dim), -1.0, 1.0)
-    common = np.asarray(f(x), dtype=float) * q
-    seq = eval_sequence(x, max_degree, dim)
-    return (seq @ common) / norms_squared(max_degree, dim)
+    return integrate_axisym(lambda x: eval_sequence(x, max_degree, dim) * f(x), dim,
+                            degree_hint + max_degree) / norms_squared(max_degree, dim)
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,13 @@ class GramMatrix:
     eigenvalue, roughly 1/FBR of the supercardioid, and falls exponentially
     with the order: past N ~ 10 it lies below the eigensolver backward error
     eps * ||G||, so an eigensolver cannot show the double-precision entries
-    definite.  Definiteness is decided through the factor instead: G is
-    positive definite iff F has full column rank, and F's singular values are
-    the square roots of G's eigenvalues, so its condition number is only the
-    square root of G's.  Under numpy's default rank tolerance
-    (sigma_max * rows * eps, 1.4e-14 relative for the 64-node rule) F stays
-    full rank up to N = 18 for D in [2, 4] and loses rank from N = 19, where
-    sigma_min / sigma_max is 5e-15 to 8e-15.
+    definite.  No design or metric needs it; the tests judge definiteness
+    through F: G is positive definite iff F has full column rank, and F's
+    singular values are the square roots of G's eigenvalues, so its condition
+    number is only the square root of G's.  Under numpy's default rank
+    tolerance (sigma_max * rows * eps, 1.4e-14 relative for the 64-node rule)
+    F stays full rank up to N = 18 for D in [2, 4] and loses rank from N = 19,
+    where sigma_min / sigma_max is 5e-15 to 8e-15.
     """
 
     order: int
@@ -178,8 +175,8 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
     to the front-half energy of the pattern.  The square-root factor F of the
     front-half rule is formed once and entries = F^T F is one matrix product;
-    see `GramMatrix` for why definiteness past N ~ 10 is judged from F.  The
-    result is cached per (N, D); its factor and entries are read-only.
+    see `GramMatrix` for why the tests judge definiteness past N ~ 10 from F.
+    The result is cached per (N, D); its factor and entries are read-only.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")

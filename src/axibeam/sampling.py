@@ -115,9 +115,9 @@ class DiscreteMetrics:
 
     p: float
     e: float
-    r_v: float
+    r_v: float | None
     r_e: float
-    r_v_misaim_rad: float
+    r_v_misaim_rad: float | None
     r_e_misaim_rad: float
 
 
@@ -307,7 +307,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     counterparts of the metric integrals with the surface element
     S_{D-1}/L.  FBR is deliberately not offered here: the front half-space
     boundary cuts through a node set differently for every orientation, so
-    discrete FBR does not stabilize the way the other sums do.
+    discrete FBR does not stabilize the way the other sums do.  r_v and its
+    misaim are None when a_0 = 0, where P vanishes up to rounding.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -325,13 +326,16 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     d_omega = weights.dim.surface / nodes.count
     p = d_omega * float(np.sum(g))
     e = d_omega * float(np.sum(g * g))
-    rv_vec = d_omega * (g @ nodes.nodes) / p
     re_vec = d_omega * ((g * g) @ nodes.nodes) / e
+    r_v = rv_misaim = None
+    if weights.a[0] != 0.0:
+        rv_vec = d_omega * (g @ nodes.nodes) / p
+        r_v, rv_misaim = float(np.linalg.norm(rv_vec)), _misaim(rv_vec, aim)
     return DiscreteMetrics(
         p=p,
         e=e,
-        r_v=float(np.linalg.norm(rv_vec)),
+        r_v=r_v,
         r_e=float(np.linalg.norm(re_vec)),
-        r_v_misaim_rad=_misaim(rv_vec, aim),
+        r_v_misaim_rad=rv_misaim,
         r_e_misaim_rad=_misaim(re_vec, aim),
     )

@@ -307,6 +307,8 @@ class TestFileErrors:
         ("--weights-file", "n,a_n\n0,1\n1\n"),
         ("--weights-file", "n,a_n\n0,1\n2,0.5\n"),
         ("--weights-file", "n,a_n\n0,1\n1,nan\n"),
+        ("--weights-file", "n,a_n\n0,1\n1,0.5\n1,9\n"),
+        ("--weights-file", "n,a_n\n0,1\n1,0.5,junk\n"),
         ("--nodes-file", None),
         ("--nodes-file", "dir"),
         ("--nodes-file", NOT_UTF8),
@@ -315,8 +317,9 @@ class TestFileErrors:
         ("--nodes-file", "1,0,0\n0,inf,0\n"),
     ]
     IDS = ["weights-missing", "weights-dir", "weights-not-utf8", "weights-header",
-           "weights-row", "weights-gap", "weights-nan", "nodes-missing", "nodes-dir",
-           "nodes-not-utf8", "nodes-row", "nodes-columns", "nodes-inf"]
+           "weights-row", "weights-gap", "weights-nan", "weights-repeat",
+           "weights-extra-field", "nodes-missing", "nodes-dir", "nodes-not-utf8",
+           "nodes-row", "nodes-columns", "nodes-inf"]
 
     @staticmethod
     def _argv(flag, path):

@@ -69,13 +69,42 @@ class TestIntegrateAxisym:
 
     @pytest.mark.parametrize("d", [2.5, 3.7, 7.3])
     def test_interior_bounds_non_integer_dim(self, d):
-        # the interior Gauss-Legendre branch against the difference of two
+        # the phi rule on an interior range against the difference of two
         # upper tails, which run through the Gauss-Jacobi (a, 0) branch
         dim = Dimension(d)
         interior = integrate_axisym(np.exp, dim, lower=-0.4, upper=0.7)
         tails = (integrate_axisym(np.exp, dim, lower=-0.4)
                  - integrate_axisym(np.exp, dim, lower=0.7))
         assert interior == pytest.approx(tails, rel=5e-14)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("bounds", [(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)],
+                             ids=["whole", "front", "back"])
+    def test_stacked_integrands_match_row_by_row(self, d, bounds):
+        dim = Dimension(d)
+        lower, upper = bounds
+        rows = (np.ones_like, np.exp, lambda x: x**7 - x, np.cos)
+        stacked = integrate_axisym(lambda x: np.stack([f(x) for f in rows]), dim, 9,
+                                   lower=lower, upper=upper)
+        single = [integrate_axisym(f, dim, 9, lower=lower, upper=upper) for f in rows]
+        assert stacked.shape == (4,)
+        assert stacked == pytest.approx(single, rel=1e-14, abs=1e-15)
+        grid = integrate_axisym(lambda x: np.stack([x, x * x]) * np.ones((3, 1, 1)), dim, 2,
+                                lower=lower, upper=upper)
+        assert grid.shape == (3, 2)
+
+    @pytest.mark.parametrize("d", [2.2, 2.5, 3.7])
+    @pytest.mark.parametrize("b", [0.9999, 0.999999])
+    def test_interior_bounds_near_endpoints_match_mpmath(self, d, b):
+        # int_-b^b (1-x^2)^c dx with c = (D-3)/2 is an incomplete beta function
+        # in t = (1+x)/2; at non-integer D the weight's derivatives grow without
+        # bound towards +-1, while in phi = arccos x the integrand stays smooth
+        mp = pytest.importorskip("mpmath")
+        c = (d - 3.0) / 2.0
+        with mp.workdps(30):
+            exact = float(2 ** (2 * c + 1) * mp.betainc(c + 1, c + 1, (1 - b) / 2, (1 + b) / 2))
+        got = integrate_axisym(np.ones_like, Dimension(d), lower=-b, upper=b)
+        assert got == pytest.approx(exact, rel=1e-5)
 
     def test_cached_rules_are_read_only(self):
         dim = Dimension(2.5)

@@ -8,6 +8,7 @@ from axibeam import (
     DomainError,
     NormError,
     ParseError,
+    WeightVector,
     basic,
     circle_nodes,
     compute_metrics,
@@ -298,6 +299,18 @@ class TestDiscreteMetrics:
             assert exact == pytest.approx(expected, abs=1e-10), name
             aliased = get(ring_discrete(vec, min_count - 1, aim_angle=0.1))
             assert abs(aliased - expected) > 1e-4, name
+
+    @pytest.mark.parametrize("nodes,a", [(platonic("icosahedron"), [0.0, 1.0, 0.5]),
+                                         (circle_nodes(4), [0.0, 1.0])],
+                             ids=["icosahedron", "circle-4"])
+    def test_zero_pressure_reports_no_rv(self, nodes, a):
+        # the node sum P is zero up to rounding, so rV = |sum g theta| / P is undefined
+        vec = WeightVector(Dimension(nodes.dim), np.array(a), "raw")
+        aim = np.eye(nodes.dim)[0]
+        disc = discrete_metrics(vec, nodes, aim)
+        cont = compute_metrics(vec)
+        assert disc.r_v is None and disc.r_v_misaim_rad is None and cont.r_v is None
+        assert disc.r_e == pytest.approx(cont.r_e, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
