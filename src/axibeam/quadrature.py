@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .ultraspherical import Dimension, _with_derivatives, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _at_zero, eval_sequence, norms_squared
 
 __all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front", "gram_closed_form"]
 
@@ -83,7 +83,7 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         over x: one integrand of x's shape (the result is a float), or a stack
         of shape (..., len(x)) (the result is an array of shape (...); its rows
         share one rule, so size degree_hint for the highest degree).  Must be
-        finite on the open interval.
+        finite on the open interval.  Any other shape raises DomainError.
     dim : Dimension
     degree_hint : int
         Polynomial degree of f if f is polynomial; sizes the rule as
@@ -96,7 +96,12 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
     if not (-1.0 <= lower < upper <= 1.0):
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
-    out = np.asarray(f(x), dtype=float) @ q
+    values = np.asarray(f(x), dtype=float)
+    if values.shape[-1:] != x.shape:
+        raise DomainError(
+            f"f(x) must have shape (..., len(x)) = (..., {x.size}), got {values.shape}"
+        )
+    out = values @ q
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,16 +190,16 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
 
 @lru_cache(maxsize=128)
 def _gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
-    p0, dp0 = _with_derivatives(0.0, max_degree, dim)
-    n = np.arange(max_degree + 1)
+    p0, dp0 = _at_zero(max_degree, dim)
+    n = np.arange(max_degree + 1.0)
     lam = n * (n + dim.d - 2.0)
     n2 = norms_squared(max_degree, dim)
-    # one of the two products is zero for every n != m, so no digits cancel;
-    # the 0/0 diagonal is overwritten below
-    with np.errstate(invalid="ignore"):
-        raw = (np.outer(dp0, p0) - np.outer(p0, dp0)) / (lam[:, None] - lam[None, :])
-    g = raw / np.outer(n2, n2)
-    np.fill_diagonal(g, 1.0 / (2.0 * n2))
+    g = np.diag(1.0 / (2.0 * n2))
+    # row n even, column m odd: P_n(0) P_m'(0) / ((lambda_m - lambda_n) N_n^2 N_m^2)
+    block = np.outer(p0[0::2] / n2[0::2], dp0[1::2] / n2[1::2])
+    block /= lam[1::2] - lam[0::2, None]
+    g[0::2, 1::2] = block
+    g[1::2, 0::2] = block.T
     g.setflags(write=False)
     return g
 
@@ -208,8 +213,13 @@ def gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
         int_0^1 P_n P_m w dx = [P_n'(0) P_m(0) - P_m'(0) P_n(0)] / (lambda_n - lambda_m)
 
     with lambda_n = n (n + D - 2), scaled by 1/(N_n^2 N_m^2).  Same-parity
-    entries vanish because P_n(0) = 0 for odd n and P_n'(0) = 0 for even n.
-    The result is cached per (N, D), exactly symmetric and read-only.
+    entries vanish because P_n(0) = 0 for odd n and P_n'(0) = 0 for even n,
+    so only the even-odd block is formed: one outer product of
+    P_n(0)/N_n^2 (n even) and P_m'(0)/N_m^2 (m odd), divided by
+    lambda_m - lambda_n.  The values at zero are the closed-form products of
+    `ultraspherical._at_zero`, not a recurrence.  The result is cached per
+    (N, D), exactly symmetric (the odd-even block is the transpose) and
+    read-only.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")

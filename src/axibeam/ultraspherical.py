@@ -94,10 +94,10 @@ def surface_area(dim: Dimension) -> float:
 def _clamp_argument(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     # written as a negated <= so that NaN fails the test as well
-    if not np.all(np.abs(x) <= 1.0 + _X_CLAMP):
+    if not (np.abs(x) <= 1.0 + _X_CLAMP).all():
         bad = np.max(np.abs(x))
         raise DomainError(f"x must be finite with |x| <= 1 (got max |x| = {bad!r})")
-    return np.clip(x, -1.0, 1.0)
+    return x.clip(-1.0, 1.0)
 
 
 def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
@@ -246,6 +246,88 @@ def _with_derivatives(x, max_degree: int, dim: Dimension):
     for n in range(1, max_degree):
         der[n + 1] = ((2.0 * n + d - 2.0) * (seq[n] + x * der[n]) - n * der[n - 1]) / (n + d - 2.0)
     return seq, der
+
+
+@lru_cache(maxsize=128)
+def _clenshaw_factors(max_degree: int, dim: Dimension) -> tuple:
+    """Clenshaw factors of `_series_sum` as Python floats: (steps, sigma_0).
+
+    steps holds (alpha_k, 1/sigma_k) for k = N, N-1, .., 0.  The recurrence
+    is P_{k+1} = A_k x P_k - B_k P_{k-1} with A_k = (2k+D-2)/(k+D-2), A_0 = 1
+    (the D = 2 limit), and B_k = k/(k+D-2).  The scales sigma_{N+1} =
+    sigma_{N+2} = 1, sigma_k = B_{k+1} sigma_{k+2} put a unit coefficient on
+    b_{k+2} in Clenshaw's recurrence, and alpha_k = A_k sigma_{k+1}/sigma_k.
+    Every B_k lies in (0, 1], so sigma_k only shrinks, like a power of k,
+    and cannot overflow.
+    """
+    d = dim.d
+    n = max_degree
+    sigma = [1.0] * (n + 3)
+    for k in range(n, -1, -1):
+        sigma[k] = (k + 1.0) / (k + d - 1.0) * sigma[k + 2]
+    steps = tuple(
+        (((2.0 * k + d - 2.0) / (k + d - 2.0) if k else 1.0) * sigma[k + 1] / sigma[k],
+         1.0 / sigma[k])
+        for k in range(n, -1, -1)
+    )
+    return steps, sigma[0]
+
+
+def _series_sum(coeffs, x, dim: Dimension):
+    """sum_n coeffs[n] P_n(x) by Clenshaw's backward recurrence.
+
+    coeffs is a sequence of floats c_0 .. c_N.  Clenshaw's recurrence
+    b_k = c_k + A_k x b_{k+1} - B_{k+1} b_{k+2} (k = N, .., 0, from
+    b_{N+1} = b_{N+2} = 0; the sum is b_0) is run on y_k = b_k / sigma_k
+    (see `_clenshaw_factors`),
+
+        y_k = alpha_k x y_{k+1} - y_{k+2} + c_k / sigma_k,
+
+    and the sum is sigma_0 y_0.  For an array x each step is four in-place
+    ufuncs on arrays of x's shape, and no P_n(x) table is formed; a scalar x
+    takes the same steps in the same order on Python floats (a ufunc on a
+    0-d array costs far more than the arithmetic), so the two agree bit for
+    bit and the result is a float.  x is checked as in `eval_sequence`.
+    """
+    x = _clamp_argument(x)
+    steps, sigma0 = _clenshaw_factors(len(coeffs) - 1, dim)
+    pairs = zip(reversed(coeffs), steps)
+    if x.ndim == 0:
+        t = float(x)
+        s1 = s2 = 0.0
+        for c, (a, inv) in pairs:
+            s1, s2 = t * s1 * a - s2 + c * inv, s1
+        return s1 * sigma0
+    y1 = np.zeros(x.shape)
+    y2 = np.zeros(x.shape)
+    tmp = np.empty(x.shape)
+    for c, (a, inv) in pairs:
+        np.multiply(x, y1, out=tmp)
+        tmp *= a
+        np.subtract(tmp, y2, out=y2)
+        y2 += c * inv
+        y1, y2 = y2, y1
+    y1 *= sigma0
+    return y1
+
+
+def _at_zero(max_degree: int, dim: Dimension):
+    """P_0(0) .. P_N(0) and P_0'(0) .. P_N'(0) in closed form.
+
+    Even values are the cumulative product P_{2j}(0) = prod_{i<=j} -(2i-1)/(2i+D-3),
+    the three-term recurrence at x = 0; odd values vanish.  Odd slopes follow
+    from (1 - x^2) P_m' = m (P_{m-1} - x P_m) at x = 0, P_m'(0) = m P_{m-1}(0)
+    (equal to m (m+D-2)/(D-1) times the even value two dimensions up); even
+    slopes vanish.  At D = 2 every factor is -1, so P_{2j}(0) = (-1)^j and
+    P_m'(0) = +-m are exact.
+    """
+    d = dim.d
+    i = np.arange(1.0, max_degree // 2 + 1.0)
+    p = np.zeros(max_degree + 1)
+    dp = np.zeros(max_degree + 1)
+    p[0::2] = np.cumprod(np.concatenate(([1.0], -(2.0 * i - 1.0) / (2.0 * i + d - 3.0))))
+    dp[1::2] = np.arange(1.0, max_degree + 1.0, 2.0) * p[0:max_degree:2]
+    return p, dp
 
 
 def derivative(x, n: int, dim: Dimension):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import subprocess
 import sys
@@ -17,9 +18,14 @@ from axibeam import (
     compute_metrics,
     compute_metrics_numeric,
     eval_pattern,
+    eval_sequence,
     inphase,
     max_re,
+    norms_squared,
 )
+from axibeam.metrics import _kernel, _pattern_scale
+from axibeam.quadrature import _gram_closed_form, gram_closed_form
+from axibeam.ultraspherical import _betas
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -66,6 +72,103 @@ class TestEvalPattern:
                 / (x - 1.0)
             )
             assert eval_pattern(vec, x) / g1 == pytest.approx(closed, rel=1e-11)
+
+
+class TestClenshawSum:
+    """eval_pattern sums by Clenshaw's recurrence; the P_n(x) table sum is the reference."""
+
+    @staticmethod
+    def table_sum(vec, x):
+        c = vec.a / (vec.dim.subsurface * norms_squared(vec.order, vec.dim))
+        return np.tensordot(c, eval_sequence(x, vec.order, vec.dim), axes=(0, 0)), np.sum(np.abs(c))
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 64, 128])
+    def test_matches_table_sum(self, order, d):
+        rng = np.random.default_rng(order)
+        vec = raw(Dimension(d), rng.standard_normal(order + 1))
+        x = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 61)))
+        ref, scale = self.table_sum(vec, x)
+        bound = 2e-13 * scale
+        g = eval_pattern(vec, x)
+        assert g.shape == x.shape
+        assert np.max(np.abs(g - ref)) <= bound
+        # the (2, n) stack that compute_metrics_numeric passes
+        stack = eval_pattern(vec, np.stack([x, -x]))
+        assert stack.shape == (2, x.size)
+        assert np.array_equal(stack[0], g)
+        assert np.max(np.abs(stack[1] - self.table_sum(vec, -x)[0])) <= bound
+        # a float x takes the same steps on Python floats
+        for i in range(4):
+            val = eval_pattern(vec, float(x[i]))
+            assert type(val) is float
+            assert val == g[i]
+        assert type(eval_pattern(vec, np.array(0.5))) is float
+
+    @pytest.mark.parametrize("bad", [1.001, -1.001, float("nan"), float("inf")])
+    def test_rejects_out_of_range(self, bad):
+        vec = max_re(4, D3).weights
+        with pytest.raises(DomainError):
+            eval_pattern(vec, bad)
+        with pytest.raises(DomainError):
+            eval_pattern(vec, np.array([0.5, bad]))
+
+    def test_builds_no_gram(self):
+        before = _gram_closed_form.cache_info().misses
+        eval_pattern(raw(Dimension(5.25), np.ones(23)), np.linspace(-1.0, 1.0, 5))
+        assert _gram_closed_form.cache_info().misses == before
+
+
+class TestMetricKernel:
+    @pytest.mark.parametrize(
+        "fn, cached",
+        [
+            (compute_metrics, lambda: _kernel(9, D3)[:-1]),  # every field but S_{D-1}
+            (eval_pattern, lambda: (_pattern_scale(9, D3),)),
+            (gram_closed_form, lambda: (gram_closed_form(9, D3),)),
+            (norms_squared, lambda: (norms_squared(9, D3),)),
+        ],
+        ids=["compute_metrics", "eval_pattern", "gram_closed_form", "norms_squared"],
+    )
+    def test_cached_read_only(self, fn, cached):
+        # a plain function in front of the cache: perfbench/spans.py traces only
+        # objects that pass inspect.isfunction, which an lru_cache wrapper does not
+        assert inspect.isfunction(fn)
+        arrays = cached()
+        assert all(a is b for a, b in zip(arrays, cached()))
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_kernel_cached_per_order_and_dimension(self):
+        assert _kernel(9, Dimension(3)) is _kernel(9, D3)
+        assert _kernel(9, D3) is not _kernel(10, D3)
+        assert _kernel(9, D3).inv_sub is _pattern_scale(9, D3)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
+    def test_matches_direct_formulas(self, d):
+        # the formulas without the kernel, each (N, D) array rebuilt in place;
+        # the arithmetic is the same, so every field agrees bit for bit
+        dim = Dimension(d)
+        rng = np.random.default_rng(17)
+        for order in (0, 1, 5, 32, 128):
+            weights = raw(dim, rng.standard_normal(order + 1) * 1e5)
+            _, k = np.frexp(np.max(np.abs(weights.a)))
+            a = np.ldexp(weights.a, -k)
+            n2 = norms_squared(order, dim)
+            inv = 1.0 / (dim.subsurface * n2)
+            e = float(np.sum(a * a * inv))
+            g1 = float(np.sum(a * inv))
+            num = float(np.sum(2.0 * _betas(order, dim)[:-1] * a[:-1] * a[1:] / n2[:-1]))
+            gram = gram_closed_form(order, dim)
+            back = a * (-1.0) ** np.arange(order + 1)
+            met = compute_metrics(weights)
+            assert met.p == weights.a[0]
+            assert met.e == float(np.ldexp(e, 2 * k))
+            assert met.q == dim.surface * g1 * g1 / e
+            assert met.r_v == (float(weights.a[1] / weights.a[0]) if order else 0.0)
+            assert met.r_e == num / float(np.sum(a * a / n2))
+            assert met.fbr == float(a @ gram @ a) / float(back @ gram @ back)
 
 
 class TestComputeMetrics:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from axibeam import Dimension, compute_metrics, eval_sequence, max_re, norms_squared
+from axibeam import Dimension, DomainError, compute_metrics, eval_sequence, max_re, norms_squared
 from axibeam.quadrature import (
     _gram_closed_form,
     _gram_front,
@@ -17,6 +17,7 @@ from axibeam.quadrature import (
     integrate_axisym,
     transform_coeffs,
 )
+from axibeam.ultraspherical import _with_derivatives
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -124,6 +125,16 @@ class TestIntegrateAxisym:
             assert not arr.flags.writeable
 
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: 1.0, lambda x: np.ones(3), lambda x: np.ones((len(x), 2))],
+        ids=["scalar", "wrong-length", "trailing-axis"],
+    )
+    def test_callback_shape_mismatch_is_domain_error(self, f):
+        with pytest.raises(DomainError, match=r"\(\.\.\., len\(x\)\)"):
+            integrate_axisym(f, Dimension(2.5))
+
+
 class TestTransformCoeffs:
     def test_reproduces_single_polynomial(self):
         f = lambda x: eval_sequence(x, 2, D3)[2]
@@ -185,6 +196,30 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             closed[0, 0] = 1.0
         assert np.array_equal(closed, _gram_closed_form.__wrapped__(9, D3))
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0, 64.0])
+    def test_closed_form_matches_recurrence_construction(self, d):
+        # the construction from P_n(0) and P_n'(0) of the three-term recurrence,
+        # kept as the reference for the closed-form values at zero
+        def reference(max_degree, dim):
+            p0, dp0 = _with_derivatives(0.0, max_degree, dim)
+            n = np.arange(max_degree + 1)
+            lam = n * (n + dim.d - 2.0)
+            n2 = norms_squared(max_degree, dim)
+            with np.errstate(invalid="ignore"):
+                raw = (np.outer(dp0, p0) - np.outer(p0, dp0)) / (lam[:, None] - lam[None, :])
+            g = raw / np.outer(n2, n2)
+            np.fill_diagonal(g, 1.0 / (2.0 * n2))
+            return g
+
+        dim = Dimension(d)
+        for order in (0, 1, 17, 128):
+            closed = _gram_closed_form.__wrapped__(order, dim)
+            ref = reference(order, dim)
+            assert np.array_equal(closed != 0.0, ref != 0.0)
+            assert np.array_equal(closed, closed.T)
+            nonzero = ref != 0.0
+            assert np.max(np.abs(closed[nonzero] / ref[nonzero] - 1.0)) <= 1e-14
 
     def test_symmetry_exact(self):
         g = gram_front(6, D3).entries

@@ -19,7 +19,7 @@ from axibeam import (
     value_at_zero,
 )
 from axibeam.quadrature import integrate_axisym
-from axibeam.ultraspherical import MAX_DIMENSION, _betas, _norms_squared
+from axibeam.ultraspherical import MAX_DIMENSION, _at_zero, _betas, _norms_squared
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -119,6 +119,14 @@ class TestEvalSequence:
         seq = eval_sequence(xs, 4, D3)
         assert seq.shape == (5, 7)
         assert seq[0] == pytest.approx(np.ones(7), abs=0.0)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 40.0, 64.0])
+    def test_standardization_exact(self, d):
+        # (2n + D - 2) - n and n + D - 2 round alike for these D, so the
+        # recurrence keeps P_n(+-1) = (+-1)^n with no rounding at all
+        dim = Dimension(d)
+        assert np.array_equal(eval_sequence(1.0, 128, dim), np.ones(129))
+        assert np.array_equal(eval_sequence(-1.0, 128, dim), (-1.0) ** np.arange(129))
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 5.0])
     def test_standardization_invariant(self, d):
@@ -374,6 +382,37 @@ class TestValueAtZero:
         seq = eval_sequence(0.0, 20, dim)
         for n in range(21):
             assert value_at_zero(n, dim) == pytest.approx(float(seq[n]), abs=1e-13)
+
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0, 64.0])
+    def test_closed_form_products(self, d):
+        # _at_zero's cumulative products against the recurrence, the lgamma
+        # closed form and a 40-digit product
+        mp = pytest.importorskip("mpmath")
+        dim = Dimension(d)
+        p, dp = _at_zero(128, dim)
+        assert np.all(p[1::2] == 0.0) and np.all(dp[0::2] == 0.0)
+        seq = eval_sequence(0.0, 128, dim)
+        for n in range(0, 129, 2):
+            assert abs(p[n] / seq[n] - 1.0) <= 1e-14
+            # value_at_zero exponentiates a sum of lgamma terms that reaches
+            # about 2000 at N = 128, D = 64, so its own rounding is up to
+            # eps * 2000 = 4e-13 (1.7e-13 seen); the recurrence and mpmath
+            # hold the product to 1e-14
+            assert abs(p[n] / value_at_zero(n, dim) - 1.0) <= 5e-13
+        for n in range(1, 129, 2):
+            assert abs(dp[n] / derivative(0.0, n, dim) - 1.0) <= 1e-14
+        if d + 2.0 <= MAX_DIMENSION:
+            # P_m'(0) = m (m + D - 2)/(D - 1) P_{m-1}(0) two dimensions up
+            up = eval_sequence(0.0, 127, Dimension(d + 2.0))
+            m = np.arange(1.0, 129.0, 2.0)
+            assert np.max(np.abs(dp[1::2] / (m * (m + d - 2.0) / (d - 1.0) * up[0::2]) - 1.0)) <= 1e-14
+        with mp.workdps(40):
+            exact = mp.mpf(1)
+            for j in range(65):
+                if j:
+                    exact *= -mp.mpf(2 * j - 1) / (2 * j + mp.mpf(d) - 3)
+                assert abs(mp.mpf(p[2 * j]) / exact - 1) <= 1e-14
 
 
 class TestChristoffelDarboux:
