@@ -150,7 +150,9 @@ class TestMaxRe:
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 64.0])
     def test_matches_gauss_jacobi_nodes(self, d):
-        # P_{N+1} is a multiple of the Jacobi polynomial P^(a, a)_{N+1}, a = (D - 3)/2
+        # P_{N+1} is a multiple of the Jacobi polynomial P^(a, a)_{N+1}, a = (D - 3)/2;
+        # scipy is an optional test oracle, not a dependency of axibeam
+        pytest.importorskip("scipy")
         from scipy.special import roots_jacobi
 
         dim = Dimension(d)

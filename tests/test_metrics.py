@@ -283,7 +283,8 @@ class TestComputeMetrics:
             compute_metrics_numeric(vec)
 
     def test_analytic_path_does_not_load_scipy(self):
-        # scipy serves only the Gauss-Jacobi quadrature rules of non-integer D
+        # axibeam depends on numpy alone; see also test_quadrature's check of
+        # the quadrature paths
         code = (
             "import sys, axibeam\n"
             "from axibeam import Dimension, cap, cap_trapezoid, compute_metrics, max_re\n"

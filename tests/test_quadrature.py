@@ -1,5 +1,7 @@
 import inspect
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +73,8 @@ class TestIntegrateAxisym:
     @pytest.mark.parametrize("d", [2.5, 3.7, 7.3])
     def test_interior_bounds_non_integer_dim(self, d):
         # the phi rule on an interior range against the difference of two
-        # upper tails, which run through the Gauss-Jacobi (a, 0) branch
+        # upper tails, which run through the Gauss-Jacobi (a, 0) branch below
+        # D = 6 and through the phi rule from D = 6
         dim = Dimension(d)
         interior = integrate_axisym(np.exp, dim, lower=-0.4, upper=0.7)
         tails = (integrate_axisym(np.exp, dim, lower=-0.4)
@@ -133,6 +136,68 @@ class TestIntegrateAxisym:
     def test_callback_shape_mismatch_is_domain_error(self, f):
         with pytest.raises(DomainError, match=r"\(\.\.\., len\(x\)\)"):
             integrate_axisym(f, Dimension(2.5))
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("d", [2.2, 2.5, 3.5, 5.5])
+    @pytest.mark.parametrize("count", [64, 1048])
+    @pytest.mark.parametrize("kind", ["symmetric", "upper"])
+    def test_matches_mpmath_nodes_and_weights(self, d, count, kind):
+        # The reference node is one 20-digit Newton step on mpmath's
+        # hypergeometric P_n^(a,b), which shares nothing with the recurrence
+        # the rule runs; the weight is the closed-form Christoffel number
+        #   2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n! (1 - x^2) P_n'(x)^2).
+        mp = pytest.importorskip("mpmath")
+        a = (d - 3.0) / 2.0
+        b = a if kind == "symmetric" else 0.0
+        x, w = _jacobi_rule(count, a, b)
+        assert x.shape == w.shape == (count,)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        if kind == "symmetric":
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        # every node at n = 64; six at each end and every 149th at n = 1048
+        picks = sorted({*range(6), *range(0, count, 149), *range(count - 6, count)})
+        eps = np.finfo(float).eps
+        with mp.workdps(20):
+            ma, mb, n = mp.mpf(a), mp.mpf(b), count
+            const = (2 ** (ma + mb + 1) * mp.gamma(n + ma + 1) * mp.gamma(n + mb + 1)
+                     / (mp.gamma(n + ma + mb + 1) * mp.factorial(n)))
+
+            def jacobi(k, p, q, t):
+                # mpmath's series in (1 - t)/2 converges slowly near t = -1
+                return mp.jacobi(k, p, q, t) if t >= 0 else (-1) ** k * mp.jacobi(k, q, p, -t)
+
+            def slope(t):
+                return (n + ma + mb + 1) / 2 * jacobi(n - 1, ma + 1, mb + 1, t)
+
+            for i in picks:
+                t = mp.mpf(x[i])
+                t -= jacobi(n, ma, mb, t) / slope(t)
+                assert abs(x[i] - t) <= eps
+                # the weight of the exact root: the weight formula at the rounded
+                # node is off by up to about 1e-10 at the ends of the 1048-node rule
+                assert abs(w[i] / (const / ((1 - t * t) * slope(t) ** 2)) - 1) <= 1e-13
+
+    def test_no_library_path_imports_scipy(self):
+        # each call below builds a Gauss-Jacobi rule except the last (D >= 6
+        # takes the phi rule); axibeam's only runtime dependency is numpy
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from axibeam import (Dimension, basic, compute_metrics_numeric, gram_front,\n"
+            "                     integrate_axisym, transform_coeffs)\n"
+            "from axibeam.quadrature import _jacobi_rule\n"
+            "transform_coeffs(np.cos, 8, Dimension(2.5))\n"
+            "compute_metrics_numeric(basic(4, Dimension(3.5)))\n"
+            "gram_front(6, Dimension(2.2))\n"
+            "integrate_axisym(np.exp, Dimension(5.5), lower=0.3)\n"
+            "built = _jacobi_rule.cache_info().currsize\n"
+            "integrate_axisym(np.exp, Dimension(7.3), lower=0.3)\n"
+            "print(built > 0, _jacobi_rule.cache_info().currsize == built, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "False"]
 
 
 class TestTransformCoeffs:

@@ -386,8 +386,8 @@ class TestValueAtZero:
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0, 64.0])
     def test_closed_form_products(self, d):
-        # _at_zero's cumulative products against the recurrence, the lgamma
-        # closed form and a 40-digit product
+        # _at_zero's cumulative products against the recurrence, value_at_zero
+        # and a 40-digit product
         mp = pytest.importorskip("mpmath")
         dim = Dimension(d)
         p, dp = _at_zero(128, dim)
@@ -395,11 +395,7 @@ class TestValueAtZero:
         seq = eval_sequence(0.0, 128, dim)
         for n in range(0, 129, 2):
             assert abs(p[n] / seq[n] - 1.0) <= 1e-14
-            # value_at_zero exponentiates a sum of lgamma terms that reaches
-            # about 2000 at N = 128, D = 64, so its own rounding is up to
-            # eps * 2000 = 4e-13 (1.7e-13 seen); the recurrence and mpmath
-            # hold the product to 1e-14
-            assert abs(p[n] / value_at_zero(n, dim) - 1.0) <= 5e-13
+            assert abs(p[n] / value_at_zero(n, dim) - 1.0) <= 1e-14
         for n in range(1, 129, 2):
             assert abs(dp[n] / derivative(0.0, n, dim) - 1.0) <= 1e-14
         if d + 2.0 <= MAX_DIMENSION:
@@ -413,6 +409,7 @@ class TestValueAtZero:
                 if j:
                     exact *= -mp.mpf(2 * j - 1) / (2 * j + mp.mpf(d) - 3)
                 assert abs(mp.mpf(p[2 * j]) / exact - 1) <= 1e-14
+                assert abs(mp.mpf(value_at_zero(2 * j, dim)) / exact - 1) <= 1e-14
 
 
 class TestChristoffelDarboux:
