@@ -39,9 +39,11 @@ def _legendre_rule(count: int):
     return _read_only(*np.polynomial.legendre.leggauss(count))
 
 
-def _jacobi_half(n: int, a: float, b: float, x: np.ndarray):
-    """Roots of the Jacobi polynomial P_n^(a,b) in [0, 1) by Newton from the starts x.
+def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """Roots of the Jacobi polynomials P_n^(a,b) in [0, 1) by Newton from the starts x.
 
+    a and b are columns of shape (rows, 1) and x holds one row of starts per
+    (a, b) pair, so that a single pass over the degrees serves every row.
     Returns the roots, descending like x, and weights proportional to
     1/((1 - x^2) P_n'(x)^2) at the roots.  P_n runs as r_k = P_k(x)/P_k(1)
     in Reinsch's difference form,
@@ -50,10 +52,11 @@ def _jacobi_half(n: int, a: float, b: float, x: np.ndarray):
 
     with f_k = C_k h_{k-1}/h_{k+1} and g_k = A_k h_k/h_{k+1} from
     P_{k+1} = (A_k x + B_k) P_k - C_k P_{k-1} and h_k = P_k(1) (the
-    coefficients are Python floats; a degree is five in-place ufuncs).  Near
-    x = 1, where the plain recurrence loses about eps/(1 - x^2) relative,
-    1 - x is exact for x >= 1/2 and no digits cancel, so the Newton step
-    P_n/P_n' is accurate even at the root.  P_n' comes from
+    coefficients are precomputed, Python floats for a single row; a degree
+    is five in-place ufuncs).  Near x = 1, where the plain recurrence loses
+    about eps/(1 - x^2) relative, 1 - x is exact for x >= 1/2 and no digits
+    cancel, so the Newton step P_n/P_n' is accurate even at the root.  P_n'
+    comes from
     (2n+a+b)(1-x^2) P_n' = n((a-b) - (2n+a+b)x) P_n + 2(n+a)(n+b) P_{n-1}.
     After three Newton steps one more pass evaluates P_n' at the converged
     nodes.  Its Newton step, now at rounding level, still moves each node and
@@ -64,19 +67,22 @@ def _jacobi_half(n: int, a: float, b: float, x: np.ndarray):
     """
     s = a + b
     k = np.arange(1.0, n + 1.0)
-    h = np.cumprod(np.concatenate(([1.0], (k + a) / k)))
+    h = np.cumprod(np.concatenate((np.ones_like(a), (k + a) / k), axis=1), axis=1)
     k = k[:-1]
     c = 2.0 * k + s
     den = 2.0 * (k + 1.0) * (k + s + 1.0) * c
-    f = 2.0 * (k + a) * (k + b) * (c + 2.0) / den * h[:-2] / h[2:]
-    g = (c + 1.0) * (c + 2.0) * c / den * h[1:-1] / h[2:]
-    # two lists zipped in the loop, not a list of pairs: zip reuses its tuple,
-    # so a pass allocates no object per degree for the garbage collector
-    f = [0.0, *f.tolist()]
-    g = [0.5 * (s + 2.0) / (1.0 + a), *g.tolist()]
-    h_n = float(h[n])
+    f = 2.0 * (k + a) * (k + b) * (c + 2.0) / den * h[:, :-2] / h[:, 2:]
+    g = (c + 1.0) * (c + 2.0) * c / den * h[:, 1:-1] / h[:, 2:]
+    f = np.concatenate((np.zeros_like(a), f), axis=1)
+    g = np.concatenate((0.5 * (s + 2.0) / (1.0 + a), g), axis=1)
+    # one entry per degree, zipped in the loop rather than paired in a list:
+    # zip reuses its tuple, so a pass allocates no object per degree
+    f, g = (v[0].tolist() if len(v) == 1 else list(v.T[:, :, None]) for v in (f, g))
+    h_n = h[:, n:]
+    degree = 2.0 * n + s
     head = n * h_n
-    tail = 2.0 * (n + a) * (n + b) * float(h[n - 1])
+    tail = 2.0 * (n + a) * (n + b) * h[:, n - 1:n]
+    head_0, head_1 = head * (a - b), head * degree
 
     def newton_step(x):
         u = 1.0 - x
@@ -90,9 +96,9 @@ def _jacobi_half(n: int, a: float, b: float, x: np.ndarray):
             d -= tmp
             r += d
         # q = (2n+a+b)(1-x^2) P_n', with P_n = h_n r_n and P_{n-1} = h_{n-1}(r_n - d_n)
-        q = head * ((a - b) - (2.0 * n + s) * x) * r + tail * (r - d)
+        q = (head_0 - head_1 * x) * r + tail * (r - d)
         one_minus = u * (2.0 - u)
-        return (2.0 * n + s) * one_minus * (h_n * r) / q, one_minus, q
+        return degree * one_minus * (h_n * r) / q, one_minus, q
 
     for _ in range(3):
         x = x - newton_step(x)[0]
@@ -110,11 +116,12 @@ def _jacobi_rule(count: int, a: float, b: float):
     Gatteschi-Pittaluga term ((1/4 - a^2) cot(phi_k/2) - (1/4 - b^2)
     tan(phi_k/2)) / (4 rho^2), rho = n + (a + b + 1)/2, gives x_k =
     cos(theta_k).  For -1/2 < a, b < 3/2 (2 < D < 6) the third Newton step
-    is below 1e-10, so three steps reach rounding level (`_jacobi_half`).
+    is below 1e-10, so three steps reach rounding level (`_jacobi_roots`).
     The nodes in [0, 1) are solved as roots of P_n^(a,b), the others as
     negated roots of P_n^(b,a), so that every node is solved where 1 - x
-    keeps full relative precision; when a = b the positive half is solved
-    once and mirrored.  The weights are scaled to the exact mass
+    keeps full relative precision; both halves run as two rows of one
+    recurrence pass, and when a = b the positive half is solved once and
+    mirrored.  The weights are scaled to the exact mass
     2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).
     """
     n = count
@@ -123,14 +130,20 @@ def _jacobi_rule(count: int, a: float, b: float):
     half_tan = np.tan(0.5 * phi)
     x = np.cos(phi + ((0.25 - a * a) / half_tan - (0.25 - b * b) * half_tan) / (4.0 * rho * rho))
     if a == b:
-        upper, w_upper = _jacobi_half(n, a, a, x[:(n + 1) // 2])
+        (upper,), (w_upper,) = _jacobi_roots(n, np.array([[a]]), np.array([[a]]),
+                                             x[None, :(n + 1) // 2])
         if n % 2:
             upper[-1] = 0.0  # P_n is odd
         lower, w_lower = upper[:n // 2], w_upper[:n // 2]
     else:
+        # rows of equal length: each row's surplus starts lie past x = 0 and
+        # converge to nodes the other row solves, and are dropped
         m = int(np.count_nonzero(x >= 0.0))
-        upper, w_upper = _jacobi_half(n, a, b, x[:m])
-        lower, w_lower = _jacobi_half(n, b, a, -x[m:][::-1])
+        width = max(m, n - m)
+        roots, weights = _jacobi_roots(n, np.array([[a], [b]]), np.array([[b], [a]]),
+                                       np.stack((x[:width], -x[n - width:][::-1])))
+        upper, lower = roots[0, :m], roots[1, :n - m]
+        w_upper, w_lower = weights[0, :m], weights[1, :n - m]
     x = np.concatenate((-lower, upper[::-1]))
     w = np.concatenate((w_lower, w_upper[::-1]))
     mass = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)

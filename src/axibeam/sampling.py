@@ -289,16 +289,15 @@ def tdesign_check(
     return TDesignReport(t, worst, errors, worst < PASS_TOLERANCE)
 
 
-def _polar(vector: list, aim: list) -> tuple:
-    """Length of a 2- or 3-vector and its angle from the unit aim, both lists of floats."""
-    length = math.hypot(*vector)
+def _misaim(vector: np.ndarray, aim: np.ndarray) -> float:
+    length = np.linalg.norm(vector)
     if length < 1e-300:
-        return length, 0.0
+        return 0.0
     # atan2 of the perpendicular component stays accurate for tiny angles,
     # where arccos of the normalized dot product bottoms out at sqrt(eps)
-    along = sum([v * u for v, u in zip(vector, aim)])
-    perp = math.hypot(*[v - along * u for v, u in zip(vector, aim)])
-    return length, math.atan2(perp, along)
+    along = float(vector @ aim)
+    perp = float(np.linalg.norm(vector - along * aim))
+    return math.atan2(perp, along)
 
 
 def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetrics:
@@ -309,9 +308,7 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     S_{D-1}/L.  FBR is deliberately not offered here: the front half-space
     boundary cuts through a node set differently for every orientation, so
     discrete FBR does not stabilize the way the other sums do.  r_v and its
-    misaim are None when a_0 = 0, where P vanishes up to rounding, or when the
-    node sum P is exactly zero.  A pattern that vanishes at every node has
-    no rE and raises DomainError.
+    misaim are None when a_0 = 0, where P vanishes up to rounding.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -320,22 +317,27 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     aim = np.asarray(aim, dtype=float)
     if aim.shape != (nodes.dim,):
         raise DomainError(f"aim must be a {nodes.dim}-vector")
-    norm = math.sqrt(aim @ aim)
+    norm = np.linalg.norm(aim)
     if abs(norm - 1.0) > _FILE_NORM_TOL:
         raise DomainError("aim must be a unit vector")
     aim = aim / norm
-    g = eval_pattern(weights, (nodes.nodes @ aim).clip(-1.0, 1.0))
+    x = np.clip(nodes.nodes @ aim, -1.0, 1.0)
+    g = eval_pattern(weights, x)
     d_omega = weights.dim.surface / nodes.count
     # rows g and g^2: their sums are P and E, their first moments rV P and rE E
     samples = np.array([g, g * g])
     p, e = (d_omega * samples.sum(axis=1)).tolist()
-    if e == 0.0:
-        raise DomainError("the pattern vanishes at every node, so rE is undefined")
-    sums, squares = (d_omega * (samples @ nodes.nodes)).tolist()
-    aim = aim.tolist()
-    r_e, re_misaim = _polar([m / e for m in squares], aim)
+    sums, squares = d_omega * (samples @ nodes.nodes)
+    re_vec = squares / e
     r_v = rv_misaim = None
-    if weights.a[0] != 0.0 and p != 0.0:
-        r_v, rv_misaim = _polar([m / p for m in sums], aim)
-    return DiscreteMetrics(p=p, e=e, r_v=r_v, r_e=r_e,
-                           r_v_misaim_rad=rv_misaim, r_e_misaim_rad=re_misaim)
+    if weights.a[0] != 0.0:
+        rv_vec = sums / p
+        r_v, rv_misaim = float(np.linalg.norm(rv_vec)), _misaim(rv_vec, aim)
+    return DiscreteMetrics(
+        p=p,
+        e=e,
+        r_v=r_v,
+        r_e=float(np.linalg.norm(re_vec)),
+        r_v_misaim_rad=rv_misaim,
+        r_e_misaim_rad=_misaim(re_vec, aim),
+    )

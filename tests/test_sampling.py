@@ -312,23 +312,6 @@ class TestDiscreteMetrics:
         assert disc.r_v is None and disc.r_v_misaim_rad is None and cont.r_v is None
         assert disc.r_e == pytest.approx(cont.r_e, abs=1e-12)
 
-    def test_exactly_zero_node_sum_reports_no_rv(self):
-        # a_0 != 0, yet g(1) = -g(-1) exactly on this two-node set, so P is 0.0
-        nodes = NodeSet(2, np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        vec = WeightVector(D2, np.array([1.0, 0.25, -0.5]), "raw")
-        disc = discrete_metrics(vec, nodes, np.array([1.0, 0.0]))
-        assert disc.p == 0.0 and disc.e > 0.0
-        assert disc.r_v is None and disc.r_v_misaim_rad is None
-
-    @pytest.mark.parametrize("nodes,a", [(platonic("cube"), [0.0, 0.0, 0.0]),
-                                         (NodeSet(2, np.array([[1.0, 0.0], [-1.0, 0.0]])),
-                                          [1.0, 0.0, -0.5])],
-                             ids=["zero-weights", "zeros-at-nodes"])
-    def test_pattern_vanishing_at_every_node_is_domain_error(self, nodes, a):
-        vec = WeightVector(Dimension(nodes.dim), np.array(a), "raw")
-        with pytest.raises(DomainError, match="vanishes at every node"):
-            discrete_metrics(vec, nodes, np.eye(nodes.dim)[0])
-
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             discrete_metrics(basic(2, D3), circle_nodes(8), np.array([1.0, 0.0]))

@@ -386,8 +386,8 @@ class TestValueAtZero:
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0, 64.0])
     def test_closed_form_products(self, d):
-        # _at_zero's cumulative products against the recurrence, value_at_zero
-        # and a 40-digit product
+        # _at_zero's cumulative products, which value_at_zero returns, against
+        # the recurrence and a 40-digit product
         mp = pytest.importorskip("mpmath")
         dim = Dimension(d)
         p, dp = _at_zero(128, dim)
@@ -395,7 +395,6 @@ class TestValueAtZero:
         seq = eval_sequence(0.0, 128, dim)
         for n in range(0, 129, 2):
             assert abs(p[n] / seq[n] - 1.0) <= 1e-14
-            assert abs(p[n] / value_at_zero(n, dim) - 1.0) <= 1e-14
         for n in range(1, 129, 2):
             assert abs(dp[n] / derivative(0.0, n, dim) - 1.0) <= 1e-14
         if d + 2.0 <= MAX_DIMENSION:
