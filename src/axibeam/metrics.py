@@ -17,7 +17,7 @@ import numpy as np
 
 from .designs import WeightVector
 from .errors import DomainError, ZeroPressure
-from .quadrature import gram_closed_form, integrate_axisym
+from .quadrature import gram_front, integrate_axisym
 from .ultraspherical import Dimension, _betas, _series_sum, norms_squared
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
@@ -56,7 +56,7 @@ class _Kernel(NamedTuple):
     inv_sub: np.ndarray    # 1/(S_{D-2} N_n^2)
     n2: np.ndarray         # N_n^2
     two_beta: np.ndarray   # 2 beta_{n+1}, n < N
-    gram: np.ndarray       # gram_closed_form(N, D)
+    gram: np.ndarray       # gram_front(N, D).entries
     sign: np.ndarray       # (-1)^n
     surface: float         # S_{D-1}
 
@@ -69,7 +69,7 @@ def _kernel(order: int, dim: Dimension) -> _Kernel:
     sign = (-1.0) ** np.arange(order + 1)
     for arr in (two_beta, sign):
         arr.setflags(write=False)
-    return _Kernel(_pattern_scale(order, dim), n2, two_beta, gram_closed_form(order, dim),
+    return _Kernel(_pattern_scale(order, dim), n2, two_beta, gram_front(order, dim).entries,
                    sign, dim.surface)
 
 

@@ -10,7 +10,8 @@ singularities in low derivatives that slow Gauss-Legendre to polynomial
 decay, so those ranges use Gauss-Jacobi rules on x instead, which absorb the
 fractional weight exactly.  The Gauss-Jacobi rules are built here in numpy,
 by Newton's method on the three-term recurrence; numpy is the only
-dependency.
+dependency.  `gram_front`, the half-interval Gram matrix behind the
+front-to-back ratio, is a closed form and builds no rule.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .ultraspherical import Dimension, _at_zero, eval_sequence, norms_squared
 
-__all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front", "gram_closed_form"]
+__all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front"]
 
 
 def _read_only(*arrays) -> tuple:
@@ -239,35 +240,13 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
 class GramMatrix:
     """Half-interval Gram matrix g_nm = int_0^1 P_n P_m / (N_n^2 N_m^2) w dx.
 
-    factor is the square-root factor F = diag(sqrt(q)) V^T diag(1/N_n^2) of the
-    front-half quadrature rule (nodes x_i, weights q_i, V_ni = P_n(x_i)), and
-    entries = F^T F with the same-parity off-diagonal entries set to exactly
-    zero (those integrands are even, so the half-interval integral inherits
-    full orthogonality); entries is exactly symmetric.  back_entries and
-    back_factor flip the sign pattern to integrate over [-1, 0] instead.
-
-    The smallest eigenvalue of entries is the hemisphere concentration
-    eigenvalue, roughly 1/FBR of the supercardioid, and falls exponentially
-    with the order: past N ~ 10 it lies below the eigensolver backward error
-    eps * ||G||, so an eigensolver cannot show the double-precision entries
-    definite.  No design or metric needs it; the tests judge definiteness
-    through F: G is positive definite iff F has full column rank, and F's
-    singular values are the square roots of G's eigenvalues, so its condition
-    number is only the square root of G's.  Under numpy's default rank
-    tolerance (sigma_max * rows * eps, 1.4e-14 relative for the 64-node rule)
-    F stays full rank up to N = 18 for D in [2, 4] and loses rank from N = 19,
-    where sigma_min / sigma_max is 5e-15 to 8e-15.
+    entries is exactly symmetric and read-only; back_entries flips the sign
+    pattern to integrate over [-1, 0] instead.
     """
 
     order: int
     dim: Dimension
-    factor: np.ndarray
     entries: np.ndarray
-
-    @property
-    def back_factor(self) -> np.ndarray:
-        """Square-root factor of back_entries: factor with odd-degree columns negated."""
-        return self.factor * (-1.0) ** np.arange(self.order + 1)
 
     @property
     def back_entries(self) -> np.ndarray:
@@ -278,36 +257,6 @@ class GramMatrix:
 
 @lru_cache(maxsize=128)
 def _gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
-    x, q = _rule(dim, _node_count(2 * max_degree, dim), 0.0, 1.0)
-    seq = eval_sequence(x, max_degree, dim) / norms_squared(max_degree, dim)[:, None]
-    factor = seq.T * np.sqrt(q)[:, None]
-    g = factor.T @ factor
-    g = 0.5 * (g + g.T)
-    degree = np.arange(max_degree + 1)
-    diff = degree[:, None] - degree[None, :]
-    g[(diff != 0) & (diff % 2 == 0)] = 0.0
-    factor.setflags(write=False)
-    g.setflags(write=False)
-    return GramMatrix(order=max_degree, dim=dim, factor=factor, entries=g)
-
-
-def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
-    """Numeric front-half Gram matrix; the quadrature cross-check of `gram_closed_form`.
-
-    The scaling 1/(N_n^2 N_m^2) matches the pattern convention
-    g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
-    to the front-half energy of the pattern.  The square-root factor F of the
-    front-half rule is formed once and entries = F^T F is one matrix product;
-    see `GramMatrix` for why the tests judge definiteness past N ~ 10 from F.
-    The result is cached per (N, D); its factor and entries are read-only.
-    """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
-    return _gram_front(max_degree, dim)
-
-
-@lru_cache(maxsize=128)
-def _gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
     p0, dp0 = _at_zero(max_degree, dim)
     n = np.arange(max_degree + 1.0)
     lam = n * (n + dim.d - 2.0)
@@ -319,14 +268,17 @@ def _gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
     g[0::2, 1::2] = block
     g[1::2, 0::2] = block.T
     g.setflags(write=False)
-    return g
+    return GramMatrix(order=max_degree, dim=dim, entries=g)
 
 
-def gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
-    """Front-half Gram matrix of `gram_front` in closed form; the analytic FBR reads it.
+def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
+    """Front-half Gram matrix in closed form; the analytic FBR reads it.
 
-    Diagonal entries are 1/(2 N_n^2); off-diagonal entries follow from the
-    boundary term of the Sturm-Liouville identity evaluated at x = 0,
+    The scaling 1/(N_n^2 N_m^2) matches the pattern convention
+    g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
+    to the front-half energy of the pattern.  Diagonal entries are
+    1/(2 N_n^2); off-diagonal entries follow from the boundary term of the
+    Sturm-Liouville identity evaluated at x = 0,
 
         int_0^1 P_n P_m w dx = [P_n'(0) P_m(0) - P_m'(0) P_n(0)] / (lambda_n - lambda_m)
 
@@ -336,9 +288,9 @@ def gram_closed_form(max_degree: int, dim: Dimension) -> np.ndarray:
     P_n(0)/N_n^2 (n even) and P_m'(0)/N_m^2 (m odd), divided by
     lambda_m - lambda_n.  The values at zero are the closed-form products of
     `ultraspherical._at_zero`, not a recurrence.  The result is cached per
-    (N, D), exactly symmetric (the odd-even block is the transpose) and
-    read-only.
+    (N, D); its entries are exactly symmetric (the odd-even block is the
+    transpose) and read-only.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    return _gram_closed_form(max_degree, dim)
+    return _gram_front(max_degree, dim)

@@ -24,7 +24,7 @@ from axibeam import (
     norms_squared,
 )
 from axibeam.metrics import _kernel, _pattern_scale
-from axibeam.quadrature import _gram_closed_form, gram_closed_form
+from axibeam.quadrature import _gram_front, gram_front
 from axibeam.ultraspherical import _betas
 
 D2 = Dimension(2.0)
@@ -114,9 +114,9 @@ class TestClenshawSum:
             eval_pattern(vec, np.array([0.5, bad]))
 
     def test_builds_no_gram(self):
-        before = _gram_closed_form.cache_info().misses
+        before = _gram_front.cache_info().misses
         eval_pattern(raw(Dimension(5.25), np.ones(23)), np.linspace(-1.0, 1.0, 5))
-        assert _gram_closed_form.cache_info().misses == before
+        assert _gram_front.cache_info().misses == before
 
 
 class TestMetricKernel:
@@ -125,10 +125,10 @@ class TestMetricKernel:
         [
             (compute_metrics, lambda: _kernel(9, D3)[:-1]),  # every field but S_{D-1}
             (eval_pattern, lambda: (_pattern_scale(9, D3),)),
-            (gram_closed_form, lambda: (gram_closed_form(9, D3),)),
+            (gram_front, lambda: (gram_front(9, D3).entries,)),
             (norms_squared, lambda: (norms_squared(9, D3),)),
         ],
-        ids=["compute_metrics", "eval_pattern", "gram_closed_form", "norms_squared"],
+        ids=["compute_metrics", "eval_pattern", "gram_front", "norms_squared"],
     )
     def test_cached_read_only(self, fn, cached):
         # a plain function in front of the cache: perfbench/spans.py traces only
@@ -160,7 +160,7 @@ class TestMetricKernel:
             e = float(np.sum(a * a * inv))
             g1 = float(np.sum(a * inv))
             num = float(np.sum(2.0 * _betas(order, dim)[:-1] * a[:-1] * a[1:] / n2[:-1]))
-            gram = gram_closed_form(order, dim)
+            gram = gram_front(order, dim).entries
             back = a * (-1.0) ** np.arange(order + 1)
             met = compute_metrics(weights)
             assert met.p == weights.a[0]

@@ -9,17 +9,17 @@ import pytest
 
 from axibeam import Dimension, DomainError, compute_metrics, eval_sequence, max_re, norms_squared
 from axibeam.quadrature import (
-    _gram_closed_form,
     _gram_front,
     _jacobi_rule,
     _legendre_rule,
     _node_count,
-    gram_closed_form,
     gram_front,
     integrate_axisym,
     transform_coeffs,
 )
 from axibeam.ultraspherical import _with_derivatives
+
+from _gram_reference import quadrature_gram
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -184,12 +184,12 @@ class TestJacobiRule:
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from axibeam import (Dimension, basic, compute_metrics_numeric, gram_front,\n"
-            "                     integrate_axisym, transform_coeffs)\n"
+            "from axibeam import (Dimension, basic, compute_metrics_numeric, integrate_axisym,\n"
+            "                     transform_coeffs)\n"
             "from axibeam.quadrature import _jacobi_rule\n"
             "transform_coeffs(np.cos, 8, Dimension(2.5))\n"
             "compute_metrics_numeric(basic(4, Dimension(3.5)))\n"
-            "gram_front(6, Dimension(2.2))\n"
+            "integrate_axisym(np.exp, Dimension(2.2), lower=0.0)\n"
             "integrate_axisym(np.exp, Dimension(5.5), lower=0.3)\n"
             "built = _jacobi_rule.cache_info().currsize\n"
             "integrate_axisym(np.exp, Dimension(7.3), lower=0.3)\n"
@@ -249,18 +249,9 @@ class TestGramMatrix:
         assert inspect.isfunction(gram_front)
         first = gram_front(9, D3)
         assert gram_front(9, Dimension(3)) is first
-        for arr in (first.entries, first.factor):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
-        fresh = _gram_front.__wrapped__(9, D3)
-        assert np.array_equal(first.entries, fresh.entries)
-        assert np.array_equal(first.factor, fresh.factor)
-        assert inspect.isfunction(gram_closed_form)
-        closed = gram_closed_form(9, D3)
-        assert gram_closed_form(9, Dimension(3)) is closed
         with pytest.raises(ValueError):
-            closed[0, 0] = 1.0
-        assert np.array_equal(closed, _gram_closed_form.__wrapped__(9, D3))
+            first.entries[0, 0] = 1.0
+        assert np.array_equal(first.entries, _gram_front.__wrapped__(9, D3).entries)
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0, 64.0])
     def test_closed_form_matches_recurrence_construction(self, d):
@@ -279,7 +270,7 @@ class TestGramMatrix:
 
         dim = Dimension(d)
         for order in (0, 1, 17, 128):
-            closed = _gram_closed_form.__wrapped__(order, dim)
+            closed = _gram_front.__wrapped__(order, dim).entries
             ref = reference(order, dim)
             assert np.array_equal(closed != 0.0, ref != 0.0)
             assert np.array_equal(closed, closed.T)
@@ -314,12 +305,17 @@ class TestGramMatrix:
         assert g[0, 2] == 0.0
         assert g[1, 3] == 0.0
 
-    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 5.5, 7.3, 40.0, 64.0])
     def test_closed_form_cross_check(self, d):
+        # the quadrature Gram against the closed form; at D >= 40 the entries
+        # reach 1e22, so the bound is relative to the largest entry
         dim = Dimension(d)
-        numeric = gram_front(8, dim).entries
-        closed = gram_closed_form(8, dim)
-        assert numeric == pytest.approx(closed, abs=1e-9)
+        for order in (8, 32, 64):
+            numeric = quadrature_gram(order, dim)[1]
+            closed = gram_front(order, dim).entries
+            if order == 8 and d <= 3.0:
+                assert numeric == pytest.approx(closed, abs=1e-9)
+            assert np.max(np.abs(numeric - closed)) <= 1e-13 * np.max(np.abs(closed))
 
     @pytest.mark.parametrize("d", [2.0, 3.0, 4.0])
     def test_front_and_back_positive_definite(self, d):
@@ -329,9 +325,8 @@ class TestGramMatrix:
         # definite iff F has full column rank, and F's condition number is
         # only the square root of G's, so the rank decides it in double.
         dim = Dimension(d)
-        gram = gram_front(12, dim)
-        scale = np.linalg.norm(gram.entries, 2)
-        pairs = ((gram.factor, gram.entries), (gram.back_factor, gram.back_entries))
+        pairs = (quadrature_gram(12, dim), quadrature_gram(12, dim, back=True))
+        scale = np.linalg.norm(pairs[0][1], 2)
         for factor, entries in pairs:
             rows = factor.shape[0]
             assert np.linalg.matrix_rank(factor) == 13
@@ -367,7 +362,7 @@ class TestGramMatrix:
                     val = raw * inv_n2[n] * inv_n2[m]
                     exact[n, m] = mp.mpf(val.numerator) / val.denominator
             lam_min = float(min(mp.eigsy(exact, eigvals_only=True)))
-        sigma_min = np.linalg.svd(gram_front(order, D3).factor, compute_uv=False)[-1]
+        sigma_min = np.linalg.svd(quadrature_gram(order, D3)[0], compute_uv=False)[-1]
         assert sigma_min**2 == pytest.approx(lam_min, rel=1e-3, abs=0.0)
 
     def test_closed_form_matches_mpmath(self):
@@ -406,7 +401,7 @@ class TestGramMatrix:
 
         with mp.workdps(60):
             exact = reference(16, 2.5)
-            closed = gram_closed_form(16, Dimension(2.5))
+            closed = gram_front(16, Dimension(2.5)).entries
             err = max(abs(mp.mpf(closed[n, m]) - exact[n, m]) for n in range(17) for m in range(17))
             assert err <= 1e-14 * np.max(np.abs(closed))
 
