@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import WeightVector
-from .errors import DomainError, ZeroPressure
+from .errors import DomainError
 from .quadrature import gram_front, integrate_axisym
 from .ultraspherical import Dimension, _betas, _series_sum, norms_squared
 
@@ -88,7 +88,7 @@ def eval_pattern(weights: WeightVector, x):
     return _series_sum(coeffs, x, weights.dim)
 
 
-def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternMetrics:
+def compute_metrics(weights: WeightVector) -> PatternMetrics:
     """Metrics from the weights alone.
 
     P = a_0; E = sum a_n^2/(S_{D-2} N_n^2); Q = S_{D-1} g(1)^2 / E with g(1)
@@ -112,14 +112,7 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
     scale; E is inf or 0 only where the true energy lies outside the double
     range.
 
-    Parameters
-    ----------
-    weights : WeightVector
-    require_rv : bool
-        When True, raise ZeroPressure if a_0 = 0; otherwise r_v is reported
-        as None in that case.
-
-    Raises DomainError when every weight is zero.
+    r_v is None when a_0 = 0.  Raises DomainError when every weight is zero.
     """
     order = weights.order
     kern = _kernel(order, weights.dim)
@@ -131,11 +124,8 @@ def compute_metrics(weights: WeightVector, require_rv: bool = False) -> PatternM
         raise DomainError("metrics are undefined for a pattern of zero energy")
     g1 = float((a * kern.inv_sub).sum())
     q = kern.surface * g1 * g1 / e
-    if weights.a[0] == 0.0:
-        if require_rv:
-            raise ZeroPressure("r_V is undefined for a_0 = 0")
-        r_v: float | None = None
-    else:
+    r_v: float | None = None
+    if weights.a[0] != 0.0:
         r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
     n2 = kern.n2
     r_e = float((kern.two_beta * a[:-1] * a[1:] / n2[:-1]).sum()) / float((aa / n2).sum())

@@ -50,6 +50,7 @@ MAX_NODES = 2048
 _UNIT_TOL = 1e-12
 _FILE_NORM_TOL = 1e-6
 _DUPLICATE_CHORD = 2.0 * math.sin(0.5e-9)  # chord of 1e-9 rad
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_node_count(count: int) -> None:
@@ -308,7 +309,9 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     S_{D-1}/L.  FBR is deliberately not offered here: the front half-space
     boundary cuts through a node set differently for every orientation, so
     discrete FBR does not stabilize the way the other sums do.  r_v and its
-    misaim are None when a_0 = 0, where P vanishes up to rounding.
+    misaim are None when a_0 = 0, and also when |P| <= L eps dOmega sum_l |g_l|,
+    a bound on the rounding error of the node sum P, below which P and the
+    direction of rV are rounding noise.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -330,7 +333,7 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     sums, squares = d_omega * (samples @ nodes.nodes)
     re_vec = squares / e
     r_v = rv_misaim = None
-    if weights.a[0] != 0.0:
+    if weights.a[0] != 0.0 and abs(p) > nodes.count * _EPS * d_omega * float(np.abs(g).sum()):
         rv_vec = sums / p
         r_v, rv_misaim = float(np.linalg.norm(rv_vec)), _misaim(rv_vec, aim)
     return DiscreteMetrics(

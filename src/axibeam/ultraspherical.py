@@ -92,7 +92,10 @@ def surface_area(dim: Dimension) -> float:
 
 
 def _clamp_argument(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"x must be a real number or an array of them: {exc}") from exc
     # written as a negated <= so that NaN fails the test as well
     if not (np.abs(x) <= 1.0 + _X_CLAMP).all():
         bad = np.max(np.abs(x))
@@ -113,7 +116,7 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
     ----------
     x : float or array_like
         Evaluation point(s) in [-1, 1] (an overshoot below 1e-12 is clamped);
-        NaN or an infinite value raises DomainError.
+        a non-numeric, NaN or infinite value raises DomainError.
     max_degree : int
         Highest degree N >= 0.
     dim : Dimension
@@ -358,30 +361,12 @@ def value_at_zero(n: int, dim: Dimension) -> float:
 
 
 def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
-    """Christoffel-Darboux kernel K_N(x, x0) = sum_{n<=N} P_n(x) P_n(x0) / N_n^2.
+    """Christoffel-Darboux kernel K_N(x, x0) = sum_{n<=N} P_n(x) P_n(x0) / N_n^2, x0 one value.
 
-    Evaluated through the closed-form quotient
-
-        beta_{N+1} [P_{N+1}(x) P_N(x0) - P_N(x) P_{N+1}(x0)] / ((x - x0) N_N^2)
-
-    when |x - x0| > 1e-6 and by the direct sum otherwise; the singularity at
-    x = x0 is removable and both branches agree near the crossover.
+    One Clenshaw sum (`_series_sum`, x as there): error <= 1e-12 sum_n |terms| for N <= 128, any x.
     """
-    x = _clamp_argument(x)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    x0 = float(_clamp_argument(x0))
-    N = max_degree
-    seq_x = eval_sequence(xs, N + 1, dim)
-    seq_0 = eval_sequence(x0, N + 1, dim)
-    n2 = norms_squared(N, dim)
-    near = np.abs(xs - x0) <= 1e-6
-    direct = np.tensordot(1.0 / n2, seq_x[: N + 1] * seq_0[: N + 1, None], axes=(0, 0))
-    denom = np.where(near, 1.0, xs - x0)
-    closed = (
-        _betas(N, dim)[N]
-        * (seq_x[N + 1] * seq_0[N] - seq_x[N] * seq_0[N + 1])
-        / (denom * n2[N])
-    )
-    out = np.where(near, direct, closed)
-    return float(out[0]) if scalar else out.reshape(x.shape)
+    x0 = _clamp_argument(x0)
+    if x0.ndim:
+        raise DomainError(f"x0 must be one value, got shape {x0.shape}")
+    coeffs = eval_sequence(x0, max_degree, dim) / norms_squared(max_degree, dim)
+    return _series_sum(coeffs.tolist(), x, dim)

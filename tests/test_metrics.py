@@ -12,7 +12,6 @@ from axibeam import (
     DomainError,
     Normalization,
     WeightVector,
-    ZeroPressure,
     basic,
     cd_kernel,
     compute_metrics,
@@ -253,8 +252,6 @@ class TestComputeMetrics:
         met = compute_metrics(vec)
         assert met.r_v is None
         assert met.e > 0.0
-        with pytest.raises(ZeroPressure):
-            compute_metrics(vec, require_rv=True)
         assert compute_metrics_numeric(vec).r_v is None
 
     @pytest.mark.parametrize(

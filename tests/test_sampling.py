@@ -312,6 +312,14 @@ class TestDiscreteMetrics:
         assert disc.r_v is None and disc.r_v_misaim_rad is None and cont.r_v is None
         assert disc.r_e == pytest.approx(cont.r_e, abs=1e-12)
 
+    def test_cancelled_node_sum_reports_no_rv(self):
+        # a_0 != 0, but the two node values cancel: the true P is 0 and the
+        # computed P = -8.7e-17 is rounding, which gave rV = 6.9e15 with misaim pi
+        vec = WeightVector(Dimension(2.0), np.array([1.0, 0.3, -0.5]), "raw")
+        disc = discrete_metrics(vec, NodeSet(2, [[1.0, 0.0], [-1.0, 0.0]]), [1.0, 0.0])
+        assert abs(disc.p) < 1e-15
+        assert disc.r_v is None and disc.r_v_misaim_rad is None
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             discrete_metrics(basic(2, D3), circle_nodes(8), np.array([1.0, 0.0]))

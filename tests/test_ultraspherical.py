@@ -107,12 +107,14 @@ class TestEvalSequence:
         with pytest.raises(DomainError):
             eval_sequence(1.001, 3, D3)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a"])
     def test_rejects_non_finite_x(self, bad):
         with pytest.raises(DomainError):
             eval_sequence(bad, 3, D3)
         with pytest.raises(DomainError):
             eval_sequence(np.array([0.5, bad]), 3, D3)
+        with pytest.raises(DomainError):
+            cd_kernel(0.5, bad, 3, D3)
 
     def test_array_shape(self):
         xs = np.linspace(-1.0, 1.0, 7)
@@ -411,6 +413,30 @@ class TestValueAtZero:
                 assert abs(mp.mpf(value_at_zero(2 * j, dim)) / exact - 1) <= 1e-14
 
 
+def mp_cd_kernel(mp, x, x0, order, d):
+    """K_N(x, x0) and sum_n |P_n(x) P_n(x0)| / N_n^2 at mpmath's working precision.
+
+    P_n from the three-term recurrence, N_n^2 from the Gamma closed form
+    n! Gamma(D-1) / ((2n+D-2) Gamma(n+D-2)) N_0^2 with N_0^2 = sqrt(pi)
+    Gamma((D-1)/2) / Gamma(D/2); nothing is shared with the library.
+    """
+    d, x, x0 = mp.mpf(d), mp.mpf(x), mp.mpf(x0)
+    n0 = mp.sqrt(mp.pi) * mp.gamma((d - 1) / 2) / mp.gamma(d / 2)
+    p, q = [mp.mpf(1), x], [mp.mpf(1), x0]
+    for n in range(1, order):
+        p.append(((2 * n + d - 2) * x * p[n] - n * p[n - 1]) / (n + d - 2))
+        q.append(((2 * n + d - 2) * x0 * q[n] - n * q[n - 1]) / (n + d - 2))
+    total = scale = mp.mpf(0)
+    for n in range(order + 1):
+        norm = n0 if n == 0 else (
+            n0 * mp.factorial(n) * mp.gamma(d - 1) / ((2 * n + d - 2) * mp.gamma(n + d - 2))
+        )
+        term = p[n] * q[n] / norm
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
 class TestChristoffelDarboux:
     def test_confluent_point_legendre(self):
         for big_n in (0, 1, 3, 6):
@@ -421,23 +447,35 @@ class TestChristoffelDarboux:
     def test_closed_form_equals_direct_sum(self):
         x, x0 = 0.2, 0.7
         n2 = norms_squared(4, D2)
-        sx = eval_sequence(x, 4, D2)
-        s0 = eval_sequence(x0, 4, D2)
-        direct = float(np.sum(sx * s0 / n2))
+        sx = eval_sequence(x, 5, D2)
+        s0 = eval_sequence(x0, 5, D2)
+        direct = float(np.sum(sx[:5] * s0[:5] / n2))
         assert cd_kernel(x, x0, 4, D2) == pytest.approx(direct, abs=1e-10)
+        # the Christoffel-Darboux identity, well conditioned at |x - x0| >= 0.1
+        quotient = beta_coeff(5, D2) * (sx[5] * s0[4] - sx[4] * s0[5]) / ((x - x0) * n2[4])
+        assert cd_kernel(x, x0, 4, D2) == pytest.approx(quotient, abs=1e-10)
 
     def test_crossover_boundary_consistency(self):
-        # both branches must agree where the |x - x0| = 1e-6 switch happens
-        x0 = 0.37
-        for d in (2.0, 3.0, 4.0):
-            dim = Dimension(d)
-            for eps in (0.9e-6, 1.1e-6):
-                lhs = cd_kernel(x0 + eps, x0, 6, dim)
-                n2 = norms_squared(6, dim)
-                sx = eval_sequence(x0 + eps, 6, dim)
-                s0 = eval_sequence(x0, 6, dim)
-                direct = float(np.sum(sx * s0 / n2))
-                assert lhs == pytest.approx(direct, rel=1e-9)
+        # next to x0 the Christoffel-Darboux quotient loses eps/|x - x0|
+        # relative (1.1e-11 sum|terms| at h = 1.1e-6, N = 6, D = 2); the
+        # Clenshaw sum must hold 1e-12 sum|terms| there and at x0 itself
+        mp = pytest.importorskip("mpmath")
+        x0 = 0.3
+        with mp.workdps(40):
+            for d in (2.0, 3.0, 7.3):
+                dim = Dimension(d)
+                for order in (6, 64, 128):
+                    for h in (0.0, 1e-7, 1.1e-6, 2e-6, 1e-5):
+                        x = x0 + h
+                        exact, scale = mp_cd_kernel(mp, x, x0, order, d)
+                        err = abs(mp.mpf(cd_kernel(x, x0, order, dim)) - exact)
+                        assert err <= 1e-12 * scale, (d, order, h)
+                        arr = cd_kernel(np.array([[x]]), x0, order, dim)
+                        assert arr.shape == (1, 1) and arr[0, 0] == cd_kernel(x, x0, order, dim)
+
+    def test_rejects_non_scalar_x0(self):
+        with pytest.raises(DomainError):
+            cd_kernel(0.5, [0.1, 0.2], 3, D3)
 
     def test_max_re_closed_form_shape(self):
         # with P_{N+1}(x0) = 0 the kernel collapses to c * P_{N+1}(x)/(x - x0)
