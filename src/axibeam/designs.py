@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure
-from .ultraspherical import Dimension, _betas, _with_derivatives, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _basis, _with_derivatives, eval_sequence, norms_squared
 
 __all__ = [
     "Normalization",
@@ -119,23 +119,17 @@ def basic(order: int, dim: Dimension) -> WeightVector:
     return WeightVector(dim, np.ones(order + 1), Normalization.A0_UNITY)
 
 
-def _jacobi_off(order: int, dim: Dimension) -> np.ndarray:
-    """Off-diagonal sqrt(beta_n (1 - beta_{n+1})), n = 1..N, of the orthonormal Jacobi matrix."""
-    beta = _betas(order, dim)
-    return np.sqrt(beta[:-1] * (1.0 - beta[1:]))
-
-
 def max_re(order: int, dim: Dimension) -> MaxReSolution:
     """Weights a_n = P_n(r) at the largest root r of P_{N+1}, maximizing rE.
 
     The roots of P_{N+1} are the eigenvalues of its (N+1) x (N+1) symmetric
     tridiagonal Jacobi matrix (Golub-Welsch): zero diagonal and off-diagonal
-    `_jacobi_off`.  r is the largest eigenvalue, polished by one Newton step
+    `_Basis.off`.  r is the largest eigenvalue, polished by one Newton step
     on P_{N+1}, whose value and slope come from one recurrence run at r.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    r = float(np.linalg.eigvalsh(np.diag(_jacobi_off(order, dim), -1))[-1])
+    r = float(np.linalg.eigvalsh(np.diag(_basis(order, dim).off, -1))[-1])
     seq, der = _with_derivatives(r, order + 1, dim)
     r -= float(seq[-1] / der[-1])
     weights = eval_sequence(r, order, dim)
@@ -148,7 +142,7 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     Maximizing FBR is Slepian concentration onto [0, 1].  In orthonormal
     coordinates u_n = a_n / N_n it commutes with the symmetric tridiagonal
     matrix with zero diagonal and sub-diagonal off_n (N (N + D - 1) -
-    n (n + D - 1)), n = 0..N-1, off = `_jacobi_off` (Grünbaum, Longhi &
+    n (n + D - 1)), n = 0..N-1, off = `_Basis.off` (Grünbaum, Longhi &
     Perlstadt 1982), and u is its top eigenvector.  That sub-diagonal
     is positive, so by Perron-Frobenius the eigenvalue is simple and every
     exact weight has the sign of a_0: a = diag(N_n) u divided by a_0 is
@@ -158,10 +152,11 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     """
     if order < 1:
         raise DomainError("supercardioid requires order >= 1")
+    basis = _basis(order, dim)
     n = np.arange(order)
     spread = order * (order + dim.d - 1.0) - n * (n + dim.d - 1.0)
-    _, vecs = np.linalg.eigh(np.diag(_jacobi_off(order, dim) * spread, -1))
-    a = np.sqrt(norms_squared(order, dim)) * vecs[:, -1]
+    _, vecs = np.linalg.eigh(np.diag(basis.off * spread, -1))
+    a = np.sqrt(basis.n2) * vecs[:, -1]
     return WeightVector(dim, a / a[0], Normalization.A0_UNITY)
 
 
@@ -233,9 +228,9 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
             (order - n + 1.0) * (n - 1.0) * a[n - 1]
             + 2.0 * delta * (n + alpha) * a[n]
         ) / ((order + n + 2.0 * alpha + 1.0) * (n + 2.0 * alpha + 1.0))
-    n2 = norms_squared(order, dim)
-    ratio = n2[0] / n2
-    signs = (-1.0) ** np.arange(order + 1)
+    basis = _basis(order, dim)
+    ratio = basis.n2[0] / basis.n2
+    signs = basis.sign
     a[0] = -float(np.sum(signs[1:] * ratio[1:] * a[1:]))
     b = float(np.sum((1.0 - signs[1:]) * ratio[1:] * a[1:]))
     vec = WeightVector(dim, a / b, Normalization.RAW)

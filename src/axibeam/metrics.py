@@ -1,24 +1,22 @@
 """Pattern evaluation and the P / E / Q / rV / rE / FBR metric suite.
 
-`compute_metrics` evaluates the closed forms that depend only on the weights;
-`compute_metrics_numeric` recomputes every quantity by quadrature of the
-pattern itself and exists purely as an independent oracle, so the two paths
-must agree for any valid weight vector.
+`compute_metrics` and `eval_pattern` read the weights and the cached per-(N, D)
+record `ultraspherical._basis`; `compute_metrics_numeric` recomputes every
+quantity by quadrature of the pattern itself and exists purely as an
+independent oracle, so the two paths must agree for any valid weight vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .designs import WeightVector
 from .errors import DomainError
-from .quadrature import gram_front, integrate_axisym
-from .ultraspherical import Dimension, _betas, _series_sum, norms_squared
+from .quadrature import integrate_axisym
+from .ultraspherical import _basis, _series_sum
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
 
@@ -42,37 +40,6 @@ class PatternMetrics:
     fbr: float
 
 
-@lru_cache(maxsize=128)
-def _pattern_scale(order: int, dim: Dimension) -> np.ndarray:
-    """1/(S_{D-2} N_n^2), which turns the weights a_n into the coefficients of g."""
-    out = 1.0 / (dim.subsurface * norms_squared(order, dim))
-    out.setflags(write=False)
-    return out
-
-
-class _Kernel(NamedTuple):
-    """Everything `compute_metrics` reads that depends only on (N, D)."""
-
-    inv_sub: np.ndarray    # 1/(S_{D-2} N_n^2)
-    n2: np.ndarray         # N_n^2
-    two_beta: np.ndarray   # 2 beta_{n+1}, n < N
-    gram: np.ndarray       # gram_front(N, D).entries
-    sign: np.ndarray       # (-1)^n
-    surface: float         # S_{D-1}
-
-
-@lru_cache(maxsize=128)
-def _kernel(order: int, dim: Dimension) -> _Kernel:
-    """The per-(N, D) arrays of `compute_metrics`, built once and read-only."""
-    n2 = norms_squared(order, dim)
-    two_beta = 2.0 * _betas(order, dim)[:-1]
-    sign = (-1.0) ** np.arange(order + 1)
-    for arr in (two_beta, sign):
-        arr.setflags(write=False)
-    return _Kernel(_pattern_scale(order, dim), n2, two_beta, gram_front(order, dim).entries,
-                   sign, dim.surface)
-
-
 def eval_pattern(weights: WeightVector, x):
     """Continuous pattern g(x) = 1/S_{D-2} sum_n a_n / N_n^2 P_n(x).
 
@@ -84,8 +51,8 @@ def eval_pattern(weights: WeightVector, x):
     x may be a float (the result is a float) or an array of any shape (the
     result has its shape); x outside [-1, 1] raises DomainError.
     """
-    coeffs = (weights.a * _pattern_scale(weights.order, weights.dim)).tolist()
-    return _series_sum(coeffs, x, weights.dim)
+    basis = _basis(weights.order, weights.dim)
+    return _series_sum((weights.a * basis.inv_sub).tolist(), x, basis.clenshaw)
 
 
 def compute_metrics(weights: WeightVector) -> PatternMetrics:
@@ -101,9 +68,9 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
 
     Everything that depends only on (N, D) (1/(S_{D-2} N_n^2), N_n^2,
     2 beta_{n+1}, the Gram matrix, the signs (-1)^n and S_{D-1}) is read from
-    one cached, read-only per-(N, D) kernel, so a call costs a dozen small
-    array operations, and every field is bit-identical to the same formulas
-    with those arrays rebuilt.
+    the cached record `ultraspherical._basis`, so a call costs a dozen small
+    array operations, bit-identical to the same formulas with those arrays
+    rebuilt.
 
     The sums are formed on the weights scaled by the power of two 2^-k that
     brings max |a_n| into [0.5, 1).  That scaling is exact, so Q, rV, rE and
@@ -115,22 +82,22 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     r_v is None when a_0 = 0.  Raises DomainError when every weight is zero.
     """
     order = weights.order
-    kern = _kernel(order, weights.dim)
+    basis = _basis(order, weights.dim)
     _, k = math.frexp(float(np.abs(weights.a).max()))
     a = np.ldexp(weights.a, -k)
     aa = a * a
-    e = float((aa * kern.inv_sub).sum())
+    e = float((aa * basis.inv_sub).sum())
     if e == 0.0:
         raise DomainError("metrics are undefined for a pattern of zero energy")
-    g1 = float((a * kern.inv_sub).sum())
-    q = kern.surface * g1 * g1 / e
+    g1 = float((a * basis.inv_sub).sum())
+    q = basis.surface * g1 * g1 / e
     r_v: float | None = None
     if weights.a[0] != 0.0:
         r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
-    n2 = kern.n2
-    r_e = float((kern.two_beta * a[:-1] * a[1:] / n2[:-1]).sum()) / float((aa / n2).sum())
-    back = a * kern.sign
-    fbr = float(a @ kern.gram @ a) / float(back @ kern.gram @ back)
+    n2 = basis.n2
+    r_e = float((basis.two_beta * a[:-1] * a[1:] / n2[:-1]).sum()) / float((aa / n2).sum())
+    back = a * basis.sign
+    fbr = float(a @ basis.gram @ a) / float(back @ basis.gram @ back)
     with np.errstate(over="ignore"):
         e = float(np.ldexp(e, 2 * k))
     return PatternMetrics(p=float(weights.a[0]), e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .ultraspherical import Dimension, _at_zero, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _basis, eval_sequence, norms_squared
 
 __all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front"]
 
@@ -251,24 +251,8 @@ class GramMatrix:
     @property
     def back_entries(self) -> np.ndarray:
         """Gram matrix of the back half-interval, b_nm = (-1)^(n+m) g_nm."""
-        sign = (-1.0) ** np.arange(self.order + 1)
+        sign = _basis(self.order, self.dim).sign
         return self.entries * np.outer(sign, sign)
-
-
-@lru_cache(maxsize=128)
-def _gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
-    p0, dp0 = _at_zero(max_degree, dim)
-    n = np.arange(max_degree + 1.0)
-    lam = n * (n + dim.d - 2.0)
-    n2 = norms_squared(max_degree, dim)
-    g = np.diag(1.0 / (2.0 * n2))
-    # row n even, column m odd: P_n(0) P_m'(0) / ((lambda_m - lambda_n) N_n^2 N_m^2)
-    block = np.outer(p0[0::2] / n2[0::2], dp0[1::2] / n2[1::2])
-    block /= lam[1::2] - lam[0::2, None]
-    g[0::2, 1::2] = block
-    g[1::2, 0::2] = block.T
-    g.setflags(write=False)
-    return GramMatrix(order=max_degree, dim=dim, entries=g)
 
 
 def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
@@ -287,10 +271,10 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     so only the even-odd block is formed: one outer product of
     P_n(0)/N_n^2 (n even) and P_m'(0)/N_m^2 (m odd), divided by
     lambda_m - lambda_n.  The values at zero are the closed-form products of
-    `ultraspherical._at_zero`, not a recurrence.  The result is cached per
-    (N, D); its entries are exactly symmetric (the odd-even block is the
-    transpose) and read-only.
+    `ultraspherical._Basis`, not a recurrence.  The entries are cached in the
+    per-(N, D) record `_basis`; they are exactly symmetric (the odd-even block
+    is the transpose) and read-only.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    return _gram_front(max_degree, dim)
+    return GramMatrix(order=max_degree, dim=dim, entries=_basis(max_degree, dim).gram)

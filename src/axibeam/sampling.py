@@ -119,7 +119,7 @@ class DiscreteMetrics:
     r_v: float | None
     r_e: float
     r_v_misaim_rad: float | None
-    r_e_misaim_rad: float
+    r_e_misaim_rad: float | None
 
 
 def circle_nodes(count: int, offset_rad: float = 0.0) -> NodeSet:
@@ -311,7 +311,9 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     discrete FBR does not stabilize the way the other sums do.  r_v and its
     misaim are None when a_0 = 0, and also when |P| <= L eps dOmega sum_l |g_l|,
     a bound on the rounding error of the node sum P, below which P and the
-    direction of rV are rounding noise.
+    direction of rV are rounding noise.  Likewise the rE misaim is None when
+    rE <= L eps, the rounding floor of the node sum of g^2 theta relative
+    to E, below which the direction of rE is noise.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -332,6 +334,7 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     p, e = (d_omega * samples.sum(axis=1)).tolist()
     sums, squares = d_omega * (samples @ nodes.nodes)
     re_vec = squares / e
+    r_e = float(np.linalg.norm(re_vec))
     r_v = rv_misaim = None
     if weights.a[0] != 0.0 and abs(p) > nodes.count * _EPS * d_omega * float(np.abs(g).sum()):
         rv_vec = sums / p
@@ -340,7 +343,7 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         p=p,
         e=e,
         r_v=r_v,
-        r_e=float(np.linalg.norm(re_vec)),
+        r_e=r_e,
         r_v_misaim_rad=rv_misaim,
-        r_e_misaim_rad=_misaim(re_vec, aim),
+        r_e_misaim_rad=_misaim(re_vec, aim) if r_e > nodes.count * _EPS else None,
     )

@@ -13,6 +13,7 @@ from axibeam import (
     Normalization,
     WeightVector,
     basic,
+    beta_coeff,
     cd_kernel,
     compute_metrics,
     compute_metrics_numeric,
@@ -22,9 +23,8 @@ from axibeam import (
     max_re,
     norms_squared,
 )
-from axibeam.metrics import _kernel, _pattern_scale
-from axibeam.quadrature import _gram_front, gram_front
-from axibeam.ultraspherical import _betas
+from axibeam.quadrature import gram_front
+from axibeam.ultraspherical import _basis
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -113,17 +113,24 @@ class TestClenshawSum:
             eval_pattern(vec, np.array([0.5, bad]))
 
     def test_builds_no_gram(self):
-        before = _gram_front.cache_info().misses
+        # D = 5.25 is used by no other test, so its record starts empty
         eval_pattern(raw(Dimension(5.25), np.ones(23)), np.linspace(-1.0, 1.0, 5))
-        assert _gram_front.cache_info().misses == before
+        assert "inv_sub" in vars(_basis(22, Dimension(5.25)))
+        assert "gram" not in vars(_basis(22, Dimension(5.25)))
+
+
+def record_fields(*names):
+    return lambda: tuple(getattr(_basis(9, D3), name) for name in names)
 
 
 class TestMetricKernel:
+    """compute_metrics reads its per-(N, D) arrays from the cached record `_basis`."""
+
     @pytest.mark.parametrize(
         "fn, cached",
         [
-            (compute_metrics, lambda: _kernel(9, D3)[:-1]),  # every field but S_{D-1}
-            (eval_pattern, lambda: (_pattern_scale(9, D3),)),
+            (compute_metrics, record_fields("inv_sub", "n2", "two_beta", "gram", "sign")),
+            (eval_pattern, record_fields("inv_sub")),
             (gram_front, lambda: (gram_front(9, D3).entries,)),
             (norms_squared, lambda: (norms_squared(9, D3),)),
         ],
@@ -140,13 +147,14 @@ class TestMetricKernel:
                 arr[(0,) * arr.ndim] = 1.0
 
     def test_kernel_cached_per_order_and_dimension(self):
-        assert _kernel(9, Dimension(3)) is _kernel(9, D3)
-        assert _kernel(9, D3) is not _kernel(10, D3)
-        assert _kernel(9, D3).inv_sub is _pattern_scale(9, D3)
+        assert _basis(9, Dimension(3)) is _basis(9, D3)
+        assert _basis(9, D3) is not _basis(10, D3)
+        assert gram_front(9, D3).entries is _basis(9, D3).gram
+        assert norms_squared(9, D3) is _basis(9, D3).n2
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
     def test_matches_direct_formulas(self, d):
-        # the formulas without the kernel, each (N, D) array rebuilt in place;
+        # the formulas without the record, each (N, D) array rebuilt in place;
         # the arithmetic is the same, so every field agrees bit for bit
         dim = Dimension(d)
         rng = np.random.default_rng(17)
@@ -158,7 +166,8 @@ class TestMetricKernel:
             inv = 1.0 / (dim.subsurface * n2)
             e = float(np.sum(a * a * inv))
             g1 = float(np.sum(a * inv))
-            num = float(np.sum(2.0 * _betas(order, dim)[:-1] * a[:-1] * a[1:] / n2[:-1]))
+            beta = np.array([beta_coeff(n, dim) for n in range(1, order + 2)])
+            num = float(np.sum(2.0 * beta[:-1] * a[:-1] * a[1:] / n2[:-1]))
             gram = gram_front(order, dim).entries
             back = a * (-1.0) ** np.arange(order + 1)
             met = compute_metrics(weights)

@@ -320,6 +320,17 @@ class TestDiscreteMetrics:
         assert abs(disc.p) < 1e-15
         assert disc.r_v is None and disc.r_v_misaim_rad is None
 
+    def test_noise_re_reports_no_misaim(self):
+        # the same two nodes: the node sum of g^2 theta cancels, so rE = 2.9e-16
+        # is rounding noise below L eps, whose direction gave misaim pi
+        vec = WeightVector(Dimension(2.0), np.array([1.0, 0.3, -0.5]), "raw")
+        disc = discrete_metrics(vec, NodeSet(2, [[1.0, 0.0], [-1.0, 0.0]]), [1.0, 0.0])
+        assert disc.r_e <= 2 * np.finfo(float).eps
+        assert disc.r_e_misaim_rad is None
+        # a resolved rE keeps its misaim
+        ring = discrete_metrics(vec, circle_nodes(8), [1.0, 0.0])
+        assert ring.r_e > 0.1 and ring.r_e_misaim_rad < 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             discrete_metrics(basic(2, D3), circle_nodes(8), np.array([1.0, 0.0]))

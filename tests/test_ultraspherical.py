@@ -1,5 +1,7 @@
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from axibeam import (
     value_at_zero,
 )
 from axibeam.quadrature import integrate_axisym
-from axibeam.ultraspherical import MAX_DIMENSION, _at_zero, _betas, _norms_squared
+from axibeam.ultraspherical import MAX_DIMENSION, _Basis, _basis
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -266,7 +268,7 @@ class TestNormSquared:
         # same operations in the same order, so equality is exact
         dim = Dimension(d)
         betas = [scalar_beta(n, dim) for n in range(1, 130)]
-        assert np.array_equal(_betas(128, dim), betas)
+        assert np.array_equal(_Basis(128, dim).beta, betas)
         assert [beta_coeff(n, dim) for n in range(1, 130)] == betas
         ref = scalar_norms(128, dim)
         for n in (0, 1, 2, 17, 127, 128):
@@ -278,9 +280,10 @@ class TestNormSquared:
         assert inspect.isfunction(norms_squared)
         first = norms_squared(12, D3)
         assert norms_squared(12, Dimension(3)) is first
+        assert first is _basis(12, D3).n2
         with pytest.raises(ValueError):
             first[0] = 1.0
-        assert np.array_equal(first, _norms_squared.__wrapped__(12, D3))
+        assert np.array_equal(first, _Basis(12, D3).n2)
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0])
     def test_orthogonality_against_quadrature(self, d):
@@ -388,11 +391,12 @@ class TestValueAtZero:
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0, 64.0])
     def test_closed_form_products(self, d):
-        # _at_zero's cumulative products, which value_at_zero returns, against
-        # the recurrence and a 40-digit product
+        # the record's cumulative products, which value_at_zero returns,
+        # against the recurrence and a 40-digit product
         mp = pytest.importorskip("mpmath")
         dim = Dimension(d)
-        p, dp = _at_zero(128, dim)
+        rec = _Basis(128, dim)
+        p, dp = rec.p0, rec.dp0
         assert np.all(p[1::2] == 0.0) and np.all(dp[0::2] == 0.0)
         seq = eval_sequence(0.0, 128, dim)
         for n in range(0, 129, 2):
@@ -504,3 +508,108 @@ class TestChristoffelDarboux:
                         lambda x: eval_sequence(x, n, dim)[n], dim, n, lower=x0
                     )
                     assert closed == pytest.approx(quad, abs=1e-12)
+
+
+class TestBasis:
+    """The cached per-(N, D) record against the formulas it replaced, written out."""
+
+    ARRAYS = ("beta", "n2", "inv_sub", "two_beta", "sign", "p0", "dp0", "gram", "off")
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
+    def test_fields_match_direct_formulas(self, d):
+        # same operations in the same order, so every field agrees bit for bit
+        dim = Dimension(d)
+        for order in (0, 1, 5, 32, 128):
+            rec = _basis(order, dim)
+            a = dim.alpha
+            n = np.arange(2.0, order + 2.0)
+            beta = np.concatenate(([1.0], (n - 1.0 + 2.0 * a) / (2.0 * (n - 1.0 + a))))
+            n2 = np.empty(order + 1)
+            n2[0] = dim.n0_squared
+            for k in range(1, order + 1):
+                n2[k] = n2[k - 1] * (1.0 - beta[k]) / beta[k - 1]
+            i = np.arange(1.0, order // 2 + 1.0)
+            p0 = np.zeros(order + 1)
+            dp0 = np.zeros(order + 1)
+            p0[0::2] = np.cumprod(np.concatenate(([1.0], -(2.0 * i - 1.0) / (2.0 * i + d - 3.0))))
+            dp0[1::2] = np.arange(1.0, order + 1.0, 2.0) * p0[0:order:2]
+            m = np.arange(order + 1.0)
+            lam = m * (m + d - 2.0)
+            gram = np.diag(1.0 / (2.0 * n2))
+            block = np.outer(p0[0::2] / n2[0::2], dp0[1::2] / n2[1::2])
+            block /= lam[1::2] - lam[0::2, None]
+            gram[0::2, 1::2] = block
+            gram[1::2, 0::2] = block.T
+            sigma = [1.0] * (order + 3)
+            for k in range(order, -1, -1):
+                sigma[k] = (k + 1.0) / (k + d - 1.0) * sigma[k + 2]
+            steps = tuple(
+                (((2.0 * k + d - 2.0) / (k + d - 2.0) if k else 1.0) * sigma[k + 1] / sigma[k],
+                 1.0 / sigma[k])
+                for k in range(order, -1, -1)
+            )
+            expected = {
+                "beta": beta,
+                "n2": n2,
+                "inv_sub": 1.0 / (dim.subsurface * n2),
+                "two_beta": 2.0 * beta[:-1],
+                "sign": (-1.0) ** np.arange(order + 1),
+                "p0": p0,
+                "dp0": dp0,
+                "gram": gram,
+                "off": np.sqrt(beta[:-1] * (1.0 - beta[1:])),
+            }
+            for name, value in expected.items():
+                field = getattr(rec, name)
+                assert field.shape == value.shape and np.array_equal(field, value), (name, order)
+            assert rec.clenshaw == (steps, sigma[0])
+            assert rec.surface == dim.surface
+
+    def test_cached_read_only(self):
+        rec = _basis(9, D3)
+        assert _basis(9, Dimension(3)) is rec
+        for name in self.ARRAYS:
+            arr = getattr(rec, name)
+            assert getattr(rec, name) is arr
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        assert isinstance(rec.clenshaw, tuple) and isinstance(rec.surface, float)
+
+    def test_concurrent_first_use(self):
+        # threads racing on the lazy fields of fresh records all read the
+        # uncached build's values
+        names = self.ARRAYS
+        dims = [Dimension(2.0 + k / 64.0 + 1e-9) for k in range(16)]
+        expected = [[getattr(_Basis(20, dim), name) for name in names] for dim in dims]
+        seen = []
+
+        def read_all():
+            seen.append([[getattr(_basis(20, dim), name) for name in names] for dim in dims])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8
+        for got in seen:
+            for row, ref in zip(got, expected):
+                assert all(np.array_equal(a, b) for a, b in zip(row, ref))
+
+    def test_pattern_and_norms_build_no_gram(self):
+        # D = 5.75 and 6.25 are used by no other test, so their records start
+        # empty; TestClenshawSum covers eval_pattern on an array
+        from axibeam import WeightVector, eval_pattern
+
+        dim = Dimension(5.75)
+        eval_pattern(WeightVector(dim, np.ones(12), "raw"), 0.5)
+        assert {"inv_sub", "clenshaw"} <= set(vars(_basis(11, dim)))
+        assert "gram" not in vars(_basis(11, dim))
+        norms_squared(11, Dimension(6.25))
+        assert "gram" not in vars(_basis(11, Dimension(6.25)))
