@@ -46,12 +46,11 @@ from .sampling import (
     platonic,
     tdesign_check,
 )
-from .ultraspherical import MAX_DIMENSION, Dimension
+from .ultraspherical import MAX_DIMENSION, MAX_ORDER, Dimension
 
 _DB_FLOOR = -120.0
 
 # Caps on the arguments that size arrays (a largest pattern holds 1.3e7 values).
-_MAX_ORDER = 128
 _MAX_SAMPLES = 100_000
 _MAX_T = 256
 _MAX_TRIALS = 1024
@@ -163,7 +162,7 @@ def _design_weights(ns, order: int, dim: Dimension):
     """Build the requested design; returns (WeightVector, extras for provenance)."""
     if ns.design is None:
         raise DomainError(f"{ns.command} needs --design")
-    _bounded("order", order, 0, _MAX_ORDER)
+    _bounded("order", order, 0, MAX_ORDER)
     vec, extras = _DESIGNS[ns.design](order, dim, ns)
     if ns.norm is not None:
         vec = vec.normalized(Normalization(ns.norm))
@@ -200,7 +199,7 @@ def _parse_orders(ns) -> list:
     # DomainError is a ValueError, so the cap is checked outside the try
     if sep is not None:
         lo, hi = orders
-        _bounded("--orders", hi, 0, _MAX_ORDER)
+        _bounded("--orders", hi, 0, MAX_ORDER)
         orders = list(range(lo, hi + 1))
     if not orders or any(o < 0 for o in orders):
         raise DomainError(f"invalid order range {text!r}")
@@ -356,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_w = subs.add_parser("weights", help="emit design weights a_0..a_N")
     _add_common(p_w)
-    p_w.add_argument("--order", type=int, required=True, help=f"design order 0..{_MAX_ORDER}")
+    p_w.add_argument("--order", type=int, required=True, help=f"design order 0..{MAX_ORDER}")
     p_w.set_defaults(func=_cmd_weights)
 
     p_m = subs.add_parser("metrics", help="emit Q / rV / rE / FBR per design order")

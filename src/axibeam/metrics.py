@@ -98,8 +98,10 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     r_e = float((basis.two_beta * a[:-1] * a[1:] / n2[:-1]).sum()) / float((aa / n2).sum())
     back = a * basis.sign
     fbr = float(a @ basis.gram @ a) / float(back @ basis.gram @ back)
-    with np.errstate(over="ignore"):
-        e = float(np.ldexp(e, 2 * k))
+    try:
+        e = math.ldexp(e, 2 * k)
+    except OverflowError:
+        e = math.inf
     return PatternMetrics(p=float(weights.a[0]), e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)
 
 

@@ -271,7 +271,9 @@ def tdesign_check(
     For each degree 1 <= n <= t and `trials` random orientations s, the node
     sum (S_{D-1}/L) sum_l P_n(s . theta_l) is compared with the exact integral
     of P_n over the sphere, which vanishes for n >= 1 by orthogonality.  The
-    degree-0 sum is exact by construction, so t = 0 always passes.
+    degree-0 sum is exact by construction, so t = 0 always passes.  The P_n
+    come from `eval_sequence`, not the per-(N, D) record, so t is not held
+    to `MAX_ORDER`; the CLI caps it at 256.
     """
     if t < 0:
         raise DomainError("t must be >= 0")

@@ -23,6 +23,7 @@ from .errors import DomainError
 
 __all__ = [
     "MAX_DIMENSION",
+    "MAX_ORDER",
     "Dimension",
     "surface_area",
     "eval_sequence",
@@ -39,6 +40,9 @@ __all__ = [
 # math.gamma in the sphere surfaces overflows from D ~ 343; at D = 64 the
 # quadrature oracle still matches the closed-form metrics to about 1e-8.
 MAX_DIMENSION = 64.0
+
+# Highest degree of a per-(N, D) record; its Gram matrix is O(N^2).
+MAX_ORDER = 128
 
 # |x| may overshoot 1 by at most this much before it is an error.
 _X_CLAMP = 1e-12
@@ -123,34 +127,36 @@ class _field:
 
 
 class _Basis:
-    """The per-degree constants of P_0 .. P_N at one D; each field is built on first use."""
+    """The per-degree constants of P_0 .. P_N at one D.
+
+    The O(N) rows are read-only rows of one table, built eagerly in one pass
+    on Python floats: numpy calls on a few entries cost far more than their
+    arithmetic, and every fresh D builds a record.  They are beta_1 ..
+    beta_{N+1} (`beta_coeff`), N_n^2 (`norms_squared`), inv_sub = 1/(S_{D-2}
+    N_n^2) (weights a_n to coefficients of g), P_n(0) (`value_at_zero`),
+    P_n'(0) = n P_{n-1}(0) for odd n (as (1 - x^2) P_n' = n (P_{n-1} - x P_n)),
+    sign = (-1)^n and lam = n (n + D - 2).  The O(N^2) `gram` and the derived
+    `two_beta`, `clenshaw` and `off` are built on first use.
+    """
 
     def __init__(self, order: int, dim: Dimension) -> None:
         self.order = order
         self.dim = dim
         self.surface = dim.surface  # S_{D-1}
-
-    @_field
-    def beta(self) -> np.ndarray:
-        """beta_1 .. beta_{N+1} (see `beta_coeff`)."""
-        n = np.arange(2.0, self.order + 2.0)
-        a = self.dim.alpha
-        return np.concatenate(([1.0], (n - 1.0 + 2.0 * a) / (2.0 * (n - 1.0 + a))))
-
-    @_field
-    def n2(self) -> np.ndarray:
-        """N_0^2 .. N_N^2 (see `norms_squared`)."""
-        beta = self.beta
-        out = np.empty(self.order + 1, dtype=float)
-        out[0] = self.dim.n0_squared
-        for n in range(1, self.order + 1):
-            out[n] = out[n - 1] * (1.0 - beta[n]) / beta[n - 1]
-        return out
-
-    @_field
-    def inv_sub(self) -> np.ndarray:
-        """1/(S_{D-2} N_n^2), which turns the weights a_n into the coefficients of g."""
-        return 1.0 / (self.dim.subsurface * self.n2)
+        d, a, sub = dim.d, dim.alpha, dim.subsurface
+        beta, n2, p0, dp0 = [1.0], [self.surface / sub], [1.0], [0.0]
+        for n in range(1, order + 1):
+            m = float(n)
+            beta.append((m + 2.0 * a) / (2.0 * (m + a)))
+            n2.append(n2[n - 1] * (1.0 - beta[n]) / beta[n - 1])
+            odd = n % 2
+            p0.append(0.0 if odd else p0[n - 2] * (-(m - 1.0) / (m + d - 3.0)))
+            dp0.append(m * p0[n - 1] if odd else 0.0)
+        rows = np.array([beta, n2, [1.0 / (sub * v) for v in n2], p0, dp0,
+                         [-1.0 if n % 2 else 1.0 for n in range(order + 1)],
+                         [n * (n + d - 2.0) for n in range(order + 1)]])
+        rows.setflags(write=False)
+        self.beta, self.n2, self.inv_sub, self.p0, self.dp0, self.sign, self.lam = rows
 
     @_field
     def two_beta(self) -> np.ndarray:
@@ -158,31 +164,9 @@ class _Basis:
         return 2.0 * self.beta[:-1]
 
     @_field
-    def sign(self) -> np.ndarray:
-        """(-1)^n."""
-        return (-1.0) ** np.arange(self.order + 1)
-
-    @_field
-    def p0(self) -> np.ndarray:
-        """P_0(0) .. P_N(0), cumulative products (see `value_at_zero`)."""
-        i2 = 2.0 * np.arange(1.0, self.order // 2 + 1.0)
-        p = np.zeros(self.order + 1)
-        p[0::2] = np.cumprod(np.concatenate(([1.0], -(i2 - 1.0) / (i2 + self.dim.d - 3.0))))
-        return p
-
-    @_field
-    def dp0(self) -> np.ndarray:
-        """P_0'(0) .. P_N'(0): m P_{m-1}(0) for odd m, as (1 - x^2) P_m' = m (P_{m-1} - x P_m)."""
-        dp = np.zeros(self.order + 1)
-        dp[1::2] = np.arange(1.0, self.order + 1.0, 2.0) * self.p0[0:self.order:2]
-        return dp
-
-    @_field
     def gram(self) -> np.ndarray:
         """Front-half Gram entries in closed form (see `quadrature.gram_front`)."""
-        p0, dp0, n2 = self.p0, self.dp0, self.n2
-        n = np.arange(self.order + 1.0)
-        lam = n * (n + self.dim.d - 2.0)
+        p0, dp0, n2, lam = self.p0, self.dp0, self.n2, self.lam
         g = np.diag(1.0 / (2.0 * n2))
         # row n even, column m odd: P_n(0) P_m'(0) / ((lambda_m - lambda_n) N_n^2 N_m^2)
         block = np.outer(p0[0::2] / n2[0::2], dp0[1::2] / n2[1::2])
@@ -214,7 +198,9 @@ class _Basis:
 
 @lru_cache(maxsize=128)
 def _basis(order: int, dim: Dimension) -> _Basis:
-    """The cached `_Basis` of (N, D); callers check N >= 0 first."""
+    """The cached `_Basis` of (N, D); callers check N >= 0 first, N > MAX_ORDER raises."""
+    if order > MAX_ORDER:
+        raise DomainError(f"degree must be <= {MAX_ORDER}, got {order}")
     return _Basis(order, dim)
 
 
@@ -246,6 +232,13 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
         raise DomainError("max_degree must be >= 0")
     x = _clamp_argument(x)
     d = dim.d
+    if x.ndim == 0:
+        # the same steps on Python floats: a ufunc on a 0-d array costs far more
+        t = float(x)
+        seq = [1.0, t][:max_degree + 1]
+        for n in range(1, max_degree):
+            seq.append(((2.0 * n + d - 2.0) * t * seq[n] - n * seq[n - 1]) / (n + d - 2.0))
+        return np.array(seq)
     out = np.empty((max_degree + 1,) + x.shape, dtype=float)
     out[0] = 1.0
     if max_degree >= 1:
@@ -333,10 +326,16 @@ def _with_derivatives(x, max_degree: int, dim: Dimension):
         P'_{n+1}(x) = [(2n + D - 2)(P_n(x) + x P'_n(x)) - n P'_{n-1}(x)] / (n + D - 2),
 
     from P'_0 = 0 and P'_1 = 1; it holds on all of [-1, 1], endpoints included.
+    A scalar x takes the same steps on Python floats, as in `eval_sequence`.
     """
     x = _clamp_argument(x)
     seq = eval_sequence(x, max_degree, dim)
     d = dim.d
+    if x.ndim == 0:
+        t, p, der = float(x), seq.tolist(), [0.0, 1.0][:max_degree + 1]
+        for n in range(1, max_degree):
+            der.append(((2.0 * n + d - 2.0) * (p[n] + t * der[n]) - n * der[n - 1]) / (n + d - 2.0))
+        return seq, np.array(der)
     der = np.zeros_like(seq)
     if max_degree >= 1:
         der[1] = 1.0

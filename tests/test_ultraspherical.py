@@ -21,7 +21,7 @@ from axibeam import (
     value_at_zero,
 )
 from axibeam.quadrature import integrate_axisym
-from axibeam.ultraspherical import MAX_DIMENSION, _Basis, _basis
+from axibeam.ultraspherical import MAX_DIMENSION, MAX_ORDER, _Basis, _basis, _with_derivatives
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -513,13 +513,15 @@ class TestChristoffelDarboux:
 class TestBasis:
     """The cached per-(N, D) record against the formulas it replaced, written out."""
 
-    ARRAYS = ("beta", "n2", "inv_sub", "two_beta", "sign", "p0", "dp0", "gram", "off")
+    ARRAYS = ("beta", "n2", "inv_sub", "two_beta", "sign", "p0", "dp0", "lam", "gram", "off")
 
-    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 64.0])
     def test_fields_match_direct_formulas(self, d):
-        # same operations in the same order, so every field agrees bit for bit
+        # the whole-array numpy formulas the record's rows were once built
+        # from; the one-pass float loop takes the same operations in the same
+        # order, so every row and field agrees bit for bit
         dim = Dimension(d)
-        for order in (0, 1, 5, 32, 128):
+        for order in (0, 1, 2, 5, 16, 32, 33, 64, 128):
             rec = _basis(order, dim)
             a = dim.alpha
             n = np.arange(2.0, order + 2.0)
@@ -556,6 +558,7 @@ class TestBasis:
                 "sign": (-1.0) ** np.arange(order + 1),
                 "p0": p0,
                 "dp0": dp0,
+                "lam": lam,
                 "gram": gram,
                 "off": np.sqrt(beta[:-1] * (1.0 - beta[1:])),
             }
@@ -564,6 +567,54 @@ class TestBasis:
                 assert field.shape == value.shape and np.array_equal(field, value), (name, order)
             assert rec.clenshaw == (steps, sigma[0])
             assert rec.surface == dim.surface
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 64.0])
+    def test_rows_match_closed_forms(self, d):
+        dim = Dimension(d)
+        rec = _Basis(128, dim)
+        eps = np.finfo(float).eps
+        for n in range(129):
+            # both sides take O(n) roundings; 1.7e-13 worst seen
+            assert rec.n2[n] == pytest.approx(norm_squared_gamma(n, dim), rel=5e-13)
+        for n in range(41):
+            # the power series is normalized by an alternating sum, so its
+            # own error scales with sum |c_k| (0.46 of this bound seen)
+            c = power_series_coeffs(n, dim)
+            tol = (n + 1) * eps * np.abs(c).sum()
+            assert abs(rec.p0[n] - c[0]) <= tol, n
+            assert abs(rec.dp0[n] - (c[1] if n else 0.0)) <= tol, n
+
+    def test_order_limit(self):
+        from axibeam import WeightVector, basic, compute_metrics, eval_pattern, transform_coeffs
+
+        dim = Dimension(3.3)
+        compute_metrics(basic(MAX_ORDER, dim))
+        eval_pattern(basic(MAX_ORDER, dim), 0.5)
+        norms_squared(MAX_ORDER, dim)
+        over = WeightVector(dim, np.ones(MAX_ORDER + 2), "raw")
+        for call in (lambda: compute_metrics(over), lambda: eval_pattern(over, 0.5),
+                     lambda: norms_squared(MAX_ORDER + 1, dim),
+                     lambda: transform_coeffs(np.cos, MAX_ORDER + 1, dim)):
+            with pytest.raises(DomainError, match=f"<= {MAX_ORDER}"):
+                call()
+        # the recurrences themselves are not held to it
+        assert eval_sequence(0.5, 2 * MAX_ORDER, dim).shape == (2 * MAX_ORDER + 1,)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
+    def test_scalar_recurrences_match_array(self, d):
+        # a 0-d x runs on Python floats, an array x on ufuncs; same bits
+        dim = Dimension(d)
+        xs = [-1.0, -0.7, 0.0, 1e-9, 0.3, 0.999, 1.0]
+        for order in (0, 1, 2, 5, 33, 128):
+            for x in xs:
+                one = np.array([x])
+                seq = eval_sequence(x, order, dim)
+                assert seq.shape == (order + 1,)
+                assert np.array_equal(seq, eval_sequence(one, order, dim)[:, 0])
+                p, dp = _with_derivatives(x, order, dim)
+                pa, dpa = _with_derivatives(one, order, dim)
+                assert np.array_equal(p, pa[:, 0]) and np.array_equal(dp, dpa[:, 0])
+                assert np.array_equal(p, seq)
 
     def test_cached_read_only(self):
         rec = _basis(9, D3)
