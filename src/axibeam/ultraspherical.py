@@ -8,7 +8,9 @@ on [-1, 1] and are orthogonal there under the weight w(x) = (1 - x^2)^((D-3)/2).
 They specialize to Chebyshev polynomials T_n for D = 2 and Legendre polynomials
 for D = 3.  Everything in this module is a pure function of its arguments; the
 alpha -> 0 degeneracies of the D = 2 case are handled through explicit limits
-rather than branches.
+rather than branches.  Series sum_n c_n P_n(x) are summed in the Chebyshev
+basis for D <= 3, through the connection P_n = sum_m C[m, n] T_m, and by
+Clenshaw's recurrence above (see `_series_sum`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ MAX_ORDER = 128
 
 # |x| may overshoot 1 by at most this much before it is an error.
 _X_CLAMP = 1e-12
+
+# Points per block of `_chebyshev_sum`: its (N+1) x _BLOCK table of 2 T_m(x)
+# is 1.06 MB at N = 128, within a 2 MB L2 cache.  Smaller blocks pay numpy's
+# per-call cost more often on long x (100000 points at N = 128 took 1.3x as
+# long with 256), and 2048 or more gained nothing.
+_BLOCK = 1024
 
 
 def _sphere_surface(d: float) -> float:
@@ -135,8 +143,9 @@ class _Basis:
     beta_{N+1} (`beta_coeff`), N_n^2 (`norms_squared`), inv_sub = 1/(S_{D-2}
     N_n^2) (weights a_n to coefficients of g), P_n(0) (`value_at_zero`),
     P_n'(0) = n P_{n-1}(0) for odd n (as (1 - x^2) P_n' = n (P_{n-1} - x P_n)),
-    sign = (-1)^n and lam = n (n + D - 2).  The O(N^2) `gram` and the derived
-    `two_beta`, `clenshaw` and `off` are built on first use.
+    sign = (-1)^n and lam = n (n + D - 2).  The O(N^2) `gram` and `chebyshev`
+    and the derived `two_beta`, `clenshaw` and `off` are built on first use;
+    `_series_sum` reads `chebyshev` for D <= 3 and `clenshaw` above.
     """
 
     def __init__(self, order: int, dim: Dimension) -> None:
@@ -189,6 +198,34 @@ class _Basis:
             for k in range(n, -1, -1)
         )
         return steps, sigma[0]
+
+    @_field
+    def chebyshev(self) -> np.ndarray:
+        """Connection matrix C with P_n = sum_m C[m, n] T_m (DLMF 18.5.11).
+
+        C[n - 2l, n] = w_nl (2 if n - 2l > 0 else 1), l <= n/2, where
+        w_nl = (alpha)_l (alpha)_{n-l} n! / (l! (n-l)! (2 alpha)_n); every
+        other entry is 0.  Each column is a convex combination of T_n,
+        T_{n-2}, ..: C >= 0 and its columns sum to 1.  With
+        r_k = (alpha+1)_{k-1} / k!, a cumulative product from r_0 = r_1 = 1,
+        w_nl is proportional within column n to r_n at l = 0 and to
+        alpha r_l r_{n-l} for 0 < l < n, so the column is formed from these
+        and divided by its sum: that needs no (2 alpha)_n, takes the
+        alpha -> 0 limit in closed form (C is exactly the identity at D = 2)
+        and puts the exact sum of every column within 6 eps of 1 (N <= 128).
+        """
+        n, a = self.order, self.dim.alpha
+        k = np.arange(2.0, n + 1.0)
+        r = np.cumprod(np.concatenate(([1.0, 1.0], (a + k - 1.0) / k)))
+        col, l = np.indices((n + 1, n // 2 + 1)).reshape(2, -1)
+        keep = 2 * l <= col
+        col, l = col[keep], l[keep]
+        w = np.where(l == 0, r[col], a * r[l] * r[col - l])
+        w[col - 2 * l > 0] *= 2.0
+        c = np.zeros((n + 1, n + 1))
+        c[col - 2 * l, col] = w
+        c /= c.sum(axis=0)
+        return c
 
     @_field
     def off(self) -> np.ndarray:
@@ -251,22 +288,31 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
 def power_series_coeffs(n: int, dim: Dimension) -> np.ndarray:
     """Power-series coefficients c_0 .. c_n of P_n, so P_n(x) = sum c_k x^k.
 
-    The coefficients follow the termination recurrence
+    The leading coefficient is the closed form c_n = 2^n (alpha)_n / (2 alpha)_n,
+    formed as the product of (2 alpha + 2i) / (2 alpha + i), i = 1 .. n-1 (the
+    i = 0 factor is 1 for every D, and c_n = 2^(n-1) at D = 2).  The others
+    follow downward by the termination recurrence
 
-        c_{k+2} = -(n - k)(n + k + 2 alpha) / ((k + 1)(k + 2)) c_k
+        c_k = -(k + 1)(k + 2) / ((n - k)(n + k + 2 alpha)) c_{k+2},
 
-    seeded at the parity of n; coefficients of the opposite parity are exactly
-    zero.  Standardization divides by the value at x = 1, so sum(c) == 1 and
-    the result is bit-consistent with `eval_sequence` at x = 1.
+    so each coefficient is a product of O(n) well-conditioned factors and
+    keeps its relative accuracy for every n <= MAX_ORDER (c_0 and c_1 agree
+    with P_n(0) and P_n'(0) within 0.4 (n + 1) eps relative for D in {2, 2.5,
+    3, 4, 7.3, 64}); coefficients of the opposite parity are
+    exactly zero.  sum(c) = P_n(1) = 1 holds only as far as the alternating
+    sum can be formed: sum |c_k| grows exponentially with n.  n > MAX_ORDER
+    raises DomainError.
     """
     if n < 0:
         raise DomainError("degree must be >= 0")
+    if n > MAX_ORDER:
+        raise DomainError(f"degree must be <= {MAX_ORDER}, got {n}")
     two_alpha = dim.d - 2.0
     c = np.zeros(n + 1, dtype=float)
-    c[n % 2] = 1.0
-    for k in range(n % 2, n - 1, 2):
-        c[k + 2] = -((n - k) * (n + k + two_alpha)) / ((k + 1.0) * (k + 2.0)) * c[k]
-    return c / c.sum()
+    c[n] = math.prod((two_alpha + 2.0 * i) / (two_alpha + i) for i in range(1, n))
+    for k in range(n - 2, -1, -2):
+        c[k] = -((k + 1.0) * (k + 2.0)) / ((n - k) * (n + k + two_alpha)) * c[k + 2]
+    return c
 
 
 def beta_coeff(n: int, dim: Dimension) -> float:
@@ -344,29 +390,41 @@ def _with_derivatives(x, max_degree: int, dim: Dimension):
     return seq, der
 
 
-def _series_sum(coeffs, x, clenshaw: tuple):
-    """sum_n coeffs[n] P_n(x) by Clenshaw's backward recurrence.
+def _series_sum(coeffs, x, basis: _Basis):
+    """sum_n coeffs[n] P_n(x) for an array coeffs c_0 .. c_N and basis = `_basis(N, dim)`.
 
-    coeffs is a sequence of floats c_0 .. c_N.  With P_{k+1} = A_k x P_k -
-    B_k P_{k-1}, A_k = (2k+D-2)/(k+D-2), A_0 = 1 (the D = 2 limit) and
-    B_k = k/(k+D-2), Clenshaw's recurrence b_k = c_k + A_k x b_{k+1} -
-    B_{k+1} b_{k+2} (k = N, .., 0, from b_{N+1} = b_{N+2} = 0; the sum is
-    b_0) is run on y_k = b_k / sigma_k, where sigma_{N+1} = sigma_{N+2} = 1
-    and sigma_k = B_{k+1} sigma_{k+2} <= 1 (so it cannot overflow) put a unit
-    coefficient on y_{k+2} and alpha_k = A_k sigma_{k+1}/sigma_k,
+    For D <= 3 the sum is formed in the Chebyshev basis (`_chebyshev_sum` of
+    `basis.chebyshev` @ coeffs), above by Clenshaw's backward recurrence.
+    The change of basis trades the size of P_n for that of T_m: in the
+    interior P_n(cos t) is of size (n sin t)^-alpha while T_m is not small,
+    so against sum_n |c_n P_n(x)| the Chebyshev sum can lose a factor of up
+    to about N^alpha.  For alpha <= 1/2 that is at most 11 at N = 128, and on
+    the scale sum_n |c_n| the Chebyshev sum is the more accurate one (2.3e-13
+    against Clenshaw's 9.1e-13 at N = 128, D = 2, 40-digit reference); at
+    D = 16 it already loses 6e-7 of sum_n |c_n P_n(x)|, and at D = 64 every
+    digit of the quadrature FBR that `compute_metrics_numeric` forms from it.
+
+    Clenshaw: with P_{k+1} = A_k x P_k - B_k P_{k-1}, A_k = (2k+D-2)/(k+D-2),
+    A_0 = 1 (the D = 2 limit) and B_k = k/(k+D-2), the recurrence b_k = c_k +
+    A_k x b_{k+1} - B_{k+1} b_{k+2} (k = N, .., 0, from b_{N+1} = b_{N+2} = 0;
+    the sum is b_0) is run on y_k = b_k / sigma_k, where sigma_{N+1} =
+    sigma_{N+2} = 1 and sigma_k = B_{k+1} sigma_{k+2} <= 1 (so it cannot
+    overflow) put a unit coefficient on y_{k+2} and alpha_k = A_k
+    sigma_{k+1}/sigma_k,
 
         y_k = alpha_k x y_{k+1} - y_{k+2} + c_k / sigma_k,
 
-    and the sum is sigma_0 y_0.  For an array x each step is four in-place
-    ufuncs on arrays of x's shape, and no P_n(x) table is formed; a scalar x
-    takes the same steps in the same order on Python floats (a ufunc on a
-    0-d array costs far more than the arithmetic), so the two agree bit for
-    bit and the result is a float.  x is checked as in `eval_sequence`;
-    clenshaw is `_basis(N, dim).clenshaw`.
+    and the sum is sigma_0 y_0: four in-place ufuncs per degree on arrays of
+    x's shape, or the same steps in the same order on Python floats for a
+    0-d x.  Either way a 0-d x gives a float, an array x an array of its
+    shape, and every shape agrees bit for bit.  x is checked as in
+    `eval_sequence`.
     """
     x = _clamp_argument(x)
-    steps, sigma0 = clenshaw
-    pairs = zip(reversed(coeffs), steps)
+    if basis.dim.d <= 3.0:
+        return _chebyshev_sum(basis.chebyshev @ coeffs, x)
+    steps, sigma0 = basis.clenshaw
+    pairs = zip(reversed(coeffs.tolist()), steps)
     if x.ndim == 0:
         t = float(x)
         s1 = s2 = 0.0
@@ -384,6 +442,58 @@ def _series_sum(coeffs, x, clenshaw: tuple):
         y1, y2 = y2, y1
     y1 *= sigma0
     return y1
+
+
+def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
+    """sum_m d_m T_m(x) for Chebyshev coefficients d_0 .. d_N and a checked x.
+
+    A table of V_m = 2 T_m(x) is built by doubling, V_{k+j} = V_k V_j -
+    V_{k-j} for j = 1 .. min(k, N - k), one block of rows per step (log2 N
+    steps from V_0 = 2 and V_1 = 2x; the factor 2 is exact and saves a
+    multiply per step).  The products d_m V_m are summed by folding the upper
+    half of the rows onto the lower half until one row is left, which is then
+    halved.  An array x is flattened and taken `_BLOCK` points at a time, so
+    the table stays in cache and memory is O(N _BLOCK); the result has x's
+    shape.  A scalar or one-element x takes the same steps in the same order
+    on Python floats, so every shape agrees bit for bit (numpy's own row sums
+    could not promise that: they sum one column pairwise and many columns row
+    by row); a 0-d x gives a float.
+    """
+    n = d.size - 1
+    if x.size == 1:
+        v = [2.0, 2.0 * float(x.flat[0])][:n + 1]
+        while len(v) <= n:
+            k = len(v) - 1
+            v += [v[j] * v[k] - v[k - j] for j in range(1, min(k, n - k) + 1)]
+        s = [c * t for c, t in zip(d.tolist(), v)]
+        while len(s) > 1:
+            h = len(s) // 2
+            s = [a + b for a, b in zip(s, s[-h:])] + s[h:-h]
+        return s[0] * 0.5 if x.ndim == 0 else np.full(x.shape, s[0] * 0.5)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    table = np.empty((n + 1, min(flat.size, _BLOCK)))
+    for start in range(0, flat.size, _BLOCK):
+        xb = flat[start:start + _BLOCK]
+        v = table[:, :xb.size]
+        v[0] = 2.0
+        if n:
+            np.multiply(xb, 2.0, out=v[1])
+        k = 1
+        while k < n:
+            j = min(k, n - k)
+            rows = v[k + 1:k + j + 1]
+            np.multiply(v[1:j + 1], v[k], out=rows)
+            rows -= v[k - j:k][::-1]
+            k += j
+        v *= d[:, None]
+        m = n + 1
+        while m > 1:
+            h = m // 2
+            v[:h] += v[m - h:m]
+            m -= h
+        np.multiply(v[0], 0.5, out=out[start:start + xb.size])
+    return out.reshape(x.shape)
 
 
 def derivative(x, n: int, dim: Dimension):
@@ -416,10 +526,10 @@ def value_at_zero(n: int, dim: Dimension) -> float:
 def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     """Christoffel-Darboux kernel K_N(x, x0) = sum_{n<=N} P_n(x) P_n(x0) / N_n^2, x0 one value.
 
-    One Clenshaw sum (`_series_sum`, x as there): error <= 1e-12 sum_n |terms| for N <= 128, any x.
+    One series sum (`_series_sum`, x as there): error <= 1e-12 sum_n |terms| for N <= 128, any x.
     """
     x0 = _clamp_argument(x0)
     if x0.ndim:
         raise DomainError(f"x0 must be one value, got shape {x0.shape}")
     coeffs = eval_sequence(x0, max_degree, dim) / norms_squared(max_degree, dim)
-    return _series_sum(coeffs.tolist(), x, _basis(max_degree, dim).clenshaw)
+    return _series_sum(coeffs, x, _basis(max_degree, dim))

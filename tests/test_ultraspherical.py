@@ -462,7 +462,7 @@ class TestChristoffelDarboux:
     def test_crossover_boundary_consistency(self):
         # next to x0 the Christoffel-Darboux quotient loses eps/|x - x0|
         # relative (1.1e-11 sum|terms| at h = 1.1e-6, N = 6, D = 2); the
-        # Clenshaw sum must hold 1e-12 sum|terms| there and at x0 itself
+        # series sum must hold 1e-12 sum|terms| there and at x0 itself
         mp = pytest.importorskip("mpmath")
         x0 = 0.3
         with mp.workdps(40):
@@ -513,7 +513,8 @@ class TestChristoffelDarboux:
 class TestBasis:
     """The cached per-(N, D) record against the formulas it replaced, written out."""
 
-    ARRAYS = ("beta", "n2", "inv_sub", "two_beta", "sign", "p0", "dp0", "lam", "gram", "off")
+    ARRAYS = ("beta", "n2", "inv_sub", "two_beta", "sign", "p0", "dp0", "lam", "gram", "chebyshev",
+              "off")
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 64.0])
     def test_fields_match_direct_formulas(self, d):
@@ -550,6 +551,15 @@ class TestBasis:
                  1.0 / sigma[k])
                 for k in range(order, -1, -1)
             )
+            r = [1.0, 1.0]
+            for k in range(2, order + 1):
+                r.append(r[-1] * ((a + k - 1.0) / k))
+            chebyshev = np.zeros((order + 1, order + 1))
+            for col in range(order + 1):
+                for l in range(col // 2 + 1):
+                    w = r[col] if l == 0 else a * r[l] * r[col - l]
+                    chebyshev[col - 2 * l, col] = w * 2.0 if col - 2 * l > 0 else w
+            chebyshev /= chebyshev.sum(axis=0)
             expected = {
                 "beta": beta,
                 "n2": n2,
@@ -560,6 +570,7 @@ class TestBasis:
                 "dp0": dp0,
                 "lam": lam,
                 "gram": gram,
+                "chebyshev": chebyshev,
                 "off": np.sqrt(beta[:-1] * (1.0 - beta[1:])),
             }
             for name, value in expected.items():
@@ -576,13 +587,37 @@ class TestBasis:
         for n in range(129):
             # both sides take O(n) roundings; 1.7e-13 worst seen
             assert rec.n2[n] == pytest.approx(norm_squared_gamma(n, dim), rel=5e-13)
-        for n in range(41):
-            # the power series is normalized by an alternating sum, so its
-            # own error scales with sum |c_k| (0.46 of this bound seen)
+        for n in range(129):
+            # both are products of O(n) well-conditioned factors (0.4 of
+            # this relative bound seen); odd-n P_n(0) and even-n P_n'(0) are 0
             c = power_series_coeffs(n, dim)
-            tol = (n + 1) * eps * np.abs(c).sum()
-            assert abs(rec.p0[n] - c[0]) <= tol, n
-            assert abs(rec.dp0[n] - (c[1] if n else 0.0)) <= tol, n
+            assert abs(rec.p0[n] - c[0]) <= (n + 1) * eps * abs(rec.p0[n]), n
+            assert abs(rec.dp0[n] - (c[1] if n else 0.0)) <= (n + 1) * eps * abs(rec.dp0[n]), n
+
+    @pytest.mark.parametrize("d", [2.0, 2.2, 2.5, 3.0])
+    def test_chebyshev_is_a_convex_connection(self, d):
+        # P_n = sum_m C[m, n] T_m with C >= 0 and unit column sums (DLMF
+        # 18.5.11), at the D where `_series_sum` reads C; the exact sums of
+        # the stored columns read up to 2 eps and the entries up to 22 eps
+        # relative against 40 digits (D = 2.2)
+        mp = pytest.importorskip("mpmath")
+        dim = Dimension(d)
+        c = _Basis(128, dim).chebyshev
+        eps = np.finfo(float).eps
+        assert np.all(c >= 0.0)
+        assert max(abs(math.fsum(c[:, n]) - 1.0) for n in range(129)) <= 4 * eps
+        if d == 2.0:
+            assert np.array_equal(c, np.eye(129))
+            return
+        with mp.workdps(40):
+            a = mp.mpf(d - 2) / 2
+            for n in range(129):
+                for l in range(n // 2 + 1):
+                    w = (mp.rf(a, l) * mp.rf(a, n - l) * mp.factorial(n)
+                         / (mp.factorial(l) * mp.factorial(n - l) * mp.rf(2 * a, n)))
+                    exact = 2 * w if n - 2 * l > 0 else w
+                    assert abs(c[n - 2 * l, n] - exact) <= 32 * eps * exact, (n, l)
+            assert np.count_nonzero(c) == sum(n // 2 + 1 for n in range(129))
 
     def test_order_limit(self):
         from axibeam import WeightVector, basic, compute_metrics, eval_pattern, transform_coeffs
@@ -594,6 +629,7 @@ class TestBasis:
         over = WeightVector(dim, np.ones(MAX_ORDER + 2), "raw")
         for call in (lambda: compute_metrics(over), lambda: eval_pattern(over, 0.5),
                      lambda: norms_squared(MAX_ORDER + 1, dim),
+                     lambda: power_series_coeffs(MAX_ORDER + 1, dim),
                      lambda: transform_coeffs(np.cos, MAX_ORDER + 1, dim)):
             with pytest.raises(DomainError, match=f"<= {MAX_ORDER}"):
                 call()
@@ -655,12 +691,17 @@ class TestBasis:
 
     def test_pattern_and_norms_build_no_gram(self):
         # D = 5.75 and 6.25 are used by no other test, so their records start
-        # empty; TestClenshawSum covers eval_pattern on an array
+        # empty; above D = 3 the pattern is a Clenshaw sum, and at or below it
+        # a Chebyshev one; TestClenshawSum covers eval_pattern on an array
         from axibeam import WeightVector, eval_pattern
 
         dim = Dimension(5.75)
         eval_pattern(WeightVector(dim, np.ones(12), "raw"), 0.5)
         assert {"inv_sub", "clenshaw"} <= set(vars(_basis(11, dim)))
-        assert "gram" not in vars(_basis(11, dim))
+        assert "gram" not in vars(_basis(11, dim)) and "chebyshev" not in vars(_basis(11, dim))
+        low = Dimension(2.75)
+        eval_pattern(WeightVector(low, np.ones(12), "raw"), 0.5)
+        assert {"inv_sub", "chebyshev"} <= set(vars(_basis(11, low)))
+        assert "gram" not in vars(_basis(11, low)) and "clenshaw" not in vars(_basis(11, low))
         norms_squared(11, Dimension(6.25))
         assert "gram" not in vars(_basis(11, Dimension(6.25)))
