@@ -46,13 +46,14 @@ def eval_pattern(weights: WeightVector, x):
     The series is summed by `ultraspherical._series_sum`: for D <= 3 in the
     Chebyshev basis (d = C c through the cached connection matrix, a table
     of T_m(x) built by doubling in log2 N steps, x taken 1024 points at a
-    time), above D = 3 by Clenshaw's backward recurrence.  It reads only the
-    cached scale c_n = a_n/(S_{D-2} N_n^2) and C or the Clenshaw factors,
-    never the Gram matrix.  Against a 40-digit sum of c_n P_n(x) it is
-    within 2.3e-13 sum_n |c_n| for N <= 128 (5e-13 in the tests; 1.6e-14
-    for random weights).  x may be a float (the result is a float) or an
-    array of any shape (the result has its shape); x outside [-1, 1] raises
-    DomainError.
+    time, one code path for a float and an array alike), above D = 3 by
+    Clenshaw's backward recurrence (a Python-float loop for a float x).  It
+    reads only the cached scale c_n = a_n/(S_{D-2} N_n^2) and C or the
+    Clenshaw factors, never the Gram matrix.  Against a 40-digit sum of
+    c_n P_n(x) it is within 2.3e-13 sum_n |c_n| for N <= 128 (5e-13 in the
+    tests; 1.6e-14 for random weights).  x may be a float (the result is a
+    float) or an array of any shape (the result has its shape); x outside
+    [-1, 1] raises DomainError.
     """
     basis = _basis(weights.order, weights.dim)
     return _series_sum(weights.a * basis.inv_sub, x, basis)
@@ -63,14 +64,16 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
 
     P = a_0; E = sum a_n^2/(S_{D-2} N_n^2); Q = S_{D-1} g(1)^2 / E with g(1)
     taken from the weight sum to avoid cancellation; rV = a_1/a_0;
-    rE = sum_{n<N} 2 beta_{n+1} a_n a_{n+1} / N_n^2 over sum a_n^2 / N_n^2;
+    rE = sum_{n<N} 2 beta_{n+1} a_n a_{n+1} / N_n^2 over sum a_n^2 / N_n^2,
+    with the factor 2 applied after the sum (a doubling is exact, so this
+    changes no bit);
     FBR is the ratio of the closed-form half-interval Gram quadratic forms
     a^T G a and b^T G b of a and of its mirror b_n = (-1)^n a_n.  Both forms
     are evaluated in full: their difference, rewritten from the even-odd
     block alone, can round to zero for a strongly directive pattern.
 
     Everything that depends only on (N, D) (1/(S_{D-2} N_n^2), N_n^2,
-    2 beta_{n+1}, the Gram matrix, the signs (-1)^n and S_{D-1}) is read from
+    beta_{n+1}, the Gram matrix, the signs (-1)^n and S_{D-1}) is read from
     the cached record `ultraspherical._basis`, so a call costs a dozen small
     array operations, bit-identical to the same formulas with those arrays
     rebuilt.
@@ -98,7 +101,8 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     if weights.a[0] != 0.0:
         r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
     n2 = basis.n2
-    r_e = float((basis.two_beta * a[:-1] * a[1:] / n2[:-1]).sum()) / float((aa / n2).sum())
+    r_e = 2.0 * float((basis.beta[:-1] * a[:-1] * a[1:] / n2[:-1]).sum())
+    r_e /= float((aa / n2).sum())
     back = a * basis.sign
     fbr = float(a @ basis.gram @ a) / float(back @ basis.gram @ back)
     try:

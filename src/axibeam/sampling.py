@@ -215,8 +215,11 @@ def load_nodes(path, dim: int | None = None) -> NodeSet:
     file is ambiguous, so pass `dim` to force a reading; otherwise rows that
     are all unit-norm are taken as 2-d Cartesian and anything else as
     azimuth/zenith.  Rows whose norm deviates from 1 by less than 1e-6 are
-    renormalized; worse rows raise NormError.
+    renormalized; worse rows raise NormError.  A `dim` other than None, 2 or
+    3 raises DomainError, and one the columns cannot give raises ParseError.
     """
+    if dim not in (None, 2, 3):
+        raise DomainError(f"dim must be None, 2 or 3, got {dim!r}")
     data = np.asarray(_rows_from_file(path), dtype=float)
     width = data.shape[1]
     if width == 3:
@@ -293,9 +296,6 @@ def tdesign_check(
 
 
 def _misaim(vector: np.ndarray, aim: np.ndarray) -> float:
-    length = np.linalg.norm(vector)
-    if length < 1e-300:
-        return 0.0
     # atan2 of the perpendicular component stays accurate for tiny angles,
     # where arccos of the normalized dot product bottoms out at sqrt(eps)
     along = float(vector @ aim)
@@ -313,7 +313,10 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     discrete FBR does not stabilize the way the other sums do.  r_v and its
     misaim are None when a_0 = 0, and also when |P| <= L eps dOmega sum_l |g_l|,
     a bound on the rounding error of the node sum P, below which P and the
-    direction of rV are rounding noise.  Likewise the rE misaim is None when
+    direction of rV are rounding noise.  The same bound limits the error of
+    each component of the node sum P rV of g theta, so the rV misaim alone is
+    None when rV <= L eps dOmega sum_l |g_l| / |P|: r_v is still reported,
+    but its direction is noise.  Likewise the rE misaim is None when
     rE <= L eps, the rounding floor of the node sum of g^2 theta relative
     to E, below which the direction of rE is noise.
     """
@@ -338,9 +341,12 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     re_vec = squares / e
     r_e = float(np.linalg.norm(re_vec))
     r_v = rv_misaim = None
-    if weights.a[0] != 0.0 and abs(p) > nodes.count * _EPS * d_omega * float(np.abs(g).sum()):
+    floor = nodes.count * _EPS * d_omega * float(np.abs(g).sum())
+    if weights.a[0] != 0.0 and abs(p) > floor:
         rv_vec = sums / p
-        r_v, rv_misaim = float(np.linalg.norm(rv_vec)), _misaim(rv_vec, aim)
+        r_v = float(np.linalg.norm(rv_vec))
+        if r_v > floor / abs(p):
+            rv_misaim = _misaim(rv_vec, aim)
     return DiscreteMetrics(
         p=p,
         e=e,

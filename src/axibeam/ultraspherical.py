@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,25 +115,6 @@ def _clamp_argument(x) -> np.ndarray:
     return x.clip(-1.0, 1.0)
 
 
-class _field:
-    """`cached_property` without its lock, which made an N = 8 record build 9 % slower.
-
-    Measured with Python 3.11 on a 2-vCPU Xeon.  Fields are deterministic, so
-    threads that race on one build the same value twice; arrays are read-only.
-    """
-
-    def __init__(self, build) -> None:
-        self.build, self.name = build, build.__name__
-
-    def __get__(self, rec, owner=None):
-        if rec is None:
-            return self
-        value = rec.__dict__[self.name] = self.build(rec)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        return value
-
-
 class _Basis:
     """The per-degree constants of P_0 .. P_N at one D.
 
@@ -143,9 +124,11 @@ class _Basis:
     beta_{N+1} (`beta_coeff`), N_n^2 (`norms_squared`), inv_sub = 1/(S_{D-2}
     N_n^2) (weights a_n to coefficients of g), P_n(0) (`value_at_zero`),
     P_n'(0) = n P_{n-1}(0) for odd n (as (1 - x^2) P_n' = n (P_{n-1} - x P_n)),
-    sign = (-1)^n and lam = n (n + D - 2).  The O(N^2) `gram` and `chebyshev`
-    and the derived `two_beta`, `clenshaw` and `off` are built on first use;
-    `_series_sum` reads `chebyshev` for D <= 3 and `clenshaw` above.
+    sign = (-1)^n and lam = n (n + D - 2).  The O(N^2) `gram` and `chebyshev`,
+    the Clenshaw factors `clenshaw` and the Jacobi off-diagonal `off` are
+    `functools.cached_property` fields, built on first use; each array builder
+    sets its result read-only.  `_series_sum` reads `chebyshev` for D <= 3 and
+    `clenshaw` above.
     """
 
     def __init__(self, order: int, dim: Dimension) -> None:
@@ -167,12 +150,7 @@ class _Basis:
         rows.setflags(write=False)
         self.beta, self.n2, self.inv_sub, self.p0, self.dp0, self.sign, self.lam = rows
 
-    @_field
-    def two_beta(self) -> np.ndarray:
-        """2 beta_{n+1}, n < N."""
-        return 2.0 * self.beta[:-1]
-
-    @_field
+    @cached_property
     def gram(self) -> np.ndarray:
         """Front-half Gram entries in closed form (see `quadrature.gram_front`)."""
         p0, dp0, n2, lam = self.p0, self.dp0, self.n2, self.lam
@@ -182,9 +160,10 @@ class _Basis:
         block /= lam[1::2] - lam[0::2, None]
         g[0::2, 1::2] = block
         g[1::2, 0::2] = block.T
+        g.setflags(write=False)
         return g
 
-    @_field
+    @cached_property
     def clenshaw(self) -> tuple:
         """Python floats ((alpha_k, 1/sigma_k) for k = N .. 0, sigma_0) of `_series_sum`."""
         d = self.dim.d
@@ -199,7 +178,7 @@ class _Basis:
         )
         return steps, sigma[0]
 
-    @_field
+    @cached_property
     def chebyshev(self) -> np.ndarray:
         """Connection matrix C with P_n = sum_m C[m, n] T_m (DLMF 18.5.11).
 
@@ -225,12 +204,15 @@ class _Basis:
         c = np.zeros((n + 1, n + 1))
         c[col - 2 * l, col] = w
         c /= c.sum(axis=0)
+        c.setflags(write=False)
         return c
 
-    @_field
+    @cached_property
     def off(self) -> np.ndarray:
         """Orthonormal Jacobi matrix off-diagonal sqrt(beta_n (1 - beta_{n+1})), n = 1..N."""
-        return np.sqrt(self.beta[:-1] * (1.0 - self.beta[1:]))
+        off = np.sqrt(self.beta[:-1] * (1.0 - self.beta[1:]))
+        off.setflags(write=False)
+        return off
 
 
 @lru_cache(maxsize=128)
@@ -416,9 +398,11 @@ def _series_sum(coeffs, x, basis: _Basis):
 
     and the sum is sigma_0 y_0: four in-place ufuncs per degree on arrays of
     x's shape, or the same steps in the same order on Python floats for a
-    0-d x.  Either way a 0-d x gives a float, an array x an array of its
-    shape, and every shape agrees bit for bit.  x is checked as in
-    `eval_sequence`.
+    0-d x, where those four calls would cost several times the arithmetic.
+    The Chebyshev sum has one path for every shape: its numpy calls number
+    O(log N), not O(N).  Either way a 0-d x gives a float, an array x an
+    array of its shape, and every shape agrees bit for bit.  x is checked
+    as in `eval_sequence`.
     """
     x = _clamp_argument(x)
     if basis.dim.d <= 3.0:
@@ -452,24 +436,15 @@ def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
     steps from V_0 = 2 and V_1 = 2x; the factor 2 is exact and saves a
     multiply per step).  The products d_m V_m are summed by folding the upper
     half of the rows onto the lower half until one row is left, which is then
-    halved.  An array x is flattened and taken `_BLOCK` points at a time, so
-    the table stays in cache and memory is O(N _BLOCK); the result has x's
-    shape.  A scalar or one-element x takes the same steps in the same order
-    on Python floats, so every shape agrees bit for bit (numpy's own row sums
-    could not promise that: they sum one column pairwise and many columns row
-    by row); a 0-d x gives a float.
+    halved.  x of any shape, a 0-d one included, is flattened and taken
+    `_BLOCK` points at a time, so the table stays in cache and memory is
+    O(N _BLOCK).  Each point's column sees the same operations in the same
+    order whatever the block width, so every shape agrees bit for bit
+    (numpy's own row sums could not promise that: they sum one column
+    pairwise and many columns row by row).  The result has x's shape; a 0-d
+    x gives a float.
     """
     n = d.size - 1
-    if x.size == 1:
-        v = [2.0, 2.0 * float(x.flat[0])][:n + 1]
-        while len(v) <= n:
-            k = len(v) - 1
-            v += [v[j] * v[k] - v[k - j] for j in range(1, min(k, n - k) + 1)]
-        s = [c * t for c, t in zip(d.tolist(), v)]
-        while len(s) > 1:
-            h = len(s) // 2
-            s = [a + b for a, b in zip(s, s[-h:])] + s[h:-h]
-        return s[0] * 0.5 if x.ndim == 0 else np.full(x.shape, s[0] * 0.5)
     flat = x.ravel()
     out = np.empty(flat.size)
     table = np.empty((n + 1, min(flat.size, _BLOCK)))
@@ -493,7 +468,7 @@ def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
             v[:h] += v[m - h:m]
             m -= h
         np.multiply(v[0], 0.5, out=out[start:start + xb.size])
-    return out.reshape(x.shape)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def derivative(x, n: int, dim: Dimension):

@@ -103,6 +103,24 @@ class TestWeightsCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("axibeam: --cap-angle-deg must satisfy 0 < angle < 360")
 
+    @pytest.mark.parametrize(
+        "args, a0, key, value",
+        [
+            (("--design", "cap", "--cap-x0", "0.25"), 0.75, "cap_x0", 0.25),
+            (("--design", "cap-trapezoid", "--spacing-deg", "40"),
+             (1.0 - math.cos(math.radians(27.5))) * (1.0 - math.cos(math.radians(15.0))),
+             "spacing_deg", 40.0),
+        ],
+        ids=["cap-x0", "cap-trapezoid"],
+    )
+    def test_cap_designs(self, args, a0, key, value):
+        # D = 3: a cap's a_0 is its mass 1 - x0, a trapezoid's the product of two
+        out = run_cli("weights", *args, "--order", "3", "--dim", "3").stdout
+        prov, _, rows = parse_csv(out)
+        assert float(prov[key]) == value
+        assert float(rows[0][1]) == pytest.approx(a0, rel=1e-11)
+        assert len(rows) == 4
+
     def test_argparse_validation_exit_code(self):
         proc = run_cli("weights", "--design", "nope", "--order", "2", check=False)
         assert proc.returncode == 2
@@ -203,6 +221,24 @@ class TestMetricsCommand:
     def test_needs_source(self):
         proc = run_cli("metrics", "--dim", "3", "--order", "2", check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((), "needs --order or --orders"), (("--orders", "1..x"), "cannot parse --orders")],
+        ids=["no-order", "orders-not-int"],
+    )
+    def test_bad_order_selection_exits_2(self, args, message):
+        proc = run_cli("metrics", "--design", "basic", "--dim", "3", *args, check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and message in proc.stderr
+
+    def test_weights_file_zero_pressure_has_no_rv_spread(self, tmp_path):
+        # a_0 = 0 leaves rV = a_1/a_0 undefined; the other columns stay finite
+        path = tmp_path / "dipole.csv"
+        path.write_text("n,a_n\n0,0\n1,1\n")
+        _, columns, rows = parse_csv(run_cli("metrics", "--weights-file", str(path)).stdout)
+        assert rows[0][columns.index("rv_spread_deg")] == "nan"
+        assert math.isfinite(float(rows[0][columns.index("re_spread_deg")]))
 
 
 class TestPatternCommand:
@@ -309,6 +345,7 @@ class TestFileErrors:
         ("--weights-file", "n,a_n\n0,1\n1,nan\n"),
         ("--weights-file", "n,a_n\n0,1\n1,0.5\n1,9\n"),
         ("--weights-file", "n,a_n\n0,1\n1,0.5,junk\n"),
+        ("--weights-file", "n,a_n\n"),
         ("--nodes-file", None),
         ("--nodes-file", "dir"),
         ("--nodes-file", NOT_UTF8),
@@ -318,8 +355,8 @@ class TestFileErrors:
     ]
     IDS = ["weights-missing", "weights-dir", "weights-not-utf8", "weights-header",
            "weights-row", "weights-gap", "weights-nan", "weights-repeat",
-           "weights-extra-field", "nodes-missing", "nodes-dir", "nodes-not-utf8",
-           "nodes-row", "nodes-columns", "nodes-inf"]
+           "weights-extra-field", "weights-header-only", "nodes-missing", "nodes-dir",
+           "nodes-not-utf8", "nodes-row", "nodes-columns", "nodes-inf"]
 
     @staticmethod
     def _argv(flag, path):
@@ -404,6 +441,8 @@ class TestOutputContracts:
         ("metrics", "--design", "inphase", "--orders", "1..4", "--dim", "2.5"),
         ("pattern", "--design", "supercard", "--order", "3", "--dim", "3", "--samples", "25"),
         ("tdesign", "--builtin", "dodecahedron", "--t", "5"),
+        ("weights", "--design", "cap", "--order", "4", "--cap-x0", "0.3", "--dim", "2.5"),
+        ("weights", "--design", "cap-trapezoid", "--order", "3", "--spacing-deg", "20"),
     ]
 
     @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: "_".join(a[:2]))

@@ -70,6 +70,18 @@ class TestWeightVector:
         with pytest.raises(DomainError):
             WeightVector(D3, [1.0, bad], Normalization.RAW)
 
+    @pytest.mark.parametrize("a", [[[1.0, 0.5]], []], ids=["2-d", "empty"])
+    def test_rejects_non_1d_or_empty(self, a):
+        with pytest.raises(DomainError, match="non-empty 1-d"):
+            WeightVector(D3, a, Normalization.RAW)
+
+    def test_g1_normalization_of_zero_front_value(self):
+        # D = 2: g(1) = (a_0 / pi + 2 a_1 / pi) / 2, exactly 0 for a = [2, -1]
+        vec = WeightVector(D2, [2.0, -1.0], Normalization.RAW)
+        assert vec.front_value() == 0.0
+        with pytest.raises(DomainError, match="g\\(1\\) = 0"):
+            vec.normalized("g1")
+
 
 class TestBasic:
     def test_all_ones(self):
@@ -581,3 +593,14 @@ class TestOrderingChains:
             assert all(
                 designs["supercard"].fbr >= designs[k].fbr * (1 - slack) for k in others
             )
+
+
+@pytest.mark.parametrize(
+    "design",
+    [basic, max_re, inphase, supercardioid_approx,
+     lambda n, dim: cap(n, 0.3, dim)],
+    ids=["basic", "max_re", "inphase", "supercardioid_approx", "cap"],
+)
+def test_negative_order_rejected(design):
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        design(-1, D3)

@@ -97,7 +97,8 @@ class TestClenshawSum:
         assert stack.shape == (2, x.size)
         assert np.array_equal(stack[0], g)
         assert np.max(np.abs(stack[1] - self.table_sum(vec, -x)[0])) <= bound
-        # a float x takes the same steps on Python floats
+        # a float x gives a float with the same bits: the Chebyshev sum
+        # (D <= 3) runs its one block path, Clenshaw the same steps on floats
         for i in range(4):
             val = eval_pattern(vec, float(x[i]))
             assert type(val) is float
@@ -157,7 +158,7 @@ class TestMetricKernel:
     @pytest.mark.parametrize(
         "fn, cached",
         [
-            (compute_metrics, record_fields("inv_sub", "n2", "two_beta", "gram", "sign")),
+            (compute_metrics, record_fields("inv_sub", "n2", "beta", "gram", "sign")),
             (eval_pattern, record_fields("inv_sub", "chebyshev")),
             (gram_front, lambda: (gram_front(9, D3).entries,)),
             (norms_squared, lambda: (norms_squared(9, D3),)),

@@ -438,3 +438,17 @@ class TestGramMatrix:
             lambda x: np.asarray(eval_pattern(vec, x)) ** 2, D3, 8, lower=0.0
         )
         assert float(a @ gram.entries @ a) == pytest.approx(front * sub * sub, rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: transform_coeffs(np.cos, -1, D3),
+        lambda: gram_front(-1, D3),
+        lambda: integrate_axisym(np.ones_like, D3, degree_hint=-1),
+    ],
+    ids=["transform_coeffs", "gram_front", "integrate_axisym"],
+)
+def test_negative_degree_rejected(call):
+    with pytest.raises(DomainError, match=">= 0"):
+        call()

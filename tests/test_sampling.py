@@ -52,6 +52,11 @@ class TestNodeSet:
         with pytest.raises(DomainError):
             NodeSet(4, [[1.0, 0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("dim, nodes", [(3, [[1.0, 0.0]]), (2, [[1.0, 0.0, 0.0]])])
+    def test_rejects_wrong_column_count(self, dim, nodes):
+        with pytest.raises(DomainError, match=f"\\(L, {dim}\\)"):
+            NodeSet(dim, nodes)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_coordinates(self, bad):
         # DomainError, not NormError: NaN slips through the unit-norm test
@@ -163,6 +168,14 @@ class TestLoadNodes:
         loaded = load_nodes(path, dim=3)
         assert loaded.dim == 3
 
+    @pytest.mark.parametrize("dim", [4, 0, 1, "3"])
+    def test_dim_outside_two_three(self, tmp_path, dim):
+        # without the check a two-column file reads as 3-d for any dim but 2
+        path = tmp_path / "xy.csv"
+        path.write_text("1,0\n0,1\n")
+        with pytest.raises(DomainError, match="dim must be None, 2 or 3"):
+            load_nodes(path, dim=dim)
+
     def test_norm_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0,0\n0,1,0\n0,0,1\n")
@@ -236,6 +249,11 @@ class TestTDesignCheck:
         assert len(report.per_degree_errors) == 4
         assert report.max_abs_error == max(report.per_degree_errors)
         assert not report.passed
+
+    @pytest.mark.parametrize("t, trials, message", [(-1, 4, "t must be"), (2, 0, "trials must be")])
+    def test_argument_validation(self, t, trials, message):
+        with pytest.raises(DomainError, match=message):
+            tdesign_check(platonic("cube"), t, trials=trials)
 
     def test_deterministic_with_seed(self):
         a = tdesign_check(platonic("cube"), 4, trials=16, seed=3)
@@ -330,6 +348,29 @@ class TestDiscreteMetrics:
         # a resolved rE keeps its misaim
         ring = discrete_metrics(vec, circle_nodes(8), [1.0, 0.0])
         assert ring.r_e > 0.1 and ring.r_e_misaim_rad < 1e-12
+
+    @pytest.mark.parametrize(
+        "nodes, a",
+        [(circle_nodes(5), [1.0]), (circle_nodes(8), [1.0]), (circle_nodes(12), [1.0]),
+         (platonic("icosahedron"), [1.0]), (circle_nodes(9), [1.0, 0.0, 0.3])],
+        ids=["circle-5", "circle-8", "circle-12", "icosahedron", "circle-9-a1-zero"],
+    )
+    def test_noise_rv_reports_no_misaim(self, nodes, a):
+        # the true rV is 0 and the computed one (up to 5e-17) is rounding noise
+        # below L eps dOmega sum|g| / |P|, whose direction gave misaims up to 3.09
+        vec = WeightVector(Dimension(nodes.dim), np.array(a), "raw")
+        aim = np.ones(nodes.dim) / math.sqrt(nodes.dim)
+        disc = discrete_metrics(vec, nodes, aim)
+        assert disc.r_v is not None and disc.r_v < 1e-15
+        assert disc.r_v_misaim_rad is None
+        # a resolved rV on the same nodes keeps its misaim
+        ring = discrete_metrics(basic(1, vec.dim), nodes, aim)
+        assert ring.r_v > 0.1 and ring.r_v_misaim_rad < 1e-12
+
+    def test_aim_of_wrong_shape(self):
+        for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0):
+            with pytest.raises(DomainError, match="3-vector"):
+                discrete_metrics(basic(2, D3), platonic("cube"), aim)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

@@ -513,8 +513,7 @@ class TestChristoffelDarboux:
 class TestBasis:
     """The cached per-(N, D) record against the formulas it replaced, written out."""
 
-    ARRAYS = ("beta", "n2", "inv_sub", "two_beta", "sign", "p0", "dp0", "lam", "gram", "chebyshev",
-              "off")
+    ARRAYS = ("beta", "n2", "inv_sub", "sign", "p0", "dp0", "lam", "gram", "chebyshev", "off")
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 7.3, 64.0])
     def test_fields_match_direct_formulas(self, d):
@@ -564,7 +563,6 @@ class TestBasis:
                 "beta": beta,
                 "n2": n2,
                 "inv_sub": 1.0 / (dim.subsurface * n2),
-                "two_beta": 2.0 * beta[:-1],
                 "sign": (-1.0) ** np.arange(order + 1),
                 "p0": p0,
                 "dp0": dp0,
@@ -705,3 +703,21 @@ class TestBasis:
         assert "gram" not in vars(_basis(11, low)) and "clenshaw" not in vars(_basis(11, low))
         norms_squared(11, Dimension(6.25))
         assert "gram" not in vars(_basis(11, Dimension(6.25)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_sequence(0.5, -1, D3),
+        lambda: power_series_coeffs(-1, D3),
+        lambda: beta_coeff(0, D3),
+        lambda: norms_squared(-1, D3),
+        lambda: norm_squared_gamma(-1, D3),
+        lambda: value_at_zero(-1, D3),
+    ],
+    ids=["eval_sequence", "power_series_coeffs", "beta_coeff", "norms_squared",
+         "norm_squared_gamma", "value_at_zero"],
+)
+def test_negative_degree_rejected(call):
+    with pytest.raises(DomainError, match=">= "):
+        call()
