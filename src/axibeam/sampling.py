@@ -318,7 +318,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     None when rV <= L eps dOmega sum_l |g_l| / |P|: r_v is still reported,
     but its direction is noise.  Likewise the rE misaim is None when
     rE <= L eps, the rounding floor of the node sum of g^2 theta relative
-    to E, below which the direction of rE is noise.
+    to E, below which the direction of rE is noise.  Raises DomainError when
+    the node energy E is zero: g vanishes at every node.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -337,6 +338,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     # rows g and g^2: their sums are P and E, their first moments rV P and rE E
     samples = np.array([g, g * g])
     p, e = (d_omega * samples.sum(axis=1)).tolist()
+    if e == 0.0:
+        raise DomainError("discrete metrics are undefined when the node energy is zero")
     sums, squares = d_omega * (samples @ nodes.nodes)
     re_vec = squares / e
     r_e = float(np.linalg.norm(re_vec))

@@ -224,8 +224,9 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize(
         "args, message",
-        [((), "needs --order or --orders"), (("--orders", "1..x"), "cannot parse --orders")],
-        ids=["no-order", "orders-not-int"],
+        [((), "needs --order or --orders"), (("--orders", "1..x"), "cannot parse --orders"),
+         (("--orders", "5..2"), "invalid order range")],
+        ids=["no-order", "orders-not-int", "orders-descending"],
     )
     def test_bad_order_selection_exits_2(self, args, message):
         proc = run_cli("metrics", "--design", "basic", "--dim", "3", *args, check=False)

@@ -75,6 +75,14 @@ class TestWeightVector:
         with pytest.raises(DomainError, match="non-empty 1-d"):
             WeightVector(D3, a, Normalization.RAW)
 
+    @pytest.mark.parametrize("kind", ["g1", "raw"])
+    def test_unscaled_normalization_is_a_copy(self, kind):
+        # to its own convention, or to raw, the weights are kept as they are
+        vec = inphase(3, D3).normalized("g1")
+        out = vec.normalized(kind)
+        assert out is not vec and out.a is not vec.a
+        assert np.array_equal(out.a, vec.a) and out.normalization.value == kind
+
     def test_g1_normalization_of_zero_front_value(self):
         # D = 2: g(1) = (a_0 / pi + 2 a_1 / pi) / 2, exactly 0 for a = [2, -1]
         vec = WeightVector(D2, [2.0, -1.0], Normalization.RAW)

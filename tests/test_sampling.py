@@ -176,6 +176,19 @@ class TestLoadNodes:
         with pytest.raises(DomainError, match="dim must be None, 2 or 3"):
             load_nodes(path, dim=dim)
 
+    @pytest.mark.parametrize(
+        "text, dim, message",
+        [("1,0,0\n0,1,0\n", 2, "3-column file cannot be a 2-d"),
+         ("0\n90\n", 3, "1-column file cannot be a 3-d"),
+         ("1,0,0,0\n0,1,0,0\n", None, "expected 1, 2, or 3 columns, got 4")],
+        ids=["3-columns-as-2d", "1-column-as-3d", "4-columns"],
+    )
+    def test_columns_do_not_fit(self, tmp_path, text, dim, message):
+        path = tmp_path / "nodes.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_nodes(path, dim=dim)
+
     def test_norm_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0,0\n0,1,0\n0,0,1\n")
@@ -366,6 +379,18 @@ class TestDiscreteMetrics:
         # a resolved rV on the same nodes keeps its misaim
         ring = discrete_metrics(basic(1, vec.dim), nodes, aim)
         assert ring.r_v > 0.1 and ring.r_v_misaim_rad < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, nodes, aim",
+        [([0.0, 0.0], platonic("cube"), [0.0, 0.0, 1.0]),
+         ([0.0, 1.0], circle_nodes(1), [0.0, 1.0])],
+        ids=["zero-weights", "dipole-null-on-node"],
+    )
+    def test_zero_node_energy(self, a, nodes, aim):
+        # g is 0 at every node, so rE = |sum g^2 theta| / E is undefined
+        vec = WeightVector(Dimension(nodes.dim), np.array(a), "raw")
+        with pytest.raises(DomainError, match="node energy is zero"):
+            discrete_metrics(vec, nodes, aim)
 
     def test_aim_of_wrong_shape(self):
         for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0):
