@@ -191,13 +191,13 @@ def _parse_orders(ns) -> list:
             raise DomainError("metrics needs --order or --orders")
         return [ns.order]
     text = ns.orders
-    sep = ".." if ".." in text else (":" if ":" in text else None)
+    is_range = ".." in text
     try:
-        orders = [int(p) for p in (text.split(sep, 1) if sep else text.split(","))]
+        orders = [int(p) for p in (text.split("..", 1) if is_range else text.split(","))]
     except ValueError as exc:
         raise DomainError(f"cannot parse --orders {text!r}") from exc
     # DomainError is a ValueError, so the cap is checked outside the try
-    if sep is not None:
+    if is_range:
         lo, hi = orders
         _bounded("--orders", hi, 0, MAX_ORDER)
         orders = list(range(lo, hi + 1))
@@ -327,11 +327,11 @@ def _cmd_tdesign(ns) -> int:
 
 
 def _add_common(sub, with_design: bool = True) -> None:
-    sub.add_argument("--dim", type=float, default=3.0,
-                     help=f"space dimension, a real 2 <= D <= {MAX_DIMENSION:g}")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="stdout", help="output path or 'stdout'")
     if with_design:
+        sub.add_argument("--dim", type=float, default=3.0,
+                         help=f"space dimension, a real 2 <= D <= {MAX_DIMENSION:g}")
         sub.add_argument("--design", choices=_DESIGNS)
         sub.add_argument("--norm", choices=[n.value for n in Normalization], default=None,
                          help="re-normalize the weights (default: design natural)")

@@ -127,8 +127,6 @@ def max_re(order: int, dim: Dimension) -> MaxReSolution:
     `_Basis.off`.  r is the largest eigenvalue, polished by one Newton step
     on P_{N+1}, whose value and slope come from one recurrence run at r.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
     r = float(np.linalg.eigvalsh(np.diag(_basis(order, dim).off, -1))[-1])
     seq, der = _with_derivatives(r, order + 1, dim)
     r -= float(seq[-1] / der[-1])
@@ -148,10 +146,9 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     exact weight has the sign of a_0: a = diag(N_n) u divided by a_0 is
     positive whatever sign the eigensolver returns.  Well conditioned for
     N <= 128, 2 <= D <= 64; trailing weights below 1e-15 max|a| (from N ~ 48)
-    are only absolutely accurate.
+    are only absolutely accurate.  N = 0 gives the 1 x 1 zero matrix, whose
+    eigenvector is the omni pattern [1] with FBR 1.
     """
-    if order < 1:
-        raise DomainError("supercardioid requires order >= 1")
     basis = _basis(order, dim)
     n = np.arange(order)
     spread = order * (order + dim.d - 1.0) - n * (n + dim.d - 1.0)
@@ -280,8 +277,9 @@ def _cap_mass(x0: float, dim: Dimension) -> float:
 def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
     """Expansion weights of the spherical-cap indicator of the region x >= x0.
 
-    a_n = w(x0)/(2n + 2 alpha) [P_{n-1}(x0) - P_{n+1}(x0)] for n >= 1.  The
-    zeroth weight is the cap mass, the integral of w over [x0, 1]: arccos(x0)
+    a_n = w(x0)/(2n + 2 alpha) [P_{n-1}(x0) - P_{n+1}(x0)] for n >= 1 (no
+    such n at N = 0, where the one weight is a_0).  The zeroth weight is the
+    cap mass, the integral of w over [x0, 1]: arccos(x0)
     for D = 2, 1 - x0 for D = 3, and for any other dimension the incomplete
     beta function (1/2) B_{1-x0^2}((D-1)/2, 1/2) (or its complement for
     x0 < 0), summed as a continued fraction.
@@ -297,11 +295,10 @@ def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
         a[0] = 1.0 - x0
     else:
         a[0] = _cap_mass(x0, dim)
-    if order >= 1:
-        seq = eval_sequence(x0, order + 1, dim)
-        w0 = (1.0 - x0 * x0) ** (dim.alpha - 0.5)
-        n = np.arange(1, order + 1)
-        a[1:] = w0 / (2.0 * n + 2.0 * dim.alpha) * (seq[n - 1] - seq[n + 1])
+    seq = eval_sequence(x0, order + 1, dim)
+    w0 = (1.0 - x0 * x0) ** (dim.alpha - 0.5)
+    n = np.arange(1, order + 1)
+    a[1:] = w0 / (2.0 * n + 2.0 * dim.alpha) * (seq[n - 1] - seq[n + 1])
     return WeightVector(dim, a, Normalization.RAW)
 
 

@@ -40,6 +40,19 @@ class PatternMetrics:
     fbr: float
 
 
+def _scale_exponent(weights: WeightVector) -> int:
+    """k with max |a_n| 2^-k in [0.5, 1) (0 for zero weights); scaling by 2^-k is exact."""
+    return math.frexp(float(np.abs(weights.a).max()))[1]
+
+
+def _unscale(value: float, k: int) -> float:
+    """value 2^k, an infinity of value's sign where that lies past the double range."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def eval_pattern(weights: WeightVector, x):
     """Continuous pattern g(x) = 1/S_{D-2} sum_n a_n / N_n^2 P_n(x).
 
@@ -89,7 +102,7 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     """
     order = weights.order
     basis = _basis(order, weights.dim)
-    _, k = math.frexp(float(np.abs(weights.a).max()))
+    k = _scale_exponent(weights)
     a = np.ldexp(weights.a, -k)
     aa = a * a
     e = float((aa * basis.inv_sub).sum())
@@ -105,11 +118,8 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     r_e /= float((aa / n2).sum())
     back = a * basis.sign
     fbr = float(a @ basis.gram @ a) / float(back @ basis.gram @ back)
-    try:
-        e = math.ldexp(e, 2 * k)
-    except OverflowError:
-        e = math.inf
-    return PatternMetrics(p=float(weights.a[0]), e=e, q=q, r_v=r_v, r_e=r_e, fbr=fbr)
+    return PatternMetrics(p=float(weights.a[0]), e=_unscale(e, 2 * k), q=q, r_v=r_v,
+                          r_e=r_e, fbr=fbr)
 
 
 def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
@@ -119,23 +129,35 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     gives P = S_{D-2} int g w dx, E = S_{D-2} int g^2 w dx and the first
     moments over P and E that are rV and rE; [g(x)^2, g(-x)^2] over [0, 1]
     gives the front and back energies of FBR, since w is even.  Shares
-    nothing with `compute_metrics` beyond the pattern evaluation.
+    nothing with `compute_metrics` beyond the pattern evaluation and its
+    scaling: the weights are scaled by the same exact power of two 2^-k
+    before the pattern is summed, so Q, rV, rE and FBR stay finite for any
+    non-zero weights at any D, and P and E come back in the caller's scale,
+    inf or 0 only where the true value lies outside the double range.
+    Raises DomainError when the quadrature energy is zero.
     """
     dim = weights.dim
     order = weights.order
+    basis = _basis(order, dim)
+    k = _scale_exponent(weights)
+    coeffs = np.ldexp(weights.a, -k) * basis.inv_sub
+
+    def pattern(x):
+        return _series_sum(coeffs, x, basis)
 
     def moments(x):
-        g = eval_pattern(weights, x)
+        g = pattern(x)
         g2 = g * g
         return np.stack([g, g2, g * x, g2 * x])
 
     p, e, p1, e1 = (dim.subsurface * integrate_axisym(moments, dim, 2 * order + 1)).tolist()
     if e == 0.0:
         raise DomainError("metrics are undefined for a pattern of zero energy")
-    g1 = eval_pattern(weights, 1.0)
+    g1 = float(pattern(1.0))
     q = dim.surface * g1 * g1 / e
     r_v = None if weights.a[0] == 0.0 else p1 / p
     front, back = integrate_axisym(
-        lambda x: eval_pattern(weights, np.stack([x, -x])) ** 2, dim, 2 * order, lower=0.0
+        lambda x: pattern(np.stack([x, -x])) ** 2, dim, 2 * order, lower=0.0
     )
-    return PatternMetrics(p=p, e=e, q=q, r_v=r_v, r_e=e1 / e, fbr=float(front / back))
+    return PatternMetrics(p=_unscale(p, k), e=_unscale(e, 2 * k), q=q, r_v=r_v,
+                          r_e=e1 / e, fbr=float(front / back))

@@ -275,6 +275,4 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     per-(N, D) record `_basis`; they are exactly symmetric (the odd-even block
     is the transpose) and read-only.
     """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
     return GramMatrix(order=max_degree, dim=dim, entries=_basis(max_degree, dim).gram)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .designs import WeightVector
 from .errors import DomainError, NormError, ParseError
-from .metrics import eval_pattern
-from .ultraspherical import Dimension, eval_sequence
+from .metrics import _scale_exponent, _unscale
+from .ultraspherical import Dimension, _basis, _series_sum, eval_sequence
 
 __all__ = [
     "NodeSet",
@@ -274,7 +274,8 @@ def tdesign_check(
     For each degree 1 <= n <= t and `trials` random orientations s, the node
     sum (S_{D-1}/L) sum_l P_n(s . theta_l) is compared with the exact integral
     of P_n over the sphere, which vanishes for n >= 1 by orthogonality.  The
-    degree-0 sum is exact by construction, so t = 0 always passes.  The P_n
+    degree-0 sum is exact by construction and not checked: t = 0 has no
+    degree to check, so its report is (0, 0.0, (), True).  The P_n
     come from `eval_sequence`, not the per-(N, D) record, so t is not held
     to `MAX_ORDER`; the CLI caps it at 256.
     """
@@ -282,8 +283,6 @@ def tdesign_check(
         raise DomainError("t must be >= 0")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if t == 0:
-        return TDesignReport(0, 0.0, (), True)
     dim = Dimension(float(nodes.dim))
     rng = np.random.default_rng(seed)
     dirs = _random_directions(rng, trials, nodes.dim)
@@ -291,7 +290,7 @@ def tdesign_check(
     seq = eval_sequence(dots.reshape(-1), t, dim).reshape(t + 1, trials, nodes.count)
     sums = (dim.surface / nodes.count) * seq.sum(axis=2)
     errors = tuple(float(np.max(np.abs(sums[n]))) for n in range(1, t + 1))
-    worst = max(errors)
+    worst = max(errors, default=0.0)
     return TDesignReport(t, worst, errors, worst < PASS_TOLERANCE)
 
 
@@ -318,8 +317,14 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     None when rV <= L eps dOmega sum_l |g_l| / |P|: r_v is still reported,
     but its direction is noise.  Likewise the rE misaim is None when
     rE <= L eps, the rounding floor of the node sum of g^2 theta relative
-    to E, below which the direction of rE is noise.  Raises DomainError when
-    the node energy E is zero: g vanishes at every node.
+    to E, below which the direction of rE is noise.  As in `compute_metrics`,
+    the weights are scaled by the exact power of two 2^-k that brings
+    max |a_n| 2^-k into [0.5, 1) before the pattern is summed, so rV, rE and
+    their misaims stay finite for any non-zero weights, bit-identical to
+    unscaled sums wherever those do not overflow or underflow; P and E are
+    reported in the caller's scale, inf or 0 only where the true value lies
+    outside the double range.  Raises DomainError when the node energy E is
+    zero: g vanishes at every node.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -333,7 +338,9 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         raise DomainError("aim must be a unit vector")
     aim = aim / norm
     x = np.clip(nodes.nodes @ aim, -1.0, 1.0)
-    g = eval_pattern(weights, x)
+    basis = _basis(weights.order, weights.dim)
+    k = _scale_exponent(weights)
+    g = _series_sum(np.ldexp(weights.a, -k) * basis.inv_sub, x, basis)
     d_omega = weights.dim.surface / nodes.count
     # rows g and g^2: their sums are P and E, their first moments rV P and rE E
     samples = np.array([g, g * g])
@@ -351,8 +358,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         if r_v > floor / abs(p):
             rv_misaim = _misaim(rv_vec, aim)
     return DiscreteMetrics(
-        p=p,
-        e=e,
+        p=_unscale(p, k),
+        e=_unscale(e, 2 * k),
         r_v=r_v,
         r_e=r_e,
         r_v_misaim_rad=rv_misaim,

@@ -217,7 +217,9 @@ class _Basis:
 
 @lru_cache(maxsize=128)
 def _basis(order: int, dim: Dimension) -> _Basis:
-    """The cached `_Basis` of (N, D); callers check N >= 0 first, N > MAX_ORDER raises."""
+    """The cached `_Basis` of (N, D); N < 0 and N > MAX_ORDER raise DomainError."""
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
     if order > MAX_ORDER:
         raise DomainError(f"degree must be <= {MAX_ORDER}, got {order}")
     return _Basis(order, dim)
@@ -315,8 +317,6 @@ def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
     `norm_squared_gamma` provides the closed form for cross-checking.  The
     result is cached per (N, D) and read-only.
     """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
     return _basis(max_degree, dim).n2
 
 
@@ -495,8 +495,6 @@ def value_at_zero(n: int, dim: Dimension) -> float:
     so the relative error grows only linearly in m (within 1.1e-15 of a
     40-digit product for n <= 128).
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
     return float(_basis(n, dim).p0[n])
 
 

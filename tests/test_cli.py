@@ -225,8 +225,9 @@ class TestMetricsCommand:
     @pytest.mark.parametrize(
         "args, message",
         [((), "needs --order or --orders"), (("--orders", "1..x"), "cannot parse --orders"),
-         (("--orders", "5..2"), "invalid order range")],
-        ids=["no-order", "orders-not-int", "orders-descending"],
+         (("--orders", "5..2"), "invalid order range"),
+         (("--orders", "1:3"), "cannot parse --orders")],
+        ids=["no-order", "orders-not-int", "orders-descending", "orders-colon"],
     )
     def test_bad_order_selection_exits_2(self, args, message):
         proc = run_cli("metrics", "--design", "basic", "--dim", "3", *args, check=False)
@@ -320,6 +321,11 @@ class TestTDesignCommand:
     def test_needs_exactly_one_source(self):
         proc = run_cli("tdesign", "--builtin", "cube", "--circle", "4", "--t", "2",
                        check=False)
+        assert proc.returncode == 2
+
+    def test_dim_is_not_an_option(self):
+        # the node set fixes the dimension; argparse rejects the option
+        proc = run_cli("tdesign", "--builtin", "cube", "--t", "2", "--dim", "3", check=False)
         assert proc.returncode == 2
 
     def test_non_finite_offset_exits_2(self):

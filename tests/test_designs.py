@@ -16,6 +16,7 @@ from axibeam import (
     basic,
     cap,
     cap_trapezoid,
+    compute_metrics,
     compute_metrics_numeric,
     derivative,
     eval_pattern,
@@ -96,8 +97,6 @@ class TestBasic:
         assert basic(2, D3).a == pytest.approx([1.0, 1.0, 1.0], abs=0.0)
 
     def test_directivity_circle(self):
-        from axibeam import compute_metrics
-
         for order in range(6):
             assert compute_metrics(basic(order, D2)).q == pytest.approx(
                 2 * order + 1, rel=1e-12
@@ -175,7 +174,7 @@ class TestMaxRe:
     def test_matches_gauss_jacobi_nodes(self, d):
         # P_{N+1} is a multiple of the Jacobi polynomial P^(a, a)_{N+1}, a = (D - 3)/2;
         # scipy is an optional test oracle, not a dependency of axibeam
-        pytest.importorskip("scipy")
+        pytest.importorskip("scipy", exc_type=ImportError)
         from scipy.special import roots_jacobi
 
         dim = Dimension(d)
@@ -186,7 +185,7 @@ class TestMaxRe:
 
     @pytest.mark.parametrize("d", [2.5, 7.3])
     def test_matches_mpmath_root(self, d):
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         dim = Dimension(d)
         with mp.workdps(50):
             alpha = mp.mpf(dim.alpha)
@@ -244,16 +243,20 @@ class TestSupercardioid:
         db = [10.0 * math.log10(fbr_of(supercardioid(n, D2).a, D2)) for n in ns]
         assert np.max(np.abs(np.asarray(db) - (13.75 * ns - 3.6))) < 0.5
 
-    def test_requires_first_order(self):
-        with pytest.raises(DomainError):
-            supercardioid(0, D3)
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 64.0])
+    def test_order_zero_is_omni(self, d):
+        # the eigenvector of the 1 x 1 zero matrix: the omni pattern, FBR 1
+        dim = Dimension(d)
+        vec = supercardioid(0, dim)
+        assert vec.a.tolist() == [1.0]
+        assert compute_metrics(vec).fbr == 1.0
 
     @pytest.mark.parametrize("order", [8, 12, 16, 24, 32])
     def test_matches_exact_legendre_reference(self, order):
         # D = 3: the back-half Gram in orthonormal coordinates, built from the
         # exact rational Legendre half-interval integrals, solved at 80 digits
         # (5 per degree past N = 16)
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
 
         def p0(n):
             if n % 2:
@@ -390,7 +393,7 @@ class TestInphase:
         # the cumulative product rounds a few times per factor, so the
         # relative error grows only linearly in n (8.7e-15 worst seen; one
         # log-Gamma exponent per weight gave 4.6e-13)
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         mp.mp.dps = 50
         worst = 0.0
         for d in (2.0, 2.5, 3.0, 7.3, 30.0, 64.0):
@@ -499,7 +502,7 @@ class TestCap:
     def test_zeroth_weight_matches_mpmath_incomplete_beta(self):
         # a_0 = int_x0^1 (1 - x^2)^((D-3)/2) dx = B_{1-x0^2}(p, 1/2) / 2, p = (D-1)/2,
         # or its complement B(p, 1/2) - B_{1-x0^2}(p, 1/2) / 2 for x0 < 0
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         worst = 0.0
         with mp.workdps(50):
             for d in (2.0001, 2.5, 3.5, 7.3, 33.3, 64.0):
@@ -605,10 +608,72 @@ class TestOrderingChains:
 
 @pytest.mark.parametrize(
     "design",
-    [basic, max_re, inphase, supercardioid_approx,
+    [basic, max_re, supercardioid, inphase, supercardioid_approx,
      lambda n, dim: cap(n, 0.3, dim)],
-    ids=["basic", "max_re", "inphase", "supercardioid_approx", "cap"],
+    ids=["basic", "max_re", "supercardioid", "inphase", "supercardioid_approx", "cap"],
 )
 def test_negative_order_rejected(design):
     with pytest.raises(DomainError, match="order must be >= 0"):
         design(-1, D3)
+
+
+# mpmath gate over the declared range N <= 128, 2 <= D <= 64 (maxflat is left
+# out: its a_0 from g(-1) = 0 cancels, 2e-8 off at D = 16, N = 128)
+GATE_DIMS = (2.0, 2.5, 3.0, 7.3, 30.0, 64.0)
+GATE_ORDERS = (8, 32, 64, 128)
+
+
+def mp_sequence(x, order, d):
+    """P_0..P_N and P'_0..P'_N at an mpf x by the recurrences, at mpmath's precision."""
+    p, der = [1, x], [0, 1]
+    for n in range(1, order):
+        p.append(((2 * n + d - 2) * x * p[n] - n * p[n - 1]) / (n + d - 2))
+        der.append(((2 * n + d - 2) * (p[n] + x * der[n]) - n * der[n - 1]) / (n + d - 2))
+    return p[:order + 1], der[:order + 1]
+
+
+def max_scaled_error(a, ref):
+    return float(max(abs(v - r) for v, r in zip(a, ref)) / max(abs(r) for r in ref))
+
+
+@pytest.mark.parametrize("d", GATE_DIMS)
+def test_max_re_matches_mpmath_over_declared_range(d):
+    # the root by 40-digit Newton on P_{N+1} from the double root, the
+    # weights P_n(root); 2.75e-13 max-scaled worst seen (D = 2, N = 128)
+    mp = pytest.importorskip("mpmath", exc_type=ImportError)
+    dim = Dimension(d)
+    with mp.workdps(40):
+        big_d = mp.mpf(d)
+        for order in GATE_ORDERS:
+            sol = max_re(order, dim)
+            root = mp.mpf(sol.r_e_max)
+            for _ in range(4):
+                p, der = mp_sequence(root, order + 1, big_d)
+                root -= p[-1] / der[-1]
+            assert abs(sol.r_e_max - float(root)) <= 2.2e-16
+            ref = mp_sequence(root, order, big_d)[0]
+            assert max_scaled_error(sol.weights.a, ref) <= 4e-13
+
+
+@pytest.mark.parametrize("d", GATE_DIMS)
+def test_cap_matches_mpmath_over_declared_range(d):
+    # a_n = int_x0^1 P_n w = (1 - x0^2) w(x0) P_n'(x0) / (n (n + D - 2)) for
+    # n >= 1, from the differential equation; a_0 the incomplete beta.
+    # 1.7e-14 max-scaled worst seen (D = 64, N = 8, x0 = 0.95).  Closer to
+    # x0 = 1 the weights inherit the condition of (1 - x0^2)^(alpha - 1/2):
+    # 5.7e-13 at x0 = 0.999, D = 64.
+    mp = pytest.importorskip("mpmath", exc_type=ImportError)
+    dim = Dimension(d)
+    with mp.workdps(40):
+        big_d, half = mp.mpf(d), mp.mpf(1) / 2
+        for x0 in (-0.5, 0.3, math.cos(math.radians(40.0)), 0.95):
+            x = mp.mpf(x0)
+            mass = mp.betainc((big_d - 1) / 2, half, 0, 1 - x * x) / 2
+            if x0 < 0:
+                mass = mp.beta((big_d - 1) / 2, half) - mass
+            boundary = (1 - x * x) ** ((big_d - 1) / 2)
+            for order in GATE_ORDERS:
+                der = mp_sequence(x, order, big_d)[1]
+                ref = [mass] + [boundary * der[n] / (n * (n + big_d - 2))
+                                for n in range(1, order + 1)]
+                assert max_scaled_error(cap(order, x0, dim).a, ref) <= 5e-14

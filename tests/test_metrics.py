@@ -114,7 +114,7 @@ class TestClenshawSum:
         # for one top-degree weight (N = 128, D = 2, x = 1 - 1e-6) and
         # 1.6e-14 for random weights (the Clenshaw sum it replaced: 9.0e-13
         # and 5.3e-14)
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         dim = Dimension(d)
         rng = np.random.default_rng(order)
         near = 10.0 ** -np.arange(16.0, 0.0, -1.0)
@@ -343,6 +343,31 @@ class TestNumericOracle:
     def test_constant_pattern_fbr(self):
         met = compute_metrics_numeric(basic(0, D3))
         assert met.fbr == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**-600, 2.0**600, 5e-324, 1e-300, 1e-170, 1e170, 1e300]
+    )
+    @pytest.mark.parametrize(
+        "d, a", [(3.0, [1.0, 1.0]), (64.0, [1.0])], ids=["D3-cardioid", "D64-omni"]
+    )
+    def test_extreme_scales_match_unscaled(self, d, a, scale):
+        # the weights are scaled by an exact power of two before the pattern
+        # is summed, as in compute_metrics (Q = 4, rE = 1/2, FBR = 7 for the
+        # cardioid); at D = 64, 1/S_62 is about 5e17, so unscaled samples of
+        # 1e300 weights would overflow even though the weights do not
+        dim = Dimension(d)
+        base = compute_metrics_numeric(raw(dim, a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            met = compute_metrics_numeric(raw(dim, np.multiply(scale, a)))
+        exact = math.frexp(scale)[0] == 0.5
+        for field in ("q", "r_v", "r_e", "fbr"):
+            got, want = getattr(met, field), getattr(base, field)
+            assert got == (want if exact else pytest.approx(want, rel=1e-14))
+        assert met.p == pytest.approx(scale * base.p, rel=1e-14)
+        # s^2 E is inf or 0 outside the double range; at D = 64 and s = 1e-170
+        # it is about 5e-323, a subnormal that keeps one digit
+        assert met.e == pytest.approx(scale * base.e * scale, rel=1e-14, abs=1e-322)
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0])
     def test_agreement_spot_checks(self, d):

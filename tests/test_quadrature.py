@@ -102,7 +102,7 @@ class TestIntegrateAxisym:
         # int_-b^b (1-x^2)^c dx with c = (D-3)/2 is an incomplete beta function
         # in t = (1+x)/2; at non-integer D the weight's derivatives grow without
         # bound towards +-1, while in phi = arccos x the integrand stays smooth
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         c = (d - 3.0) / 2.0
         with mp.workdps(30):
             exact = float(2 ** (2 * c + 1) * mp.betainc(c + 1, c + 1, (1 - b) / 2, (1 + b) / 2))
@@ -146,7 +146,7 @@ class TestJacobiRule:
         # hypergeometric P_n^(a,b), which shares nothing with the recurrence
         # the rule runs; the weight is the closed-form Christoffel number
         #   2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n! (1 - x^2) P_n'(x)^2).
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         a = (d - 3.0) / 2.0
         b = a if kind == "symmetric" else 0.0
         x, w = _jacobi_rule(count, a, b)
@@ -338,7 +338,7 @@ class TestGramMatrix:
     def test_factor_min_singular_value_matches_exact_eigenvalue(self):
         # sigma_min(F)^2 against the smallest eigenvalue of the exact Legendre
         # half-interval Gram, built from rationals and solved at 40 digits
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         order = 12
 
         def p0(n):
@@ -370,7 +370,7 @@ class TestGramMatrix:
         # 60-digit Sturm-Liouville Gram from the Gegenbauer values
         # C_n^a(1) = (2a)_n / n!, C_2k^a(0) = (-1)^k (a)_k / k!, the derivative
         # rule C_n^a' = 2a C_(n-1)^(a+1) and the Gamma-function norms
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
 
         def at_zero(n, a):
             if n % 2:

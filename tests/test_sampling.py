@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,8 +244,11 @@ class TestLoadNodes:
 
 class TestTDesignCheck:
     def test_degree_zero_always_passes(self):
-        assert tdesign_check(circle_nodes(1), 0).passed
-        assert tdesign_check(platonic("tetrahedron"), 0).passed
+        # no degree to check: the general path reports no errors and passes
+        for nodes in (circle_nodes(1), platonic("tetrahedron")):
+            report = tdesign_check(nodes, 0)
+            assert (report.t_claimed, report.max_abs_error, report.per_degree_errors,
+                    report.passed) == (0, 0.0, (), True)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(55)
@@ -391,6 +395,34 @@ class TestDiscreteMetrics:
         vec = WeightVector(Dimension(nodes.dim), np.array(a), "raw")
         with pytest.raises(DomainError, match="node energy is zero"):
             discrete_metrics(vec, nodes, aim)
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**-600, 2.0**600, 5e-324, 1e-300, 1e-170, 1e170, 1e300]
+    )
+    @pytest.mark.parametrize(
+        "a, nodes, aim",
+        [([1.0, 1.0], platonic("icosahedron"), [0.0, 0.0, 1.0]),
+         ([2.0, 2.0, 1.0], platonic("tetrahedron"), [0.6, 0.0, 0.8])],
+        ids=["icosahedron-on-axis", "tetrahedron-misaimed"],
+    )
+    def test_extreme_scales_match_unscaled(self, a, nodes, aim, scale):
+        # the weights are scaled by an exact power of two before the pattern is
+        # summed, so even subnormal weights such as 5e-324 keep every digit
+        # (integer a keeps s a exact there): the ratios of s a equal those of
+        # a bit for bit when s is a power of two, and within rounding
+        # otherwise (misaims on the icosahedron axis are rounding-level
+        # angles, hence the absolute bound)
+        base = discrete_metrics(WeightVector(D3, a, "raw"), nodes, aim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            met = discrete_metrics(WeightVector(D3, np.multiply(scale, a), "raw"), nodes, aim)
+        exact = math.frexp(scale)[0] == 0.5
+        for field in ("r_v", "r_e", "r_v_misaim_rad", "r_e_misaim_rad"):
+            got, want = getattr(met, field), getattr(base, field)
+            assert got == (want if exact else pytest.approx(want, rel=1e-14, abs=1e-15))
+        assert met.p == pytest.approx(scale * base.p, rel=1e-14)
+        # the true energy, about s^2 E, lies outside the double range
+        assert met.e == (math.inf if scale > 1.0 else 0.0)
 
     def test_aim_of_wrong_shape(self):
         for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0):

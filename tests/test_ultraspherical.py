@@ -393,7 +393,7 @@ class TestValueAtZero:
     def test_closed_form_products(self, d):
         # the record's cumulative products, which value_at_zero returns,
         # against the recurrence and a 40-digit product
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         dim = Dimension(d)
         rec = _Basis(128, dim)
         p, dp = rec.p0, rec.dp0
@@ -463,7 +463,7 @@ class TestChristoffelDarboux:
         # next to x0 the Christoffel-Darboux quotient loses eps/|x - x0|
         # relative (1.1e-11 sum|terms| at h = 1.1e-6, N = 6, D = 2); the
         # series sum must hold 1e-12 sum|terms| there and at x0 itself
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         x0 = 0.3
         with mp.workdps(40):
             for d in (2.0, 3.0, 7.3):
@@ -598,7 +598,7 @@ class TestBasis:
         # 18.5.11), at the D where `_series_sum` reads C; the exact sums of
         # the stored columns read up to 2 eps and the entries up to 22 eps
         # relative against 40 digits (D = 2.2)
-        mp = pytest.importorskip("mpmath")
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
         dim = Dimension(d)
         c = _Basis(128, dim).chebyshev
         eps = np.finfo(float).eps
@@ -714,9 +714,10 @@ class TestBasis:
         lambda: norms_squared(-1, D3),
         lambda: norm_squared_gamma(-1, D3),
         lambda: value_at_zero(-1, D3),
+        lambda: _basis(-1, D3),
     ],
     ids=["eval_sequence", "power_series_coeffs", "beta_coeff", "norms_squared",
-         "norm_squared_gamma", "value_at_zero"],
+         "norm_squared_gamma", "value_at_zero", "_basis"],
 )
 def test_negative_degree_rejected(call):
     with pytest.raises(DomainError, match=">= "):
