@@ -277,7 +277,7 @@ def _cmd_pattern(ns) -> int:
     phi = np.linspace(0.0, 180.0, ns.samples)
     x = np.cos(np.radians(phi))
     g = np.atleast_1d(eval_pattern(vec, x))
-    g_axis = eval_pattern(vec, 1.0)
+    g_axis = g[0]  # x[0] = cos 0 is exactly 1
     rows = []
     for p, xi, gi in zip(phi, x, g):
         ratio = abs(gi / g_axis)

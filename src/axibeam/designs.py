@@ -18,11 +18,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure
-from .ultraspherical import Dimension, _basis, _with_derivatives, eval_sequence, norms_squared
+from .ultraspherical import Dimension, _basis, _with_derivatives, eval_sequence
 
 __all__ = [
     "Normalization",
@@ -76,13 +77,41 @@ class WeightVector:
     def order(self) -> int:
         return self.a.size - 1
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(k, a 2^-k, c) with max |a_n| 2^-k in [0.5, 1) (k = 0 for zero weights).
+
+        c_n = a_n 2^-k / (S_{D-2} N_n^2) are the coefficients of g(x) 2^-k.
+        The scaling is exact, so sums of a 2^-k and c stay in range for any
+        non-zero finite weights, and their ratios equal the unscaled ones bit
+        for bit wherever those stay in range.  Every pattern reader shares
+        these read-only arrays; none scales the weights itself.
+        """
+        k = math.frexp(float(np.abs(self.a).max()))[1]
+        a = np.ldexp(self.a, -k)
+        c = a * _basis(self.order, self.dim).inv_sub
+        a.setflags(write=False)
+        c.setflags(write=False)
+        return k, a, c
+
     def front_value(self) -> float:
-        """Pattern value on axis, g(1) = sum a_n / (S_{D-2} N_n^2)."""
-        n2 = norms_squared(self.order, self.dim)
-        return float(np.sum(self.a / (self.dim.subsurface * n2)))
+        """Pattern value on axis, g(1) = sum a_n / (S_{D-2} N_n^2).
+
+        Summed on the scaled coefficients of `_scaled` and scaled back, so
+        it is inf or 0 only where the true g(1) lies outside the double
+        range.
+        """
+        k, _, c = self._scaled
+        return _unscale(float(c.sum()), k)
 
     def normalized(self, kind: Normalization | str) -> "WeightVector":
-        """Return a copy rescaled to the requested convention."""
+        """Return a copy rescaled to the requested convention.
+
+        G1_UNITY divides the scaled weights a 2^-k by the scaled g(1), so
+        the result is the same for any non-zero finite scale of the weights
+        (bit for bit for a power of two).  g(1) = 0 raises DomainError, and
+        so does a g(1) so small that the normalized weights overflow.
+        """
         kind = Normalization(kind)
         if kind is Normalization.RAW or kind is self.normalization:
             return WeightVector(self.dim, self.a, kind)
@@ -90,10 +119,20 @@ class WeightVector:
             if self.a[0] == 0.0:
                 raise ZeroPressure("cannot normalize to a_0 = 1 when a_0 = 0")
             return WeightVector(self.dim, self.a / self.a[0], kind)
-        scale = self.front_value()
-        if scale == 0.0:
+        _, a, c = self._scaled
+        g1 = float(c.sum())
+        if g1 == 0.0:
             raise DomainError("cannot normalize to g(1) = 1 when g(1) = 0")
-        return WeightVector(self.dim, self.a / scale, kind)
+        with np.errstate(over="ignore"):
+            return WeightVector(self.dim, a / g1, kind)
+
+
+def _unscale(value: float, k: int) -> float:
+    """value 2^k, an infinity of value's sign where that lies past the double range."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 @dataclass(frozen=True)
@@ -204,8 +243,9 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
         a_{n+1} = -[(N-n+1)(n-1) a_{n-1} + 2 dN (n+alpha) a_n]
                   / ((N+n+2 alpha+1)(n+2 alpha+1)),   dN = L - M,
 
-    from a_1 = 1; a_0 is fixed by g(-1) = 0 and the result is scaled to
-    G1_UNITY.  L = 0 reproduces the inphase weights.
+    from a_1 = 1; a_0 is fixed by g(-1) = 0.  The weights go straight to the
+    scale-safe `WeightVector.normalized` (G1_UNITY), whatever size the
+    recurrence gives them.  L = 0 reproduces the inphase weights.
     """
     if not (0 <= flat_l <= order - 1):
         raise InvalidFlatness(
@@ -223,11 +263,8 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
     a = np.array(a)
     basis = _basis(order, dim)
     ratio = basis.n2[0] / basis.n2
-    signs = basis.sign
-    a[0] = -float(np.sum(signs[1:] * ratio[1:] * a[1:]))
-    b = float(np.sum((1.0 - signs[1:]) * ratio[1:] * a[1:]))
-    vec = WeightVector(dim, a / b, Normalization.RAW)
-    return vec.normalized(Normalization.G1_UNITY)
+    a[0] = -float(np.sum(basis.sign[1:] * ratio[1:] * a[1:]))
+    return WeightVector(dim, a, Normalization.RAW).normalized(Normalization.G1_UNITY)
 
 
 def _beta_fraction(p: float, q: float, x: float) -> float:

@@ -8,12 +8,11 @@ independent oracle, so the two paths must agree for any valid weight vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import WeightVector
+from .designs import WeightVector, _unscale
 from .errors import DomainError
 from .quadrature import integrate_axisym
 from .ultraspherical import _basis, _series_sum
@@ -40,19 +39,6 @@ class PatternMetrics:
     fbr: float
 
 
-def _scale_exponent(weights: WeightVector) -> int:
-    """k with max |a_n| 2^-k in [0.5, 1) (0 for zero weights); scaling by 2^-k is exact."""
-    return math.frexp(float(np.abs(weights.a).max()))[1]
-
-
-def _unscale(value: float, k: int) -> float:
-    """value 2^k, an infinity of value's sign where that lies past the double range."""
-    try:
-        return math.ldexp(value, k)
-    except OverflowError:
-        return math.copysign(math.inf, value)
-
-
 def eval_pattern(weights: WeightVector, x):
     """Continuous pattern g(x) = 1/S_{D-2} sum_n a_n / N_n^2 P_n(x).
 
@@ -67,9 +53,19 @@ def eval_pattern(weights: WeightVector, x):
     tests; 1.6e-14 for random weights).  x may be a float (the result is a
     float) or an array of any shape (the result has its shape); x outside
     [-1, 1] raises DomainError.
+
+    The sum is formed on the coefficients of the weights scaled by the
+    exact power of two 2^-k of `WeightVector._scaled` and scaled back by 2^k
+    at the end, so g is finite wherever |g(x)| fits in a double, 0 where it
+    vanishes, and +-inf (with no warning) only where |g(x)| lies past the
+    double range; values that stay in range are unchanged bit for bit.
     """
-    basis = _basis(weights.order, weights.dim)
-    return _series_sum(weights.a * basis.inv_sub, x, basis)
+    k, _, c = weights._scaled
+    g = _series_sum(c, x, _basis(weights.order, weights.dim))
+    if isinstance(g, float):
+        return _unscale(g, k)
+    with np.errstate(over="ignore"):
+        return np.ldexp(g, k)
 
 
 def compute_metrics(weights: WeightVector) -> PatternMetrics:
@@ -92,7 +88,7 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     rebuilt.
 
     The sums are formed on the weights scaled by the power of two 2^-k that
-    brings max |a_n| into [0.5, 1).  That scaling is exact, so Q, rV, rE and
+    brings max |a_n| into [0.5, 1) (`WeightVector._scaled`).  That scaling is exact, so Q, rV, rE and
     FBR are unchanged bit for bit, yet they stay finite for any non-zero
     weights, however large or small.  P and E are reported in the caller's
     scale; E is inf or 0 only where the true energy lies outside the double
@@ -102,13 +98,12 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     """
     order = weights.order
     basis = _basis(order, weights.dim)
-    k = _scale_exponent(weights)
-    a = np.ldexp(weights.a, -k)
+    k, a, c = weights._scaled
     aa = a * a
     e = float((aa * basis.inv_sub).sum())
     if e == 0.0:
         raise DomainError("metrics are undefined for a pattern of zero energy")
-    g1 = float((a * basis.inv_sub).sum())
+    g1 = float(c.sum())
     q = basis.surface * g1 * g1 / e
     r_v: float | None = None
     if weights.a[0] != 0.0:
@@ -130,8 +125,8 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     moments over P and E that are rV and rE; [g(x)^2, g(-x)^2] over [0, 1]
     gives the front and back energies of FBR, since w is even.  Shares
     nothing with `compute_metrics` beyond the pattern evaluation and its
-    scaling: the weights are scaled by the same exact power of two 2^-k
-    before the pattern is summed, so Q, rV, rE and FBR stay finite for any
+    scaling: the pattern is summed from the same scaled coefficients of
+    `WeightVector._scaled`, so Q, rV, rE and FBR stay finite for any
     non-zero weights at any D, and P and E come back in the caller's scale,
     inf or 0 only where the true value lies outside the double range.
     Raises DomainError when the quadrature energy is zero.
@@ -139,8 +134,7 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     dim = weights.dim
     order = weights.order
     basis = _basis(order, dim)
-    k = _scale_exponent(weights)
-    coeffs = np.ldexp(weights.a, -k) * basis.inv_sub
+    k, _, coeffs = weights._scaled
 
     def pattern(x):
         return _series_sum(coeffs, x, basis)

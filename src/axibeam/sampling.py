@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .designs import WeightVector
+from .designs import WeightVector, _unscale
 from .errors import DomainError, NormError, ParseError
-from .metrics import _scale_exponent, _unscale
 from .ultraspherical import Dimension, _basis, _series_sum, eval_sequence
 
 __all__ = [
@@ -338,9 +337,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         raise DomainError("aim must be a unit vector")
     aim = aim / norm
     x = np.clip(nodes.nodes @ aim, -1.0, 1.0)
-    basis = _basis(weights.order, weights.dim)
-    k = _scale_exponent(weights)
-    g = _series_sum(np.ldexp(weights.a, -k) * basis.inv_sub, x, basis)
+    k, _, c = weights._scaled
+    g = _series_sum(c, x, _basis(weights.order, weights.dim))
     d_omega = weights.dim.surface / nodes.count
     # rows g and g^2: their sums are P and E, their first moments rV P and rE E
     samples = np.array([g, g * g])

@@ -1,0 +1,280 @@
+"""Contract of the public API: a finite result or a typed error, and no warning.
+
+Every callable in `axibeam.__all__` and every CLI subcommand is called on a
+seeded draw from a table of edge inputs: orders N in {0, 1, 7, 64, 128} (and
+129, one past `MAX_ORDER`), dimensions D in {2, 2 + 1e-12, 3, 7.3, 63.9999,
+64}, weight scales from the smallest subnormal 5e-324 to 1.7e308, and x at the
+end points -1 and 1.  Each call must return finite values or raise an
+`AxibeamError`; the CLI must exit 2 or 3 with a one-line message and no
+traceback.  No call may issue a warning, except the `RangeWarning` that
+`supercardioid_approx` documents outside its fitted range.
+
+A value may be +-inf only where scale equivariance predicts it: the same call
+on the weights scaled by the exact power of two 2^-m that brings their
+largest magnitude into [0.5, 1), taken back by 2^(p m) for a value
+homogeneous of degree p in the weights, lies outside the double range.
+
+The quadrature entry points take a callable, not weights, so their
+integrands are patterns of unscaled designs.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+
+import axibeam as ab
+from axibeam.cli import main
+
+SEED = 20240
+ORDERS = (0, 1, 7, 64, 128, 129)
+DIMS = (2.0, 2.0 + 1e-12, 3.0, 7.3, 63.9999, 64.0)
+SCALES = (5e-324, 1e-300, 2.0**-600, 1e-150, 1.0, 1e150, 2.0**600, 1e300, 1.7e308)
+ENDS = (-1.0, 1.0)
+
+# exception and warning types, and the result records the library returns
+NOT_CALLED = {
+    "AxibeamError", "DomainError", "InvalidFlatness", "NormError", "ParseError",
+    "RangeWarning", "ZeroPressure", "DiscreteMetrics", "GramMatrix", "MaxReSolution",
+    "PatternMetrics", "TDesignReport",
+}
+
+
+def _leaves(value):
+    """The floats of a result: numbers, arrays, tuples and dataclass fields, in order."""
+    if value is None or isinstance(value, (str, bool)):
+        return []
+    if is_dataclass(value):
+        return [x for f in fields(value) for x in _leaves(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _leaves(v)]
+    return np.asarray(value, dtype=float).ravel().tolist()
+
+
+def _outcome(call, allow_range_warning=False):
+    """call()'s result, or None for a typed error; asserts that no warning was issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ab.AxibeamError:
+            result = None
+    allowed = (ab.RangeWarning,) if allow_range_warning else ()
+    unexpected = [w for w in caught if not issubclass(w.category, allowed)]
+    assert not unexpected, [str(w.message) for w in unexpected]
+    return result
+
+
+def _assert_finite(label, value):
+    bad = [v for v in _leaves(value) if not math.isfinite(v)]
+    assert not bad, f"{label}: non-finite {bad[:3]}"
+
+
+def _out_of_range(value: float, exponent: int) -> bool:
+    """True when value 2^exponent lies past the double range."""
+    try:
+        return math.isinf(math.ldexp(value, exponent))
+    except OverflowError:
+        return True
+
+
+def _designs(rng, order, dim):
+    """Thunks building every design at (N, D), their parameters drawn from rng."""
+    flat_l = int(rng.integers(-1, order + 1))  # -1 and N are invalid
+    x0 = float(rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]))
+    spacing = float(rng.uniform(1.0, 140.0))  # above 180/1.375 is invalid
+    return {
+        "basic": lambda: ab.basic(order, dim),
+        "max_re": lambda: ab.max_re(order, dim).weights,
+        "supercardioid": lambda: ab.supercardioid(order, dim),
+        "supercardioid_approx": lambda: ab.supercardioid_approx(order, dim),
+        "inphase": lambda: ab.inphase(order, dim),
+        "maxflat": lambda: ab.maxflat(order, flat_l, dim),
+        "cap": lambda: ab.cap(order, x0, dim),
+        "cap_trapezoid": lambda: ab.cap_trapezoid(order, spacing, dim),
+    }
+
+
+def _metric_values(met):
+    return [(met.p, 1), (met.e, 2), ((met.q, met.r_v, met.r_e, met.fbr), 0)]
+
+
+def _nodes(rng, dim):
+    if dim.d == 3.0:
+        return ab.platonic(str(rng.choice(ab.sampling.PLATONIC_NAMES)))
+    return ab.circle_nodes(int(rng.choice([1, 7, 64])))
+
+
+def _readers(rng, x):
+    """Weight readers: each maps a WeightVector to [(values, degree p in the weights)]."""
+    kind = ab.Normalization(str(rng.choice([k.value for k in ab.Normalization])))
+    ends = np.array(ENDS)
+    ring, solid = _nodes(rng, ab.Dimension(2.0)), _nodes(rng, ab.Dimension(3.0))
+    return {
+        "WeightVector": lambda v: [(ab.WeightVector(v.dim, v.a, "raw").a, 1),
+                                   (v.front_value(), 1)],
+        "Normalization": lambda v: [(v.normalized(kind).a, 0)],
+        "eval_pattern": lambda v: [(ab.eval_pattern(v, ends), 1), (ab.eval_pattern(v, x), 1)],
+        "compute_metrics": lambda v: _metric_values(ab.compute_metrics(v)),
+        "compute_metrics_numeric": lambda v: _metric_values(ab.compute_metrics_numeric(v)),
+        "discrete_metrics": lambda v: _discrete_values(v, solid if v.dim.d == 3.0 else ring, x),
+    }
+
+
+def _discrete_values(vec, nodes, x):
+    aim = np.zeros(nodes.dim)
+    aim[-1] = x
+    met = ab.discrete_metrics(vec, nodes, aim)
+    return [(met.p, 1), (met.e, 2),
+            ((met.r_v, met.r_e, met.r_v_misaim_rad, met.r_e_misaim_rad), 0)]
+
+
+def _check_reader(label, reader, vec):
+    """Run a weight reader on vec; +-inf must be predicted by scale equivariance."""
+    result = _outcome(lambda: reader(vec))
+    if result is None:
+        return
+    if all(math.isfinite(v) for value, _ in result for v in _leaves(value)):
+        return
+    m = math.frexp(float(np.abs(vec.a).max()))[1]
+    ref = _outcome(lambda: reader(ab.WeightVector(vec.dim, np.ldexp(vec.a, -m), "raw")))
+    assert ref is not None, f"{label}: typed error only at the unit scale"
+    for (value, p), (ref_value, _) in zip(result, ref):
+        for got, want in zip(_leaves(value), _leaves(ref_value)):
+            assert math.isfinite(got) or (
+                got == math.copysign(math.inf, want) and _out_of_range(want, p * m)
+            ), f"{label}: {got} where 2^{p * m} * {want} is in range"
+
+
+def _plain_calls(rng, order, dim, x, tmp_path):
+    """Calls of the basis, quadrature and sampling functions at (N, D, x)."""
+    pattern = ab.inphase(min(order, 7), dim)
+    count = int(rng.choice([0, 1, 7, 64]))  # 0 is invalid
+    path = tmp_path / "nodes.csv"
+    path.write_text("".join(f"{t}\n" for t in rng.uniform(0.0, 360.0, max(count, 1))))
+    ring = np.column_stack([np.cos(np.arange(3) * 2.1), np.sin(np.arange(3) * 2.1)])
+    return {
+        "Dimension": lambda: ab.Dimension(dim.d),
+        "surface_area": lambda: ab.surface_area(dim),
+        "eval_sequence": lambda: ab.eval_sequence(x, order, dim),
+        "derivative": lambda: ab.derivative(x, order, dim),
+        "cd_kernel": lambda: ab.cd_kernel(x, float(rng.choice(ENDS)), order, dim),
+        "value_at_zero": lambda: ab.value_at_zero(order, dim),
+        "norm_squared": lambda: ab.norm_squared(order, dim),
+        "norm_squared_gamma": lambda: ab.norm_squared_gamma(order, dim),
+        "norms_squared": lambda: ab.norms_squared(order, dim),
+        "beta_coeff": lambda: ab.beta_coeff(order, dim),
+        "power_series_coeffs": lambda: ab.power_series_coeffs(order, dim),
+        "gram_front": lambda: ab.gram_front(order, dim),
+        "integrate_axisym": lambda: ab.integrate_axisym(
+            lambda t: ab.eval_pattern(pattern, t), dim, pattern.order,
+            lower=float(rng.choice([-1.0, 0.0]))),
+        "transform_coeffs": lambda: ab.transform_coeffs(
+            lambda t: ab.eval_pattern(pattern, t), order, dim, pattern.order),
+        "circle_nodes": lambda: ab.circle_nodes(count, float(rng.uniform(0.0, 6.3))),
+        "platonic": lambda: ab.platonic(str(rng.choice(ab.sampling.PLATONIC_NAMES))),
+        "NodeSet": lambda: ab.NodeSet(2, ring),
+        "load_nodes": lambda: ab.load_nodes(path),
+        "tdesign_check": lambda: ab.tdesign_check(_nodes(rng, ab.Dimension(3.0)), order,
+                                                  trials=4),
+    }
+
+
+def test_every_public_callable_is_walked(tmp_path):
+    public = {name for name in ab.__all__ if callable(getattr(ab, name))}
+    rng = np.random.default_rng(SEED)
+    dim = ab.Dimension(3.0)
+    walked = set(_designs(rng, 1, dim)) | set(_readers(rng, 1.0))
+    walked |= set(_plain_calls(rng, 1, dim, 1.0, tmp_path))
+    assert walked == public - NOT_CALLED
+
+
+def test_library_contract(tmp_path):
+    rng = np.random.default_rng(SEED)
+    for d in DIMS:
+        dim = ab.Dimension(d)
+        for order in ORDERS:
+            x = float(rng.choice(ENDS))
+            for name, call in _plain_calls(rng, order, dim, x, tmp_path).items():
+                _assert_finite(f"{name} N={order} D={d}", _outcome(call))
+            readers = _readers(rng, x)
+            designs = _designs(rng, order, dim)
+            # the quadrature oracle builds fresh Gauss rules: one design per (N, D)
+            numeric_for = rng.choice(list(designs))
+            for design, build in designs.items():
+                weights = _outcome(build, allow_range_warning=design == "supercardioid_approx")
+                if weights is None:
+                    continue
+                _assert_finite(f"{design} N={order} D={d}", weights.a)
+                unit = weights.a / np.abs(weights.a).max()
+                for name, reader in readers.items():
+                    if name == "compute_metrics_numeric" and design != numeric_for:
+                        continue
+                    scale = float(rng.choice(SCALES))
+                    vec = ab.WeightVector(dim, unit * scale, "raw")
+                    _check_reader(f"{name}({design} N={order} D={d} x{scale:g})", reader, vec)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# CLI columns that print nan by design: no r_v when a_0 = 0, FBR <= 0 from rounding
+NAN_COLUMNS = {"rv_spread_deg", "fbr_db"}
+
+
+def _cli_argv(rng, tmp_path):
+    command = str(rng.choice(["weights", "metrics", "pattern", "tdesign", "metrics-file"]))
+    if command == "tdesign":
+        source = (["--builtin", str(rng.choice(ab.sampling.PLATONIC_NAMES))]
+                  if rng.random() < 0.5 else ["--circle", str(rng.choice([0, 1, 7, 64]))])
+        return ["tdesign", *source, "--t", str(rng.choice(ORDERS)), "--trials", "4"]
+    dim = ["--dim", repr(float(rng.choice(DIMS)))]
+    if command == "metrics-file":
+        a = rng.uniform(-1.0, 1.0, int(rng.choice(ORDERS[:-1])) + 1) * rng.choice(SCALES)
+        path = tmp_path / "weights.csv"
+        path.write_text("n,a_n\n" + "".join(f"{n},{v!r}\n" for n, v in enumerate(a)))
+        return ["metrics", "--weights-file", str(path), *dim]
+    design = str(rng.choice(["basic", "maxre", "supercard", "supercard-approx", "inphase",
+                             "maxflat", "cap", "cap-trapezoid"]))
+    order = int(rng.choice(ORDERS))
+    argv = [command, "--design", design, "--order", str(order), *dim]
+    argv += {"maxflat": ["--flat-l", str(rng.integers(-1, order + 1))],
+             "cap": ["--cap-x0", repr(float(rng.choice([-1.0, 1.0, rng.uniform(-1, 1)])))],
+             "cap-trapezoid": ["--spacing-deg", repr(float(rng.uniform(1.0, 140.0)))],
+             }.get(design, [])
+    norm = rng.choice(["none", "a0", "g1", "raw"])
+    if norm != "none":
+        argv += ["--norm", str(norm)]
+    if command == "pattern":
+        argv += ["--samples", str(rng.choice([2, 19, 181]))]
+    return argv
+
+
+def test_cli_contract(tmp_path):
+    rng = np.random.default_rng(SEED)
+    for _ in range(60):
+        argv = _cli_argv(rng, tmp_path)
+        code, out, err = _outcome(lambda: _run_cli(argv),
+                                  allow_range_warning="supercard-approx" in argv)
+        if code in (2, 3):
+            assert err.startswith("axibeam: ") and err.count("\n") == 1, (argv, err)
+            continue
+        assert code in ((0, 1) if argv[0] == "tdesign" else (0,)), (argv, err)
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        columns = lines[0].split(",")
+        for line in lines[1:]:
+            for column, cell in zip(columns, line.split(",")):
+                if column == "design":
+                    continue
+                value = float(cell)
+                assert math.isfinite(value) or (math.isnan(value) and column in NAN_COLUMNS), (
+                    argv, column, cell)

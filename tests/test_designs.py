@@ -56,6 +56,24 @@ class TestWeightVector:
         vec = inphase(3, D3).normalized(Normalization.G1_UNITY)
         assert vec.front_value() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "d, a, want",
+        [(64.0, [1e300, 5e299], [5.97434e-20, 2.98717e-20]),
+         (3.0, [1e-320, 1e-320], [math.pi, math.pi])],
+        ids=["D64-1e300", "D3-subnormal"],
+    )
+    def test_g1_normalization_at_extreme_scales(self, d, a, want):
+        # g(1) is summed on the weights scaled by 2^-k, so it neither
+        # overflows (1/S_62 is about 5e17) nor rounds subnormal weights
+        dim = Dimension(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = WeightVector(dim, a, Normalization.RAW).normalized("g1")
+        unit = WeightVector(dim, np.divide(a, a[0]), Normalization.RAW).normalized("g1")
+        assert vec.a == pytest.approx(unit.a, rel=1e-15, abs=0.0)
+        assert vec.a == pytest.approx(want, rel=1e-5, abs=0.0)
+        assert vec.front_value() == pytest.approx(1.0, rel=4 * np.finfo(float).eps, abs=0.0)
+
     def test_zero_pressure(self):
         vec = WeightVector(D3, [0.0, 1.0], Normalization.RAW)
         with pytest.raises(ZeroPressure):
@@ -89,6 +107,12 @@ class TestWeightVector:
         vec = WeightVector(D2, [2.0, -1.0], Normalization.RAW)
         assert vec.front_value() == 0.0
         with pytest.raises(DomainError, match="g\\(1\\) = 0"):
+            vec.normalized("g1")
+
+    def test_g1_normalization_past_the_double_range(self):
+        # g(1) = 1e-310 / pi against a_0 = 2: the weights would reach 6e310
+        vec = WeightVector(D2, [2.0, -1.0, 1e-310], Normalization.RAW)
+        with pytest.raises(DomainError, match="finite"):
             vec.normalized("g1")
 
 
@@ -474,8 +498,7 @@ class TestMaxflat:
                     ratio = n2[0] / n2
                     signs = (-1.0) ** np.arange(order + 1)
                     a[0] = -float(np.sum(signs[1:] * ratio[1:] * a[1:]))
-                    b = float(np.sum((1.0 - signs[1:]) * ratio[1:] * a[1:]))
-                    ref = WeightVector(dim, a / b, Normalization.RAW).normalized("g1")
+                    ref = WeightVector(dim, a, Normalization.RAW).normalized("g1")
                     assert np.array_equal(maxflat(order, flat_l, dim).a, ref.a), (d, order, flat_l)
 
     def test_invalid_flatness(self):

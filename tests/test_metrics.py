@@ -46,6 +46,25 @@ class TestEvalPattern:
     def test_cardioid_null(self):
         assert eval_pattern(inphase(1, D3), -1.0) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "d, order, scale, x, want",
+        [(64.0, 1, 1e300, [-1.0, 0.0, 1.0], [0.0, math.inf, math.inf]),
+         (2.0, 7, 1.7e308, [1.0], [1.291640675684715e308]),
+         (3.0, 7, 1.7e308, [1.0], [1.082253613024888e308])],
+        ids=["D64-null-and-overflow", "D2-near-max", "D3-near-max"],
+    )
+    def test_extreme_scales(self, d, order, scale, x, want):
+        # the sum runs on the weights scaled by 2^-k and is scaled back by 2^k:
+        # the exact null of (1+x)^N stays 0, a value past the double range is
+        # inf, and one just inside it stays finite, with no warning either way
+        dim = Dimension(d)
+        vec = raw(dim, scale * inphase(order, dim).a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_pattern(vec, np.array(x))
+            scalar = [eval_pattern(vec, xi) for xi in x]
+        assert got.tolist() == scalar == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_basic_equals_dirac_kernel(self):
         rng = np.random.default_rng(13)
         for d in (2.0, 3.0, 4.0):
