@@ -67,11 +67,12 @@ class WeightVector:
         arr = np.array(self.a, dtype=float, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("weights must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
-        object.__setattr__(self, "normalization", Normalization(self.normalization))
+        if not isinstance(self.normalization, Normalization):
+            object.__setattr__(self, "normalization", Normalization(self.normalization))
 
     @property
     def order(self) -> int:
@@ -79,20 +80,23 @@ class WeightVector:
 
     @cached_property
     def _scaled(self) -> tuple:
-        """(k, a 2^-k, c) with max |a_n| 2^-k in [0.5, 1) (k = 0 for zero weights).
+        """(k, a 2^-k, c, basis) with max |a_n| 2^-k in [0.5, 1) (k = 0 for zero weights).
 
-        c_n = a_n 2^-k / (S_{D-2} N_n^2) are the coefficients of g(x) 2^-k.
-        The scaling is exact, so sums of a 2^-k and c stay in range for any
-        non-zero finite weights, and their ratios equal the unscaled ones bit
-        for bit wherever those stay in range.  Every pattern reader shares
-        these read-only arrays; none scales the weights itself.
+        c_n = a_n 2^-k / (S_{D-2} N_n^2) are the coefficients of g(x) 2^-k,
+        and basis is the cached per-(N, D) record `ultraspherical._basis`
+        that supplied 1/(S_{D-2} N_n^2).  The scaling is exact, so sums of
+        a 2^-k and c stay in range for any non-zero finite weights, and their
+        ratios equal the unscaled ones bit for bit wherever those stay in
+        range.  Every pattern reader shares these read-only arrays and this
+        record; none scales the weights or looks the record up itself.
         """
+        basis = _basis(self.order, self.dim)
         k = math.frexp(float(np.abs(self.a).max()))[1]
         a = np.ldexp(self.a, -k)
-        c = a * _basis(self.order, self.dim).inv_sub
+        c = a * basis.inv_sub
         a.setflags(write=False)
         c.setflags(write=False)
-        return k, a, c
+        return k, a, c, basis
 
     def front_value(self) -> float:
         """Pattern value on axis, g(1) = sum a_n / (S_{D-2} N_n^2).
@@ -101,7 +105,7 @@ class WeightVector:
         it is inf or 0 only where the true g(1) lies outside the double
         range.
         """
-        k, _, c = self._scaled
+        k, _, c, _ = self._scaled
         return _unscale(float(c.sum()), k)
 
     def normalized(self, kind: Normalization | str) -> "WeightVector":
@@ -119,7 +123,7 @@ class WeightVector:
             if self.a[0] == 0.0:
                 raise ZeroPressure("cannot normalize to a_0 = 1 when a_0 = 0")
             return WeightVector(self.dim, self.a / self.a[0], kind)
-        _, a, c = self._scaled
+        _, a, c, _ = self._scaled
         g1 = float(c.sum())
         if g1 == 0.0:
             raise DomainError("cannot normalize to g(1) = 1 when g(1) = 0")

@@ -209,6 +209,25 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         max(64, degree_hint + ceil(D) + 16) nodes.
     lower, upper : float
         Integration bounds, -1 <= lower < upper <= 1.
+
+    Each integrand row is scaled by the exact power of two 2^-k that brings
+    its largest magnitude into [0.5, 1) before the rule is applied, and the
+    sum is scaled back by 2^k, so the result is inf or 0 only where the true
+    integral lies outside the double range.  Values in range are unchanged
+    bit for bit, unless a product of an integrand value and a rule weight is
+    subnormal.
+    """
+    out, k = _scaled_integral(f, dim, degree_hint, lower, upper)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(out, k)
+    return float(out) if out.ndim == 0 else out
+
+
+def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: float):
+    """(sum_i q_i f(x_i) 2^-k, k): `integrate_axisym` before its rows are scaled back.
+
+    k holds one exponent per integrand row, frexp of the row's largest
+    magnitude (0 for a row of zeros or a non-finite row).
     """
     if degree_hint < 0:
         raise DomainError("degree_hint must be >= 0")
@@ -220,20 +239,25 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         raise DomainError(
             f"f(x) must have shape (..., len(x)) = (..., {x.size}), got {values.shape}"
         )
-    out = values @ q
-    return float(out) if out.ndim == 0 else out
+    k = np.frexp(np.abs(values).max(axis=-1))[1]
+    return np.ldexp(values, -k[..., None]) @ q, k
 
 
 def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -> np.ndarray:
     """Expansion coefficients gamma_n = (1/N_n^2) int f(x) P_n(x) w(x) dx for n <= N.
 
     Inverts the orthogonal expansion f = sum gamma_n P_n; `degree_hint` is the
-    polynomial degree of f if known (the rule is sized for f times P_N).
+    polynomial degree of f if known (the rule is sized for f times P_N).  As
+    in `integrate_axisym`, each integral is formed on its row scaled by a
+    power of two and divided by N_n^2 before it is scaled back, so gamma_n
+    is inf or 0 only where it lies outside the double range.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    return integrate_axisym(lambda x: eval_sequence(x, max_degree, dim) * f(x), dim,
-                            degree_hint + max_degree) / norms_squared(max_degree, dim)
+    out, k = _scaled_integral(lambda x: eval_sequence(x, max_degree, dim) * f(x), dim,
+                              degree_hint + max_degree, -1.0, 1.0)
+    with np.errstate(over="ignore"):
+        return np.ldexp(out / norms_squared(max_degree, dim), k)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .designs import WeightVector, _unscale
 from .errors import DomainError, NormError, ParseError
-from .ultraspherical import Dimension, _basis, _series_sum, eval_sequence
+from .ultraspherical import Dimension, _series_sum, eval_sequence
 
 __all__ = [
     "NodeSet",
@@ -293,12 +293,16 @@ def tdesign_check(
     return TDesignReport(t, worst, errors, worst < PASS_TOLERANCE)
 
 
+def _norm(vector: np.ndarray) -> float:
+    # what np.linalg.norm forms for a 1-d real vector, bit for bit, without its dispatch
+    return math.sqrt(float(vector @ vector))
+
+
 def _misaim(vector: np.ndarray, aim: np.ndarray) -> float:
     # atan2 of the perpendicular component stays accurate for tiny angles,
     # where arccos of the normalized dot product bottoms out at sqrt(eps)
     along = float(vector @ aim)
-    perp = float(np.linalg.norm(vector - along * aim))
-    return math.atan2(perp, along)
+    return math.atan2(_norm(vector - along * aim), along)
 
 
 def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetrics:
@@ -329,17 +333,17 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         raise DomainError(
             f"weights dimension D={weights.dim.d} does not match {nodes.dim}-d nodes"
         )
-    aim = np.asarray(aim, dtype=float)
+    aim = np.ascontiguousarray(aim, dtype=float)
     if aim.shape != (nodes.dim,):
         raise DomainError(f"aim must be a {nodes.dim}-vector")
-    norm = np.linalg.norm(aim)
+    norm = _norm(aim)
     if abs(norm - 1.0) > _FILE_NORM_TOL:
         raise DomainError("aim must be a unit vector")
     aim = aim / norm
     x = np.clip(nodes.nodes @ aim, -1.0, 1.0)
-    k, _, c = weights._scaled
-    g = _series_sum(c, x, _basis(weights.order, weights.dim))
-    d_omega = weights.dim.surface / nodes.count
+    k, _, c, basis = weights._scaled
+    g = _series_sum(c, x, basis)
+    d_omega = basis.surface / nodes.count
     # rows g and g^2: their sums are P and E, their first moments rV P and rE E
     samples = np.array([g, g * g])
     p, e = (d_omega * samples.sum(axis=1)).tolist()
@@ -347,12 +351,12 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         raise DomainError("discrete metrics are undefined when the node energy is zero")
     sums, squares = d_omega * (samples @ nodes.nodes)
     re_vec = squares / e
-    r_e = float(np.linalg.norm(re_vec))
+    r_e = _norm(re_vec)
     r_v = rv_misaim = None
     floor = nodes.count * _EPS * d_omega * float(np.abs(g).sum())
     if weights.a[0] != 0.0 and abs(p) > floor:
         rv_vec = sums / p
-        r_v = float(np.linalg.norm(rv_vec))
+        r_v = _norm(rv_vec)
         if r_v > floor / abs(p):
             rv_misaim = _misaim(rv_vec, aim)
     return DiscreteMetrics(

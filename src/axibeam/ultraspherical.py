@@ -108,6 +108,9 @@ def _clamp_argument(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"x must be a real number or an array of them: {exc}") from exc
+    # inside [-1, 1] already (NaN fails both tests): x as it is, never written
+    if x.size and -1.0 <= x.min() and x.max() <= 1.0:
+        return x
     # written as a negated <= so that NaN fails the test as well
     if not (np.abs(x) <= 1.0 + _X_CLAMP).all():
         bad = np.max(np.abs(x))
@@ -430,6 +433,28 @@ def _series_sum(coeffs, x, basis: _Basis):
     return y1
 
 
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _chebyshev_schedule(n: int) -> tuple:
+    """Row slices of `_chebyshev_sum` for degree n: (doubling steps, folds).
+
+    A doubling step (new, low, k, mirror) forms rows k+1 .. k+j of V from
+    rows 1 .. j, row k and rows k-1 .. k-j (reversed), j = min(k, n - k);
+    a fold (lower, upper) adds rows m-h .. m-1 onto rows 0 .. h-1, h = m // 2.
+    """
+    steps, k = [], 1
+    while k < n:
+        j = min(k, n - k)
+        steps.append((slice(k + 1, k + j + 1), slice(1, j + 1), k,
+                      slice(k - 1, k - j - 1 if k > j else None, -1)))
+        k += j
+    folds, m = [], n + 1
+    while m > 1:
+        h = m // 2
+        folds.append((slice(0, h), slice(m - h, m)))
+        m -= h
+    return tuple(steps), tuple(folds)
+
+
 def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
     """sum_m d_m T_m(x) for Chebyshev coefficients d_0 .. d_N and a checked x.
 
@@ -438,15 +463,17 @@ def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
     steps from V_0 = 2 and V_1 = 2x; the factor 2 is exact and saves a
     multiply per step).  The products d_m V_m are summed by folding the upper
     half of the rows onto the lower half until one row is left, which is then
-    halved.  x of any shape, a 0-d one included, is flattened and taken
-    `_BLOCK` points at a time, so the table stays in cache and memory is
-    O(N _BLOCK).  Each point's column sees the same operations in the same
-    order whatever the block width, so every shape agrees bit for bit
-    (numpy's own row sums could not promise that: they sum one column
-    pairwise and many columns row by row).  The result has x's shape; a 0-d
-    x gives a float.
+    halved.  The row slices of both depend on N alone and are cached
+    (`_chebyshev_schedule`).  x of any shape, a 0-d one included, is
+    flattened and taken `_BLOCK` points at a time, so the table stays in
+    cache and memory is O(N _BLOCK).  Each point's column sees the same
+    operations in the same order whatever the block width, so every shape
+    agrees bit for bit (numpy's own row sums could not promise that: they
+    sum one column pairwise and many columns row by row).  The result has
+    x's shape; a 0-d x gives a float.
     """
     n = d.size - 1
+    steps, folds = _chebyshev_schedule(n)
     flat = x.ravel()
     out = np.empty(flat.size)
     table = np.empty((n + 1, min(flat.size, _BLOCK)))
@@ -456,19 +483,13 @@ def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
         v[0] = 2.0
         if n:
             np.multiply(xb, 2.0, out=v[1])
-        k = 1
-        while k < n:
-            j = min(k, n - k)
-            rows = v[k + 1:k + j + 1]
-            np.multiply(v[1:j + 1], v[k], out=rows)
-            rows -= v[k - j:k][::-1]
-            k += j
+        for new, low, k, mirror in steps:
+            rows = v[new]
+            np.multiply(v[low], v[k], out=rows)
+            rows -= v[mirror]
         v *= d[:, None]
-        m = n + 1
-        while m > 1:
-            h = m // 2
-            v[:h] += v[m - h:m]
-            m -= h
+        for lower, upper in folds:
+            v[lower] += v[upper]
         np.multiply(v[0], 0.5, out=out[start:start + xb.size])
     return out.reshape(x.shape) if x.ndim else float(out[0])
 

@@ -14,8 +14,9 @@ on the weights scaled by the exact power of two 2^-m that brings their
 largest magnitude into [0.5, 1), taken back by 2^(p m) for a value
 homogeneous of degree p in the weights, lies outside the double range.
 
-The quadrature entry points take a callable, not weights, so their
-integrands are patterns of unscaled designs.
+The quadrature entry points take a callable, not weights: their integrands
+are a pattern with g(1) = 1, times a scale from the same table, and their
++-inf must be predicted in the same way from the integrand scaled by 2^-m.
 """
 
 from __future__ import annotations
@@ -136,13 +137,24 @@ def _discrete_values(vec, nodes, x):
 
 def _check_reader(label, reader, vec):
     """Run a weight reader on vec; +-inf must be predicted by scale equivariance."""
-    result = _outcome(lambda: reader(vec))
+    m = math.frexp(float(np.abs(vec.a).max()))[1]
+    _check_equivariant(
+        label, lambda: reader(vec),
+        lambda: reader(ab.WeightVector(vec.dim, np.ldexp(vec.a, -m), "raw")), m)
+
+
+def _check_equivariant(label, call, reference, m):
+    """call() -> [(values, degree p)]; reference() is the same at 2^-m the scale.
+
+    A typed error passes; so does a finite result.  Otherwise each +-inf value
+    must be the reference value, taken back by 2^(p m), past the double range.
+    """
+    result = _outcome(call)
     if result is None:
         return
     if all(math.isfinite(v) for value, _ in result for v in _leaves(value)):
         return
-    m = math.frexp(float(np.abs(vec.a).max()))[1]
-    ref = _outcome(lambda: reader(ab.WeightVector(vec.dim, np.ldexp(vec.a, -m), "raw")))
+    ref = _outcome(reference)
     assert ref is not None, f"{label}: typed error only at the unit scale"
     for (value, p), (ref_value, _) in zip(result, ref):
         for got, want in zip(_leaves(value), _leaves(ref_value)):
@@ -151,9 +163,24 @@ def _check_reader(label, reader, vec):
             ), f"{label}: {got} where 2^{p * m} * {want} is in range"
 
 
+def _integrals(rng, order, dim):
+    """Quadrature calls at (N, D): each maps an integrand scale s to [(values, 1)]."""
+    pattern = ab.inphase(min(order, 7), dim).normalized("g1")  # 0 <= g <= g(1) = 1
+    lower = float(rng.choice([-1.0, 0.0]))
+
+    def integrand(scale):
+        return lambda t: scale * ab.eval_pattern(pattern, t)
+
+    return {
+        "integrate_axisym": lambda s: [(ab.integrate_axisym(
+            integrand(s), dim, pattern.order, lower=lower), 1)],
+        "transform_coeffs": lambda s: [(ab.transform_coeffs(
+            integrand(s), order, dim, pattern.order), 1)],
+    }
+
+
 def _plain_calls(rng, order, dim, x, tmp_path):
-    """Calls of the basis, quadrature and sampling functions at (N, D, x)."""
-    pattern = ab.inphase(min(order, 7), dim)
+    """Calls of the basis and sampling functions at (N, D, x)."""
     count = int(rng.choice([0, 1, 7, 64]))  # 0 is invalid
     path = tmp_path / "nodes.csv"
     path.write_text("".join(f"{t}\n" for t in rng.uniform(0.0, 360.0, max(count, 1))))
@@ -171,11 +198,6 @@ def _plain_calls(rng, order, dim, x, tmp_path):
         "beta_coeff": lambda: ab.beta_coeff(order, dim),
         "power_series_coeffs": lambda: ab.power_series_coeffs(order, dim),
         "gram_front": lambda: ab.gram_front(order, dim),
-        "integrate_axisym": lambda: ab.integrate_axisym(
-            lambda t: ab.eval_pattern(pattern, t), dim, pattern.order,
-            lower=float(rng.choice([-1.0, 0.0]))),
-        "transform_coeffs": lambda: ab.transform_coeffs(
-            lambda t: ab.eval_pattern(pattern, t), order, dim, pattern.order),
         "circle_nodes": lambda: ab.circle_nodes(count, float(rng.uniform(0.0, 6.3))),
         "platonic": lambda: ab.platonic(str(rng.choice(ab.sampling.PLATONIC_NAMES))),
         "NodeSet": lambda: ab.NodeSet(2, ring),
@@ -190,7 +212,7 @@ def test_every_public_callable_is_walked(tmp_path):
     rng = np.random.default_rng(SEED)
     dim = ab.Dimension(3.0)
     walked = set(_designs(rng, 1, dim)) | set(_readers(rng, 1.0))
-    walked |= set(_plain_calls(rng, 1, dim, 1.0, tmp_path))
+    walked |= set(_plain_calls(rng, 1, dim, 1.0, tmp_path)) | set(_integrals(rng, 1, dim))
     assert walked == public - NOT_CALLED
 
 
@@ -202,6 +224,12 @@ def test_library_contract(tmp_path):
             x = float(rng.choice(ENDS))
             for name, call in _plain_calls(rng, order, dim, x, tmp_path).items():
                 _assert_finite(f"{name} N={order} D={d}", _outcome(call))
+            for name, integral in _integrals(rng, order, dim).items():
+                scale = float(rng.choice(SCALES))
+                m = math.frexp(scale)[1]
+                _check_equivariant(f"{name}(N={order} D={d} x{scale:g})",
+                                   lambda: integral(scale),
+                                   lambda: integral(math.ldexp(scale, -m)), m)
             readers = _readers(rng, x)
             designs = _designs(rng, order, dim)
             # the quadrature oracle builds fresh Gauss rules: one design per (N, D)

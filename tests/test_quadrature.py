@@ -127,6 +127,27 @@ class TestIntegrateAxisym:
             assert not arr.flags.writeable
 
 
+    @pytest.mark.parametrize("d, lower", [(2.0, -1.0), (2.5, -1.0), (2.5, 0.0), (3.0, 0.0)])
+    def test_extreme_scales(self, d, lower):
+        # each row is summed scaled by a power of two, so only a true integral
+        # past the double range is inf, and without a warning; a power-of-two
+        # scale of a row changes no bit of its integral
+        dim = Dimension(d)
+        scales = np.array([1e308, -1.7e308, 2.0**-1000, 2.0**1000, 1e-310])[:, None]
+        units = np.array([1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
+
+        def rows(x):  # the same stack shape, so that each row is summed alike
+            return np.where(units, 1.0, np.cos(x))
+
+        unit = integrate_axisym(rows, dim, lower=lower).tolist()
+        got = integrate_axisym(lambda x: scales * rows(x), dim, lower=lower).tolist()
+        assert got[0] == pytest.approx(1e308 * unit[0], rel=1e-14)
+        big = -1.7e308 * unit[1]  # a Python float: -inf past the range, no warning
+        assert got[1] == (big if math.isinf(big) else pytest.approx(big, rel=1e-14))
+        assert got[2] == 2.0**-1000 * unit[2]
+        assert got[3] == 2.0**1000 * unit[3]
+        assert got[4] == pytest.approx(1e-310 * unit[4], rel=1e-4)  # 1e-310 is subnormal
+
     @pytest.mark.parametrize(
         "f",
         [lambda x: 1.0, lambda x: np.ones(3), lambda x: np.ones((len(x), 2))],
@@ -222,6 +243,29 @@ class TestTransformCoeffs:
             f = lambda x: np.tensordot(gamma, eval_sequence(x, order, dim), axes=(0, 0))
             recovered = transform_coeffs(f, order, dim, degree_hint=order)
             assert recovered == pytest.approx(gamma, abs=1e-10)
+
+    def test_near_the_double_maximum(self):
+        # int 1e308 w dx = 2e308 lies past the double range, but gamma_0 =
+        # 2e308 / N_0^2 = 1e308 does not: the division comes before the scale
+        gamma = transform_coeffs(lambda x: 1e308 * np.ones_like(x), 2, D3)
+        assert gamma[0] == pytest.approx(1e308, rel=1e-14)
+        assert np.all(np.abs(gamma[1:]) <= 1e-14 * 1e308)
+
+    @pytest.mark.parametrize("d", [2.0, 3.0, 7.3, 64.0])
+    @pytest.mark.parametrize("scale", [2.0**-900, 2.0**900, 1e-300, 1e300])
+    def test_extreme_scales_match_unscaled(self, d, scale):
+        # bit for bit for a power of two while every gamma_n stays a normal
+        # double (gamma_12 of cos is about 1e-10 gamma_0 at D = 64)
+        dim = Dimension(d)
+        unit = transform_coeffs(np.cos, 12, dim)
+        got = transform_coeffs(lambda x: scale * np.cos(x), 12, dim)
+        if math.frexp(scale)[0] == 0.5:
+            assert np.array_equal(got, scale * unit)
+        else:
+            # scale * cos(x) rounds apart from cos(x) by eps; gamma_n carries
+            # that as eps N_0^2 / N_n^2 relative to gamma_0
+            n2 = norms_squared(12, dim)
+            assert np.all(np.abs(got - scale * unit) <= 1e-14 * scale * unit[0] * n2[0] / n2)
 
     def test_cap_indicator_matches_cap_weights(self):
         # jump integrand: Gauss-Legendre converges only algebraically, so the

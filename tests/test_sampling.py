@@ -14,12 +14,13 @@ from axibeam import (
     circle_nodes,
     compute_metrics,
     discrete_metrics,
+    eval_pattern,
     load_nodes,
     max_re,
     platonic,
     tdesign_check,
 )
-from axibeam.sampling import MAX_NODES, NodeSet, _file_lines
+from axibeam.sampling import MAX_NODES, PLATONIC_NAMES, NodeSet, _file_lines
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -423,6 +424,47 @@ class TestDiscreteMetrics:
         assert met.p == pytest.approx(scale * base.p, rel=1e-14)
         # the true energy, about s^2 E, lies outside the double range
         assert met.e == (math.inf if scale > 1.0 else 0.0)
+
+    @pytest.mark.parametrize("d", [2.0, 3.0])
+    def test_matches_direct_formulas(self, d):
+        # the node sums written out, np.linalg.norm for every vector length;
+        # the arithmetic is the same, so every field agrees bit for bit
+        dim = Dimension(d)
+        rng = np.random.default_rng(23)
+        sets = ([circle_nodes(m, float(rng.uniform(0.0, 1.0))) for m in (1, 7, 64, 257)]
+                if d == 2.0 else [platonic(name) for name in PLATONIC_NAMES])
+        for order in (0, 1, 5, 32, 128):
+            weights = WeightVector(dim, rng.standard_normal(order + 1) * 1e5, "raw")
+            _, k = np.frexp(np.max(np.abs(weights.a)))
+            unit = WeightVector(dim, np.ldexp(weights.a, -k), "raw")
+            for nodes in sets:
+                aim = rng.standard_normal(nodes.dim)
+                aim /= np.linalg.norm(aim) * (1.0 + 1e-9)  # inside the 1e-6 tolerance
+                disc = discrete_metrics(weights, nodes, aim)
+                aim = aim / np.linalg.norm(aim)
+                g = eval_pattern(unit, np.clip(nodes.nodes @ aim, -1.0, 1.0))
+                d_omega = dim.surface / nodes.count
+                p, e = (d_omega * np.array([g, g * g]).sum(axis=1)).tolist()
+                sums, squares = d_omega * (np.array([g, g * g]) @ nodes.nodes)
+                floor = nodes.count * np.finfo(float).eps * d_omega * float(np.sum(np.abs(g)))
+
+                def misaim(vec):
+                    along = float(vec @ aim)
+                    return math.atan2(float(np.linalg.norm(vec - along * aim)), along)
+
+                r_e = float(np.linalg.norm(squares / e))
+                r_v = rv_misaim = None
+                if abs(p) > floor:
+                    r_v = float(np.linalg.norm(sums / p))
+                    rv_misaim = misaim(sums / p) if r_v > floor / abs(p) else None
+                assert disc.p == float(np.ldexp(p, k))
+                assert disc.e == float(np.ldexp(e, 2 * k))
+                assert disc.r_v == r_v
+                assert disc.r_e == r_e
+                assert disc.r_v_misaim_rad == rv_misaim
+                assert disc.r_e_misaim_rad == (misaim(squares / e)
+                                               if r_e > nodes.count * np.finfo(float).eps
+                                               else None)
 
     def test_aim_of_wrong_shape(self):
         for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0):

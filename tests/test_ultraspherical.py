@@ -9,9 +9,11 @@ import pytest
 from axibeam import (
     Dimension,
     DomainError,
+    WeightVector,
     beta_coeff,
     cd_kernel,
     derivative,
+    eval_pattern,
     eval_sequence,
     norm_squared,
     norm_squared_gamma,
@@ -722,3 +724,62 @@ class TestBasis:
 def test_negative_degree_rejected(call):
     with pytest.raises(DomainError, match=">= "):
         call()
+
+
+# Every public reader of x checks it the same way: |x| <= 1 + 1e-12, clamped
+# to [-1, 1].  D = 3 sums patterns in the Chebyshev basis, D = 7.3 by Clenshaw.
+CLAMP_READERS = {
+    "eval_sequence": lambda x, dim: eval_sequence(x, 5, dim),
+    "derivative": lambda x, dim: derivative(x, 5, dim),
+    "cd_kernel": lambda x, dim: cd_kernel(x, 0.3, 5, dim),
+    "eval_pattern": lambda x, dim: eval_pattern(
+        WeightVector(dim, [1.0, -0.5, 0.25, 2.0, 0.125, -1.0], "raw"), x),
+}
+
+
+@pytest.mark.parametrize("d", [3.0, 7.3])
+@pytest.mark.parametrize("name", list(CLAMP_READERS))
+class TestClampContract:
+    def test_end_points_and_small_overshoot(self, name, d):
+        read, dim = CLAMP_READERS[name], Dimension(d)
+        ends = np.asarray(read(np.array([1.0, -1.0]), dim))
+        for i, end in enumerate((1.0, -1.0)):
+            for x in (end, end * (1.0 + 5e-13)):
+                assert np.asarray(read(x, dim)).tobytes() == ends[..., i].tobytes(), x
+        over = np.asarray(read(np.array([1.0 + 5e-13, -1.0 - 5e-13]), dim))
+        assert over.tobytes() == ends.tobytes()
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-12, -1.0 - 2e-12, math.nan, math.inf, -math.inf])
+    def test_rejects_past_the_overshoot(self, name, d, bad):
+        read, dim = CLAMP_READERS[name], Dimension(d)
+        for x in (bad, np.array([0.5, bad]), np.array([[bad, 0.0]])):
+            with pytest.raises(DomainError, match=r"\|x\| <= 1"):
+                read(x, dim)
+
+    def test_empty_array(self, name, d):
+        got = CLAMP_READERS[name](np.array([]), Dimension(d))
+        assert isinstance(got, np.ndarray) and got.size == 0 and got.shape[-1:] == (0,)
+
+    def test_zero_d_gives_a_float(self, name, d):
+        # eval_sequence gives its (N+1,) sequence for one x, the others a float
+        read, dim = CLAMP_READERS[name], Dimension(d)
+        for x in (0.25, np.float64(0.25), np.array(0.25)):
+            got = read(x, dim)
+            assert got.shape == (6,) if name == "eval_sequence" else type(got) is float
+
+    @pytest.mark.parametrize("overshoot", [0.0, 5e-13])
+    def test_caller_array_is_never_written(self, name, d, overshoot):
+        read, dim = CLAMP_READERS[name], Dimension(d)
+        x = np.linspace(-1.0, 1.0, 2050).reshape(2, 1025)  # two blocks of the Chebyshev table
+        x[0, 0] -= overshoot
+        x[-1, -1] += overshoot
+        before = x.copy()
+        x.setflags(write=False)
+        got = read(x, dim)
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, x)
+        writable = before.copy()
+        got = read(writable, dim)
+        assert writable.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, writable)
+
