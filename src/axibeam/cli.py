@@ -10,12 +10,15 @@ Exit codes: 0 ok / t-design passed, 1 t-design failed, 2 argument validation,
 or 3 by its type alone (`_EXIT_CODES`).  Arguments that size arrays are capped
 (orders, pattern samples, t-design degree, trials and node count, and the
 product (t+1) * trials * nodes); a value past its cap exits 2.
+
+A short command costs mostly its imports, so each command imports only what
+it calls: `sampling` is imported by `tdesign` and `--weights-file`, `json` by
+`--format json`, and no command imports `quadrature`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -36,16 +39,6 @@ from .designs import (
 )
 from .errors import AxibeamError, DomainError, NormError, ParseError
 from .metrics import compute_metrics, eval_pattern
-from .sampling import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    PLATONIC_NAMES,
-    _file_lines,
-    circle_nodes,
-    load_nodes,
-    platonic,
-    tdesign_check,
-)
 from .ultraspherical import MAX_DIMENSION, MAX_ORDER, Dimension
 
 _DB_FLOOR = -120.0
@@ -55,6 +48,9 @@ _MAX_SAMPLES = 100_000
 _MAX_T = 256
 _MAX_TRIALS = 1024
 _MAX_TDESIGN_CELLS = 1 << 22  # (t+1) * trials * nodes polynomial values, 34 MB
+
+# `sampling.PLATONIC_NAMES`, spelt out so that building the parser does not import `sampling`
+_POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
 
 # exit code of an error, by the first type it matches; file and parse errors are 3
 _EXIT_CODES = ((ParseError, 3), (NormError, 3), (OSError, 3), (AxibeamError, 2))
@@ -88,6 +84,8 @@ def _render_csv(provenance: dict, columns: list, rows: list) -> str:
 
 
 def _render_json(provenance: dict, columns: list, rows: list) -> str:
+    import json
+
     obj = {
         "provenance": {k: _json_cell(v) for k, v in provenance.items()},
         "columns": list(columns),
@@ -207,6 +205,8 @@ def _parse_orders(ns) -> list:
 
 
 def _read_weights_file(path, dim: Dimension) -> WeightVector:
+    from .sampling import _file_lines
+
     lines = list(_file_lines(path))
     if lines and [c.strip() for c in lines[0][1].split(",")] != ["n", "a_n"]:
         raise ParseError(f"{path}: line {lines[0][0]}: expected header n,a_n")
@@ -297,27 +297,31 @@ def _cmd_pattern(ns) -> int:
 
 
 def _cmd_tdesign(ns) -> int:
+    from . import sampling
+
+    trials = sampling.DEFAULT_TRIALS if ns.trials is None else ns.trials
+    seed = sampling.DEFAULT_SEED if ns.seed is None else ns.seed
     _bounded("--t", ns.t, 0, _MAX_T)
-    _bounded("--trials", ns.trials, 1, _MAX_TRIALS)
+    _bounded("--trials", trials, 1, _MAX_TRIALS)
     sources = [ns.builtin is not None, ns.circle is not None, ns.nodes_file is not None]
     if sum(sources) != 1:
         raise DomainError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
     if ns.builtin is not None:
-        nodes = platonic(ns.builtin)
+        nodes = sampling.platonic(ns.builtin)
     elif ns.circle is not None:
-        nodes = circle_nodes(ns.circle, math.radians(ns.offset_deg))
+        nodes = sampling.circle_nodes(ns.circle, math.radians(ns.offset_deg))
     else:
-        nodes = load_nodes(ns.nodes_file, dim=ns.node_dim)
-    _bounded("(t+1)*trials*nodes", (ns.t + 1) * ns.trials * nodes.count, 1, _MAX_TDESIGN_CELLS)
-    report = tdesign_check(nodes, ns.t, trials=ns.trials, seed=ns.seed)
+        nodes = sampling.load_nodes(ns.nodes_file, dim=ns.node_dim)
+    _bounded("(t+1)*trials*nodes", (ns.t + 1) * trials * nodes.count, 1, _MAX_TDESIGN_CELLS)
+    report = sampling.tdesign_check(nodes, ns.t, trials=trials, seed=seed)
     prov = _provenance(
         "tdesign",
         source=nodes.label,
         node_count=nodes.count,
         node_dim=nodes.dim,
         t=report.t_claimed,
-        trials=ns.trials,
-        seed=ns.seed,
+        trials=trials,
+        seed=seed,
         max_abs_error=report.max_abs_error,
         passed=report.passed,
     )
@@ -374,15 +378,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_t = subs.add_parser("tdesign", help="verify a node set as a spherical/circular t-design")
     _add_common(p_t, with_design=False)
-    p_t.add_argument("--builtin", choices=PLATONIC_NAMES, default=None)
+    p_t.add_argument("--builtin", choices=_POLYHEDRA, default=None)
     p_t.add_argument("--circle", type=int, default=None, help="equiangular ring with L nodes")
     p_t.add_argument("--offset-deg", type=float, default=0.0, help="ring rotation offset")
     p_t.add_argument("--nodes-file", default=None)
     p_t.add_argument("--node-dim", type=int, choices=(2, 3), default=None,
                      help="force the ambient dimension of a 2-column nodes file")
     p_t.add_argument("--t", type=int, required=True, help=f"0..{_MAX_T}")
-    p_t.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=f"1..{_MAX_TRIALS}")
-    p_t.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # defaults None: `_cmd_tdesign` reads sampling.DEFAULT_TRIALS and DEFAULT_SEED
+    p_t.add_argument("--trials", type=int, default=None, help=f"1..{_MAX_TRIALS}")
+    p_t.add_argument("--seed", type=int, default=None)
     p_t.set_defaults(func=_cmd_tdesign)
     return parser
 

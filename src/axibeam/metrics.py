@@ -14,7 +14,6 @@ import numpy as np
 
 from .designs import WeightVector, _unscale
 from .errors import DomainError
-from .quadrature import integrate_axisym
 from .ultraspherical import _series_sum
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
@@ -130,8 +129,11 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     `WeightVector._scaled`, so Q, rV, rE and FBR stay finite for any
     non-zero weights at any D, and P and E come back in the caller's scale,
     inf or 0 only where the true value lies outside the double range.
-    Raises DomainError when the quadrature energy is zero.
+    Raises DomainError when the quadrature energy is zero.  `quadrature` is
+    imported on the first call: only this oracle needs it.
     """
+    from .quadrature import integrate_axisym
+
     dim = weights.dim
     order = weights.order
     k, _, coeffs, basis = weights._scaled

@@ -202,7 +202,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         over x: one integrand of x's shape (the result is a float), or a stack
         of shape (..., len(x)) (the result is an array of shape (...); its rows
         share one rule, so size degree_hint for the highest degree).  Must be
-        finite on the open interval.  Any other shape raises DomainError.
+        finite on the open interval: a NaN or +-inf value at a node raises
+        DomainError, as does any other shape.
     dim : Dimension
     degree_hint : int
         Polynomial degree of f if f is polynomial; sizes the rule as
@@ -227,7 +228,8 @@ def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: f
     """(sum_i q_i f(x_i) 2^-k, k): `integrate_axisym` before its rows are scaled back.
 
     k holds one exponent per integrand row, frexp of the row's largest
-    magnitude (0 for a row of zeros or a non-finite row).
+    magnitude (0 for a row of zeros).  A row whose largest magnitude is not
+    finite holds a NaN or +-inf value and raises DomainError.
     """
     if degree_hint < 0:
         raise DomainError("degree_hint must be >= 0")
@@ -239,7 +241,10 @@ def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: f
         raise DomainError(
             f"f(x) must have shape (..., len(x)) = (..., {x.size}), got {values.shape}"
         )
-    k = np.frexp(np.abs(values).max(axis=-1))[1]
+    peak = np.abs(values).max(axis=-1)
+    if not np.isfinite(peak).all():
+        raise DomainError("f(x) must be finite at every node of the rule")
+    k = np.frexp(peak)[1]
     return np.ldexp(values, -k[..., None]) @ q, k
 
 
@@ -250,12 +255,18 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     polynomial degree of f if known (the rule is sized for f times P_N).  As
     in `integrate_axisym`, each integral is formed on its row scaled by a
     power of two and divided by N_n^2 before it is scaled back, so gamma_n
-    is inf or 0 only where it lies outside the double range.
+    is inf or 0 only where it lies outside the double range.  An f that is
+    NaN or +-inf at a node raises DomainError.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    out, k = _scaled_integral(lambda x: eval_sequence(x, max_degree, dim) * f(x), dim,
-                              degree_hint + max_degree, -1.0, 1.0)
+
+    def integrand(x):
+        # an infinite f(x) times P_n(x) = 0 is NaN: no warning, the NaN raises DomainError
+        with np.errstate(invalid="ignore"):
+            return eval_sequence(x, max_degree, dim) * f(x)
+
+    out, k = _scaled_integral(integrand, dim, degree_hint + max_degree, -1.0, 1.0)
     with np.errstate(over="ignore"):
         return np.ldexp(out / norms_squared(max_degree, dim), k)
 

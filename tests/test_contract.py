@@ -248,6 +248,29 @@ def test_library_contract(tmp_path):
                     _check_reader(f"{name}({design} N={order} D={d} x{scale:g})", reader, vec)
 
 
+# integrands that are NaN or +-inf at a node; a typed error is the only valid outcome
+NON_FINITE = {
+    "nan": lambda t: np.full_like(t, np.nan),
+    "+inf": lambda t: np.inf,
+    "-inf": lambda t: np.where(t > 0.5, -np.inf, 1.0),
+    "+-inf": lambda t: np.where(t > 0.0, np.inf, -np.inf),
+}
+
+
+def test_non_finite_integrands_raise():
+    for d in DIMS:
+        dim = ab.Dimension(d)
+        for name, f in NON_FINITE.items():
+            calls = {
+                "integrate_axisym": lambda: ab.integrate_axisym(f, dim),
+                "integrate_axisym(0, 1)": lambda: ab.integrate_axisym(f, dim, lower=0.0),
+                "transform_coeffs": lambda: ab.transform_coeffs(f, 7, dim),
+            }
+            for label, call in calls.items():
+                got = _outcome(call)
+                assert got is None, f"{label}({name}, D={d}): {got}"
+
+
 def _run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -1,0 +1,110 @@
+"""Import graph: the package and each CLI command load only the modules they call.
+
+`axibeam` imports `errors`, `ultraspherical`, `designs` and `metrics` eagerly
+and resolves the public names of `quadrature` and `sampling` on first access.
+A short CLI process costs mostly its imports, so the child processes below
+run a command as `python -m axibeam` does (`runpy`) and list `sys.modules`
+at its exit.  Each check runs in a fresh child: this process has already
+imported whatever the other test files use.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+LAZY = ("axibeam.quadrature", "axibeam.sampling")
+
+
+def _run(args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
+# runs the CLI like `python -m axibeam`, then lists every module it imported
+RUN_CLI = """
+import runpy
+import sys
+
+sys.argv[0] = "axibeam"
+try:
+    runpy.run_module("axibeam", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+
+def _loaded(code, *args):
+    """(exit code, modules imported) of a child running `code` with args."""
+    proc = _run(["-c", code, *args])
+    return proc.returncode, set(proc.stderr.rpartition("modules: ")[2].split())
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads, skips",
+    [
+        (["weights", "--design", "maxre", "--order", "3"], 0, (), LAZY + ("json",)),
+        (["metrics", "--design", "supercard", "--orders", "1..4", "--format", "csv"], 0,
+         (), LAZY + ("json",)),
+        (["pattern", "--design", "cap", "--cap-x0", "0.5", "--order", "3", "--samples", "7"],
+         0, (), LAZY + ("json",)),
+        (["pattern", "--design", "basic", "--order", "2", "--format", "json"], 0,
+         ("json",), LAZY),
+        (["tdesign", "--circle", "5", "--t", "5"], 1,
+         ("axibeam.sampling",), ("axibeam.quadrature", "json")),
+    ],
+    ids=["weights", "metrics", "pattern", "pattern-json", "tdesign"],
+)
+def test_cli_command_loads_only_what_it_calls(argv, code, loads, skips):
+    got, modules = _loaded(RUN_CLI, *argv)
+    assert got == code
+    assert "axibeam.cli" in modules
+    assert {m for m in loads if m not in modules} == set()
+    assert {m for m in skips if m in modules} == set()
+
+
+PACKAGE_CHECKS = """
+import importlib
+import sys
+
+import axibeam as ab
+
+assert not [m for m in ("axibeam.quadrature", "axibeam.sampling", "json") if m in sys.modules]
+assert "axibeam.metrics" in sys.modules
+assert not [n for n in ab.__all__ if n not in dir(ab)]
+# a module's names are bound when the module is imported, so a function
+# patched in the module afterwards is not what the package holds
+quadrature = importlib.import_module("axibeam.quadrature")
+original = quadrature.integrate_axisym
+quadrature.integrate_axisym = lambda *args, **kwargs: None
+assert ab.integrate_axisym is original
+quadrature.integrate_axisym = original
+# every public name is its own module's object, however it was reached
+assert ab.platonic is ab.sampling.platonic
+for name in set(ab.__all__) - {"__version__"}:
+    obj = getattr(ab, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+assert ab.quadrature is quadrature and ab.sampling is sys.modules["axibeam.sampling"]
+namespace = {}
+exec("from axibeam import *", namespace)
+assert not [n for n in ab.__all__ if n not in namespace]
+assert all(namespace[n] is getattr(ab, n) for n in ab.__all__)
+try:
+    ab.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("ab.no_such_name resolved")
+print("ok")
+"""
+
+
+def test_package_namespace():
+    proc = _run(["-c", PACKAGE_CHECKS])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+def test_cli_polyhedra_are_the_sampling_names():
+    from axibeam import cli, sampling
+
+    assert cli._POLYHEDRA == sampling.PLATONIC_NAMES

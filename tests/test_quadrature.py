@@ -157,6 +157,23 @@ class TestIntegrateAxisym:
         with pytest.raises(DomainError, match=r"\(\.\.\., len\(x\)\)"):
             integrate_axisym(f, Dimension(2.5))
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_nonfinite_integrand_is_domain_error(self, bad, d):
+        # one non-finite node in one row of a stack is enough; the pytest
+        # configuration turns any warning on the way into a failure
+        def one_bad_node(x):
+            return np.where(x == x.max(), bad, np.cos(x))
+
+        def stack(x):
+            return np.stack([np.cos(x), one_bad_node(x)])
+
+        for f in (one_bad_node, stack, lambda x: np.where(x > 0, np.inf, -np.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                integrate_axisym(f, Dimension(d), lower=0.0)
+            with pytest.raises(DomainError, match="finite"):
+                integrate_axisym(f, Dimension(d))
+
 
 class TestJacobiRule:
     @pytest.mark.parametrize("d", [2.2, 2.5, 3.5, 5.5])
@@ -266,6 +283,18 @@ class TestTransformCoeffs:
             # that as eps N_0^2 / N_n^2 relative to gamma_0
             n2 = norms_squared(12, dim)
             assert np.all(np.abs(got - scale * unit) <= 1e-14 * scale * unit[0] * n2[0] / n2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_nonfinite_target_is_domain_error(self, bad):
+        # at D = 2.5 with 71 nodes the Jacobi rule has a node at x = 0, where
+        # P_1(0) * inf is NaN; that raises the same typed error, with no warning
+        dim = Dimension(2.5)
+        assert _node_count(50 + 2, dim) == 71
+        for hint in (0, 50):
+            with pytest.raises(DomainError, match="finite"):
+                transform_coeffs(lambda x: bad, 2, dim, degree_hint=hint)
+            with pytest.raises(DomainError, match="finite"):
+                transform_coeffs(lambda x: np.where(x > 0.5, bad, 1.0), 2, dim, degree_hint=hint)
 
     def test_cap_indicator_matches_cap_weights(self):
         # jump integrand: Gauss-Legendre converges only algebraically, so the

@@ -611,10 +611,15 @@ class TestBasis:
             return
         with mp.workdps(40):
             a = mp.mpf(d - 2) / 2
+            # C[n - 2l, n] is r_l r_{n-l} s_n (doubled off m = 0), with the
+            # cumulative products r_k = (a)_k / k! and s_n = n! / (2a)_n
+            r, s = [mp.mpf(1)], [mp.mpf(1)]
+            for k in range(1, 129):
+                r.append(r[-1] * (a + k - 1) / k)
+                s.append(s[-1] * k / (2 * a + k - 1))
             for n in range(129):
                 for l in range(n // 2 + 1):
-                    w = (mp.rf(a, l) * mp.rf(a, n - l) * mp.factorial(n)
-                         / (mp.factorial(l) * mp.factorial(n - l) * mp.rf(2 * a, n)))
+                    w = r[l] * r[n - l] * s[n]
                     exact = 2 * w if n - 2 * l > 0 else w
                     assert abs(c[n - 2 * l, n] - exact) <= 32 * eps * exact, (n, l)
             assert np.count_nonzero(c) == sum(n // 2 + 1 for n in range(129))
