@@ -4,7 +4,7 @@ Evaluate ultraspherical polynomials for any real dimension 2 <= D <= 64, generat
 the classic Ambisonic order-weighting designs (basic/max-DI, max-rE,
 supercardioid, inphase, max-flat, spherical caps), compute their
 P/E/Q/rV/rE/FBR metrics both analytically and by quadrature, and verify
-circular and spherical t-design node sets.
+t-design node sets on the sphere S^{D-1} exactly, for any integer D.
 
 Importing the package loads `errors`, `ultraspherical`, `designs` and
 `metrics`.  The public names of `quadrature` (the integration oracle) and

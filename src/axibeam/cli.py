@@ -8,12 +8,12 @@ two formats round-trip through each other.
 Exit codes: 0 ok / t-design passed, 1 t-design failed, 2 argument validation,
 3 file or parse errors.  A command returns 0 or 1; `main` maps any error to 2
 or 3 by its type alone (`_EXIT_CODES`).  Arguments that size arrays are capped
-(orders, pattern samples, t-design degree, trials and node count, and the
-product (t+1) * trials * nodes); a value past its cap exits 2.
+(orders, pattern samples, t-design degree and node count, and the product
+(t+1) * nodes^2); a value past its cap exits 2.
 
 A short command costs mostly its imports, so each command imports only what
-it calls: `sampling` is imported by `tdesign` and `--weights-file`, `json` by
-`--format json`, and no command imports `quadrature`.
+it calls: `sampling` is imported by `tdesign`, `json` by `--format json`, and
+no command imports `quadrature`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .designs import (
     supercardioid,
     supercardioid_approx,
 )
-from .errors import AxibeamError, DomainError, NormError, ParseError
+from .errors import AxibeamError, DomainError, NormError, ParseError, _file_lines
 from .metrics import compute_metrics, eval_pattern
 from .ultraspherical import MAX_DIMENSION, MAX_ORDER, Dimension
 
@@ -46,8 +46,8 @@ _DB_FLOOR = -120.0
 # Caps on the arguments that size arrays (a largest pattern holds 1.3e7 values).
 _MAX_SAMPLES = 100_000
 _MAX_T = 256
-_MAX_TRIALS = 1024
-_MAX_TDESIGN_CELLS = 1 << 22  # (t+1) * trials * nodes polynomial values, 34 MB
+# (t+1) * nodes^2 polynomial values, which `tdesign_check` takes in blocks of 2^22
+_MAX_TDESIGN_CELLS = 1 << 27
 
 # `sampling.PLATONIC_NAMES`, spelt out so that building the parser does not import `sampling`
 _POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
@@ -205,8 +205,6 @@ def _parse_orders(ns) -> list:
 
 
 def _read_weights_file(path, dim: Dimension) -> WeightVector:
-    from .sampling import _file_lines
-
     lines = list(_file_lines(path))
     if lines and [c.strip() for c in lines[0][1].split(",")] != ["n", "a_n"]:
         raise ParseError(f"{path}: line {lines[0][0]}: expected header n,a_n")
@@ -299,10 +297,7 @@ def _cmd_pattern(ns) -> int:
 def _cmd_tdesign(ns) -> int:
     from . import sampling
 
-    trials = sampling.DEFAULT_TRIALS if ns.trials is None else ns.trials
-    seed = sampling.DEFAULT_SEED if ns.seed is None else ns.seed
     _bounded("--t", ns.t, 0, _MAX_T)
-    _bounded("--trials", trials, 1, _MAX_TRIALS)
     sources = [ns.builtin is not None, ns.circle is not None, ns.nodes_file is not None]
     if sum(sources) != 1:
         raise DomainError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
@@ -312,16 +307,14 @@ def _cmd_tdesign(ns) -> int:
         nodes = sampling.circle_nodes(ns.circle, math.radians(ns.offset_deg))
     else:
         nodes = sampling.load_nodes(ns.nodes_file, dim=ns.node_dim)
-    _bounded("(t+1)*trials*nodes", (ns.t + 1) * trials * nodes.count, 1, _MAX_TDESIGN_CELLS)
-    report = sampling.tdesign_check(nodes, ns.t, trials=trials, seed=seed)
+    _bounded("(t+1)*nodes^2", (ns.t + 1) * nodes.count**2, 1, _MAX_TDESIGN_CELLS)
+    report = sampling.tdesign_check(nodes, ns.t)
     prov = _provenance(
         "tdesign",
         source=nodes.label,
         node_count=nodes.count,
         node_dim=nodes.dim,
         t=report.t_claimed,
-        trials=trials,
-        seed=seed,
         max_abs_error=report.max_abs_error,
         passed=report.passed,
     )
@@ -385,9 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--node-dim", type=int, choices=(2, 3), default=None,
                      help="force the ambient dimension of a 2-column nodes file")
     p_t.add_argument("--t", type=int, required=True, help=f"0..{_MAX_T}")
-    # defaults None: `_cmd_tdesign` reads sampling.DEFAULT_TRIALS and DEFAULT_SEED
-    p_t.add_argument("--trials", type=int, default=None, help=f"1..{_MAX_TRIALS}")
-    p_t.add_argument("--seed", type=int, default=None)
     p_t.set_defaults(func=_cmd_tdesign)
     return parser
 

@@ -249,11 +249,12 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
 
     from a_1 = 1; a_0 is fixed by g(-1) = 0.  The weights go straight to the
     scale-safe `WeightVector.normalized` (G1_UNITY), whatever size the
-    recurrence gives them.  L = 0 reproduces the inphase weights.
+    recurrence gives them.  L = 0 reproduces the inphase weights.  An L
+    that is not an integer 0 <= L <= N-1 raises InvalidFlatness.
     """
-    if not (0 <= flat_l <= order - 1):
+    if not 0 <= flat_l <= order - 1 or flat_l != int(flat_l):
         raise InvalidFlatness(
-            f"flat_l must satisfy 0 <= L <= N-1, got L={flat_l}, N={order}"
+            f"flat_l must be an integer 0 <= L <= N-1, got L={flat_l}, N={order}"
         )
     m_deg = order - flat_l - 1
     delta = float(flat_l - m_deg)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the input-file line reader."""
 
 
 class AxibeamError(Exception):
@@ -27,3 +27,16 @@ class NormError(AxibeamError, ValueError):
 
 class RangeWarning(UserWarning):
     """An empirical fit is being evaluated outside its fitted range."""
+
+
+def _file_lines(path):
+    """Yield (line number, text) for each non-blank line of a UTF-8 file, `#` comments cut."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body

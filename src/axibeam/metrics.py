@@ -49,9 +49,9 @@ def eval_pattern(weights: WeightVector, x):
     reads only the cached scale c_n = a_n/(S_{D-2} N_n^2) and C or the
     Clenshaw factors, never the Gram matrix.  Against a 40-digit sum of
     c_n P_n(x) it is within 2.3e-13 sum_n |c_n| for N <= 128 (5e-13 in the
-    tests; 1.6e-14 for random weights).  x may be a float (the result is a
-    float) or an array of any shape (the result has its shape); x outside
-    [-1, 1] raises DomainError.
+    tests; 1.6e-14 for normally distributed weights).  x may be a float (the
+    result is a float) or an array of any shape (the result has its shape);
+    x outside [-1, 1] raises DomainError.
 
     The sum is formed on the coefficients of the weights scaled by the
     exact power of two 2^-k of `WeightVector._scaled` and scaled back by 2^k

@@ -1,24 +1,27 @@
 """Direction node sets, t-design verification, and discrete metric sums.
 
-A node set is a t-design when averaging any polynomial of degree <= t over the
-nodes equals its integral over the whole circle or sphere for every
-orientation of the polynomial axis.  `tdesign_check` tests exactly that
-identity degree by degree with randomized orientations; `discrete_metrics`
-forms the loudspeaker-style discrete sums whose agreement with the continuous
-metrics the t-design property guarantees.
+A node set on the unit sphere S^{D-1}, for any integer 2 <= D <= 64, is a
+t-design when the node average of every polynomial of degree <= t equals its
+mean over the sphere.  By the addition theorem, sum_l P_n(theta_k . theta_l)
+is c_n sum_m Y_nm(theta_k) sum_l Y_nm(theta_l) with c_n > 0, so its sum over
+the nodes theta_k is c_n sum_m |sum_l Y_nm(theta_l)|^2.  `tdesign_check`
+therefore takes the nodes themselves as the axes of P_n: the set is a
+t-design exactly when every such node sum vanishes for 1 <= n <= t, a
+deterministic verdict in every D.  `discrete_metrics` forms the
+loudspeaker-style discrete sums whose agreement with the continuous metrics
+the t-design property guarantees.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .designs import WeightVector, _unscale
-from .errors import DomainError, NormError, ParseError
-from .ultraspherical import Dimension, _series_sum, eval_sequence
+from .errors import DomainError, NormError, ParseError, _file_lines
+from .ultraspherical import MAX_DIMENSION, Dimension, _series_sum, eval_sequence
 
 __all__ = [
     "NodeSet",
@@ -31,16 +34,11 @@ __all__ = [
     "discrete_metrics",
     "PASS_TOLERANCE",
     "MAX_NODES",
-    "DEFAULT_SEED",
-    "DEFAULT_TRIALS",
 ]
 
-# Degree sums of an exact design land at 1e-12..1e-14, near-misses at 1e-3 or
+# Degree sums of an exact design land below 1e-13, near-misses at 1e-3 or
 # worse, so the pass threshold is insensitive over many orders of magnitude.
 PASS_TOLERANCE = 1e-9
-
-DEFAULT_SEED = 20240
-DEFAULT_TRIALS = 64
 
 # NodeSet compares all L (L - 1) / 2 pairs for duplicates, one row at a time in
 # O(L) memory; at 2048 nodes that takes about 0.1 s.
@@ -50,6 +48,8 @@ _UNIT_TOL = 1e-12
 _FILE_NORM_TOL = 1e-6
 _DUPLICATE_CHORD = 2.0 * math.sin(0.5e-9)  # chord of 1e-9 rad
 _EPS = float(np.finfo(float).eps)
+_MAX_DIM = int(MAX_DIMENSION)
+_BLOCK_VALUES = 1 << 22  # floats that `tdesign_check` holds at once
 
 
 def _check_node_count(count: int) -> None:
@@ -59,10 +59,11 @@ def _check_node_count(count: int) -> None:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """1 <= L <= MAX_NODES (2048) unit direction vectors in 2 or 3 ambient dimensions.
+    """1 <= L <= MAX_NODES (2048) unit direction vectors in D ambient dimensions.
 
-    Non-finite coordinates, and two directions closer than 1e-9 rad
-    (duplicates), raise DomainError.
+    D is an integer 2 <= D <= 64; an integral float such as 3.0 is stored as
+    the int 3.  Coordinates that are not finite numbers, and two directions
+    closer than 1e-9 rad (duplicates), raise DomainError.
     """
 
     dim: int
@@ -70,9 +71,15 @@ class NodeSet:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise DomainError(f"ambient dimension must be 2 or 3, got {self.dim}")
-        pts = np.atleast_2d(np.asarray(self.nodes, dtype=float)).copy()
+        # `in range` compares by value: 3.0 is in it, 2.5, "3" and NaN are not
+        if self.dim not in range(2, _MAX_DIM + 1):
+            raise DomainError(f"ambient dimension must be an integer in 2..{_MAX_DIM}, "
+                              f"got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
+        try:
+            pts = np.atleast_2d(np.asarray(self.nodes, dtype=float)).copy()
+        except (TypeError, ValueError) as exc:
+            raise DomainError("node coordinates must be finite real numbers") from exc
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DomainError(f"nodes must be an (L, {self.dim}) array")
         _check_node_count(pts.shape[0])
@@ -99,8 +106,9 @@ class TDesignReport:
     """Outcome of a t-design check.
 
     per_degree_errors[i] is the worst deviation of the degree-(i+1) node sum
-    from its exact integral over all random orientations; passed means every
-    degree up to t_claimed stayed below the pass tolerance.
+    (S_{D-1}/L) sum_l P_{i+1}(theta_k . theta_l) from its exact integral 0,
+    over the axes theta_k of all L nodes; passed means every degree up to
+    t_claimed stayed below the pass tolerance.
     """
 
     t_claimed: int
@@ -174,18 +182,6 @@ def platonic(name: str) -> NodeSet:
     return NodeSet(3, pts, label=name)
 
 
-def _file_lines(path):
-    """Yield (line number, text) for each non-blank line of a UTF-8 file, `#` comments cut."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body
-
-
 def _rows_from_file(path) -> list:
     rows = []
     for lineno, body in _file_lines(path):
@@ -207,24 +203,21 @@ def _rows_from_file(path) -> list:
 def load_nodes(path, dim: int | None = None) -> NodeSet:
     """Read a node set from a CSV file.
 
-    Accepted layouts: 3 columns x,y,z (3-d unit vectors); 2 columns
-    azimuth_deg,zenith_deg (3-d); 2 columns x,y (2-d unit vectors); 1 column
-    azimuth_deg (2-d).  The file is UTF-8 text and `#` starts a comment;
-    undecodable bytes or a non-finite value raise ParseError.  A two-column
-    file is ambiguous, so pass `dim` to force a reading; otherwise rows that
-    are all unit-norm are taken as 2-d Cartesian and anything else as
-    azimuth/zenith.  Rows whose norm deviates from 1 by less than 1e-6 are
-    renormalized; worse rows raise NormError.  A `dim` other than None, 2 or
-    3 raises DomainError, and one the columns cannot give raises ParseError.
+    Accepted layouts: k columns x_1,...,x_k for 3 <= k <= 64 (k-d unit
+    vectors); 2 columns azimuth_deg,zenith_deg (3-d); 2 columns x,y (2-d unit
+    vectors); 1 column azimuth_deg (2-d).  The file is UTF-8 text and `#`
+    starts a comment; undecodable bytes or a non-finite value raise
+    ParseError.  A two-column file is ambiguous, so pass `dim` to force a
+    reading; otherwise rows that are all unit-norm are taken as 2-d Cartesian
+    and anything else as azimuth/zenith.  Rows whose norm deviates from 1 by
+    less than 1e-6 are renormalized; worse rows raise NormError.  A `dim`
+    other than None, 2 or 3 raises DomainError, and one the columns cannot
+    give raises ParseError.
     """
     if dim not in (None, 2, 3):
         raise DomainError(f"dim must be None, 2 or 3, got {dim!r}")
     data = np.asarray(_rows_from_file(path), dtype=float)
     width = data.shape[1]
-    if width == 3:
-        if dim not in (None, 3):
-            raise ParseError(f"{path}: 3-column file cannot be a {dim}-d node set")
-        return _cartesian_nodes(data, 3, str(path))
     if width == 1:
         if dim not in (None, 2):
             raise ParseError(f"{path}: 1-column file cannot be a {dim}-d node set")
@@ -243,7 +236,11 @@ def load_nodes(path, dim: int | None = None) -> NodeSet:
             [np.sin(zen) * np.cos(az), np.sin(zen) * np.sin(az), np.cos(zen)]
         )
         return NodeSet(3, pts, label=str(path))
-    raise ParseError(f"{path}: expected 1, 2, or 3 columns, got {width}")
+    if width > _MAX_DIM:
+        raise ParseError(f"{path}: expected 1 to {_MAX_DIM} columns, got {width}")
+    if dim not in (None, width):
+        raise ParseError(f"{path}: {width}-column file cannot be a {dim}-d node set")
+    return _cartesian_nodes(data, width, str(path))
 
 
 def _cartesian_nodes(data: np.ndarray, dim: int, label: str) -> NodeSet:
@@ -254,43 +251,33 @@ def _cartesian_nodes(data: np.ndarray, dim: int, label: str) -> NodeSet:
     return NodeSet(dim, data / norms[:, None], label=label)
 
 
-def _random_directions(rng: np.random.Generator, trials: int, dim: int) -> np.ndarray:
-    if dim == 2:
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=trials)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    vec = rng.normal(size=(trials, 3))
-    return vec / np.linalg.norm(vec, axis=1, keepdims=True)
+def tdesign_check(nodes: NodeSet, t: int) -> TDesignReport:
+    """Check the t-design identity degree by degree, with the nodes as the axes.
 
-
-def tdesign_check(
-    nodes: NodeSet,
-    t: int,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-) -> TDesignReport:
-    """Check the t-design identity degree by degree.
-
-    For each degree 1 <= n <= t and `trials` random orientations s, the node
-    sum (S_{D-1}/L) sum_l P_n(s . theta_l) is compared with the exact integral
-    of P_n over the sphere, which vanishes for n >= 1 by orthogonality.  The
-    degree-0 sum is exact by construction and not checked: t = 0 has no
-    degree to check, so its report is (0, 0.0, (), True).  The P_n
-    come from `eval_sequence`, not the per-(N, D) record, so t is not held
-    to `MAX_ORDER`; the CLI caps it at 256.
+    For each degree 1 <= n <= t and node theta_k, the node sum
+    (S_{D-1}/L) sum_l P_n(theta_k . theta_l) is compared with the exact
+    integral of P_n, which vanishes for n >= 1; by the addition theorem (see
+    the module docstring) the verdict is exact.  The cost is O(t L^2) time,
+    taken in blocks of node rows that hold at most 2^22 floats at once while
+    (t + 4) L <= 2^22.  t = 0 has no degree to check, so its report is
+    (0, 0.0, (), True).  The P_n come from `eval_sequence`, not the per-(N, D)
+    record, so t is not held to `MAX_ORDER`; the CLI caps it at 256.
     """
     if t < 0:
         raise DomainError("t must be >= 0")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    dim = Dimension(float(nodes.dim))
-    rng = np.random.default_rng(seed)
-    dirs = _random_directions(rng, trials, nodes.dim)
-    dots = np.clip(dirs @ nodes.nodes.T, -1.0, 1.0)
-    seq = eval_sequence(dots.reshape(-1), t, dim).reshape(t + 1, trials, nodes.count)
-    sums = (dim.surface / nodes.count) * seq.sum(axis=2)
-    errors = tuple(float(np.max(np.abs(sums[n]))) for n in range(1, t + 1))
-    worst = max(errors, default=0.0)
-    return TDesignReport(t, worst, errors, worst < PASS_TOLERANCE)
+    dim = Dimension(nodes.dim)
+    pts = nodes.nodes
+    # a block of rows holds t + 4 arrays of rows x L floats: the dot
+    # products, their t + 1 values P_n and two temporaries of the recurrence
+    rows = max(1, _BLOCK_VALUES // ((t + 4) * nodes.count))
+    worst = np.zeros(t + 1)
+    for start in range(0, nodes.count, rows):
+        dots = np.clip(pts[start : start + rows] @ pts.T, -1.0, 1.0)
+        sums = eval_sequence(dots, t, dim).sum(axis=2)
+        np.maximum(worst, np.abs(sums).max(axis=1), out=worst)
+    errors = tuple((dim.surface / nodes.count * worst[1:]).tolist())
+    max_error = max(errors, default=0.0)
+    return TDesignReport(t, max_error, errors, max_error < PASS_TOLERANCE)
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -333,11 +320,15 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         raise DomainError(
             f"weights dimension D={weights.dim.d} does not match {nodes.dim}-d nodes"
         )
-    aim = np.ascontiguousarray(aim, dtype=float)
+    try:
+        aim = np.ascontiguousarray(aim, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"aim must be a {nodes.dim}-vector of numbers") from exc
     if aim.shape != (nodes.dim,):
         raise DomainError(f"aim must be a {nodes.dim}-vector")
     norm = _norm(aim)
-    if abs(norm - 1.0) > _FILE_NORM_TOL:
+    # negated, so that a NaN norm fails the test too
+    if not abs(norm - 1.0) <= _FILE_NORM_TOL:
         raise DomainError("aim must be a unit vector")
     aim = aim / norm
     x = np.clip(nodes.nodes @ aim, -1.0, 1.0)

@@ -316,7 +316,7 @@ def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
     """Squared norms N_0^2 .. N_N^2 of the polynomials under the axisymmetric weight.
 
     Computed by the product recurrence N_n^2 = (1 - beta_{n+1}) / beta_n * N_{n-1}^2
-    seeded with N_0^2 = S_{D-1}/S_{D-2}.  The recurrence is the ground truth;
+    started from N_0^2 = S_{D-1}/S_{D-2}.  The recurrence is the ground truth;
     `norm_squared_gamma` provides the closed form for cross-checking.  The
     result is cached per (N, D) and read-only.
     """

@@ -44,6 +44,8 @@ from axibeam import (
     tdesign_check,
 )
 
+from _polytopes import cell_600
+
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
 
@@ -317,6 +319,15 @@ def test_criterion_8_tdesign_thresholds():
         ):
             worst_disc = max(worst_disc, abs(got - want))
         worst_misaim = max(worst_misaim, disc.r_v_misaim_rad, disc.r_e_misaim_rad)
+    # the 600-cell is an 11-design: exact for order 5 at D = 4 (2N+1 = 11)
+    vec = max_re(5, Dimension(4.0)).weights
+    cont = compute_metrics(vec)
+    aim = np.array([0.3, -1.0, 0.2, 0.7])
+    disc = discrete_metrics(vec, cell_600(), aim / np.linalg.norm(aim))
+    for got, want in ((disc.p, cont.p), (disc.e, cont.e), (disc.r_v, cont.r_v),
+                      (disc.r_e, cont.r_e)):
+        worst_disc = max(worst_disc, abs(got - want))
+    worst_misaim = max(worst_misaim, disc.r_v_misaim_rad, disc.r_e_misaim_rad)
     ok = all(checks) and worst_disc < 1e-9 and worst_misaim < 1e-9
     assert report(
         "8 (t-design thresholds)",

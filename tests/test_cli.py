@@ -11,6 +11,8 @@ import pytest
 
 from axibeam.cli import main
 
+from _polytopes import cell_24
+
 
 def run_cli(*args, check=True):
     """Invoke the CLI in-process; returns (returncode, stdout, stderr)."""
@@ -299,11 +301,16 @@ class TestTDesignCommand:
         proc = run_cli("tdesign", "--circle", "8", "--t", "8", check=False)
         assert proc.returncode == 1
 
-    def test_nodes_file(self, tmp_path):
-        path = tmp_path / "octa.csv"
-        path.write_text("1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n0,0,1\n0,0,-1\n")
-        proc = run_cli("tdesign", "--nodes-file", str(path), "--t", "3")
+    @pytest.mark.parametrize("text, t, dim", [
+        ("1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n0,0,1\n0,0,-1\n", 3, "3"),
+        ("".join(",".join(f"{c:.17g}" for c in row) + "\n" for row in cell_24().nodes), 5, "4"),
+    ], ids=["octahedron", "24-cell"])
+    def test_nodes_file(self, tmp_path, text, t, dim):
+        path = tmp_path / "nodes.csv"
+        path.write_text(text)
+        proc = run_cli("tdesign", "--nodes-file", str(path), "--t", str(t))
         assert proc.returncode == 0
+        assert parse_csv(proc.stdout)[0]["node_dim"] == dim
 
     def test_missing_file_exits_3(self, tmp_path):
         proc = run_cli(
@@ -323,9 +330,11 @@ class TestTDesignCommand:
                        check=False)
         assert proc.returncode == 2
 
-    def test_dim_is_not_an_option(self):
-        # the node set fixes the dimension; argparse rejects the option
-        proc = run_cli("tdesign", "--builtin", "cube", "--t", "2", "--dim", "3", check=False)
+    @pytest.mark.parametrize("option", ["--dim", "--trials", "--seed"])
+    def test_not_an_option(self, option):
+        # the node set fixes the dimension, and the check, which takes the
+        # nodes as its axes, has no orientation count or seed; argparse rejects them
+        proc = run_cli("tdesign", "--builtin", "cube", "--t", "2", option, "3", check=False)
         assert proc.returncode == 2
 
     def test_non_finite_offset_exits_2(self):
@@ -414,12 +423,11 @@ class TestSizeCaps:
             ("metrics", "--design", "basic", "--orders", "1,129"),
             ("pattern", "--design", "basic", "--order", "2", "--samples", "100001"),
             ("tdesign", "--builtin", "cube", "--t", "257"),
-            ("tdesign", "--builtin", "cube", "--t", "2", "--trials", "1025"),
             ("tdesign", "--circle", "2049", "--t", "2"),
-            # (t+1) * trials * nodes = 205 * 1024 * 20, just past 2^22
-            ("tdesign", "--builtin", "dodecahedron", "--t", "204", "--trials", "1024"),
+            # (t+1) * nodes^2 = 33 * 2048^2, just past 2^27
+            ("tdesign", "--circle", "2048", "--t", "32"),
         ],
-        ids=["order", "orders-range", "orders-list", "samples", "t", "trials", "nodes",
+        ids=["order", "orders-range", "orders-list", "samples", "t", "nodes",
              "tdesign-cells"],
     )
     def test_value_past_cap_exits_2(self, args):
@@ -435,8 +443,7 @@ class TestSizeCaps:
             _, _, rows = parse_csv(out)
             assert len(rows) == 129
             assert all(math.isfinite(float(r[1])) for r in rows)
-        proc = run_cli("tdesign", "--builtin", "octahedron", "--t", "256",
-                       "--trials", "1024", check=False)
+        proc = run_cli("tdesign", "--builtin", "octahedron", "--t", "256", check=False)
         assert proc.returncode == 1
 
 

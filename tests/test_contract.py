@@ -202,8 +202,7 @@ def _plain_calls(rng, order, dim, x, tmp_path):
         "platonic": lambda: ab.platonic(str(rng.choice(ab.sampling.PLATONIC_NAMES))),
         "NodeSet": lambda: ab.NodeSet(2, ring),
         "load_nodes": lambda: ab.load_nodes(path),
-        "tdesign_check": lambda: ab.tdesign_check(_nodes(rng, ab.Dimension(3.0)), order,
-                                                  trials=4),
+        "tdesign_check": lambda: ab.tdesign_check(_nodes(rng, ab.Dimension(3.0)), order),
     }
 
 
@@ -287,7 +286,7 @@ def _cli_argv(rng, tmp_path):
     if command == "tdesign":
         source = (["--builtin", str(rng.choice(ab.sampling.PLATONIC_NAMES))]
                   if rng.random() < 0.5 else ["--circle", str(rng.choice([0, 1, 7, 64]))])
-        return ["tdesign", *source, "--t", str(rng.choice(ORDERS)), "--trials", "4"]
+        return ["tdesign", *source, "--t", str(rng.choice(ORDERS))]
     dim = ["--dim", repr(float(rng.choice(DIMS)))]
     if command == "metrics-file":
         a = rng.uniform(-1.0, 1.0, int(rng.choice(ORDERS[:-1])) + 1) * rng.choice(SCALES)

@@ -506,6 +506,8 @@ class TestMaxflat:
             maxflat(4, 4, D3)
         with pytest.raises(InvalidFlatness):
             maxflat(4, -1, D3)
+        with pytest.raises(InvalidFlatness):
+            maxflat(3, 1.5, D3)
 
 
 class TestCap:

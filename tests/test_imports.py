@@ -14,6 +14,7 @@ import sys
 import pytest
 
 LAZY = ("axibeam.quadrature", "axibeam.sampling")
+WEIGHTS = object()  # stands for the path of a weights file written for the test
 
 
 def _run(args):
@@ -51,10 +52,14 @@ def _loaded(code, *args):
          ("json",), LAZY),
         (["tdesign", "--circle", "5", "--t", "5"], 1,
          ("axibeam.sampling",), ("axibeam.quadrature", "json")),
+        (["metrics", "--weights-file", WEIGHTS, "--dim", "2.5"], 0, (), LAZY + ("json",)),
     ],
-    ids=["weights", "metrics", "pattern", "pattern-json", "tdesign"],
+    ids=["weights", "metrics", "pattern", "pattern-json", "tdesign", "metrics-file"],
 )
-def test_cli_command_loads_only_what_it_calls(argv, code, loads, skips):
+def test_cli_command_loads_only_what_it_calls(argv, code, loads, skips, tmp_path):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("n,a_n\n0,1\n1,0.5\n")
+    argv = [str(weights) if arg is WEIGHTS else arg for arg in argv]
     got, modules = _loaded(RUN_CLI, *argv)
     assert got == code
     assert "axibeam.cli" in modules

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,11 @@ from axibeam import (
     platonic,
     tdesign_check,
 )
-from axibeam.sampling import MAX_NODES, PLATONIC_NAMES, NodeSet, _file_lines
+from axibeam import sampling
+from axibeam.errors import _file_lines
+from axibeam.sampling import MAX_NODES, PLATONIC_NAMES, NodeSet
+
+from _polytopes import cell_24, cell_600
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -50,18 +55,25 @@ class TestNodeSet:
         with pytest.raises(DomainError, match="duplicate"):
             NodeSet(ambient, pair(1e-10))
 
-    def test_rejects_bad_dim(self):
-        with pytest.raises(DomainError):
-            NodeSet(4, [[1.0, 0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("dim", [0, 1, 65, 2.5])
+    def test_rejects_bad_dim(self, dim):
+        with pytest.raises(DomainError, match="integer in 2..64"):
+            NodeSet(dim, [[1.0, 0.0]])
+
+    def test_integer_dims_stored_as_int(self):
+        assert NodeSet(4, [[0.0, 0.0, 0.0, 1.0]]).dim == 4
+        nodes = NodeSet(3.0, [[0.0, 0.0, 1.0]])
+        assert nodes.dim == 3 and type(nodes.dim) is int
 
     @pytest.mark.parametrize("dim, nodes", [(3, [[1.0, 0.0]]), (2, [[1.0, 0.0, 0.0]])])
     def test_rejects_wrong_column_count(self, dim, nodes):
         with pytest.raises(DomainError, match=f"\\(L, {dim}\\)"):
             NodeSet(dim, nodes)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "ab"])
     def test_rejects_non_finite_coordinates(self, bad):
-        # DomainError, not NormError: NaN slips through the unit-norm test
+        # DomainError, not NormError: NaN slips through the unit-norm test,
+        # and a string is no number at all
         with pytest.raises(DomainError, match="finite"):
             NodeSet(2, [[bad, 0.0]])
         with pytest.raises(DomainError, match="finite"):
@@ -121,7 +133,8 @@ class TestPlatonic:
     def test_vertex_counts_and_design_strength(self, name, count, t_pass, t_fail):
         nodes = platonic(name)
         assert nodes.count == count
-        assert tdesign_check(nodes, t_pass).passed
+        exact = tdesign_check(nodes, t_pass)
+        assert exact.passed and exact.max_abs_error <= 1e-13
         assert not tdesign_check(nodes, t_fail).passed
 
     def test_unknown_name(self):
@@ -130,17 +143,18 @@ class TestPlatonic:
 
 
 class TestLoadNodes:
-    def test_cartesian_round_trip(self, tmp_path):
-        ico = platonic("icosahedron")
-        path = tmp_path / "ico.csv"
+    @pytest.mark.parametrize("nodes", [platonic("icosahedron"), cell_24()],
+                             ids=["icosahedron", "24-cell"])
+    def test_cartesian_round_trip(self, tmp_path, nodes):
+        path = tmp_path / "nodes.csv"
         path.write_text(
-            "# icosahedron vertices\n"
-            + "\n".join(",".join(f"{c:.17g}" for c in row) for row in ico.nodes)
+            "# vertices\n"
+            + "\n".join(",".join(f"{c:.17g}" for c in row) for row in nodes.nodes)
         )
         loaded = load_nodes(path)
-        assert loaded.dim == 3
-        assert loaded.count == 12
-        assert loaded.nodes == pytest.approx(ico.nodes, abs=1e-12)
+        assert loaded.dim == nodes.dim
+        assert loaded.count == nodes.count
+        assert loaded.nodes == pytest.approx(nodes.nodes, abs=1e-12)
 
     def test_azimuth_zenith_conversion(self, tmp_path):
         path = tmp_path / "azzen.csv"
@@ -182,8 +196,9 @@ class TestLoadNodes:
         "text, dim, message",
         [("1,0,0\n0,1,0\n", 2, "3-column file cannot be a 2-d"),
          ("0\n90\n", 3, "1-column file cannot be a 3-d"),
-         ("1,0,0,0\n0,1,0,0\n", None, "expected 1, 2, or 3 columns, got 4")],
-        ids=["3-columns-as-2d", "1-column-as-3d", "4-columns"],
+         ("1,0,0,0\n0,1,0,0\n", 3, "4-column file cannot be a 3-d"),
+         (",".join(["0"] * 64 + ["1"]) + "\n", None, "expected 1 to 64 columns, got 65")],
+        ids=["3-columns-as-2d", "1-column-as-3d", "4-columns-as-3d", "65-columns"],
     )
     def test_columns_do_not_fit(self, tmp_path, text, dim, message):
         path = tmp_path / "nodes.csv"
@@ -268,15 +283,53 @@ class TestTDesignCheck:
         assert report.max_abs_error == max(report.per_degree_errors)
         assert not report.passed
 
-    @pytest.mark.parametrize("t, trials, message", [(-1, 4, "t must be"), (2, 0, "trials must be")])
-    def test_argument_validation(self, t, trials, message):
-        with pytest.raises(DomainError, match=message):
-            tdesign_check(platonic("cube"), t, trials=trials)
+    def test_argument_validation(self):
+        with pytest.raises(DomainError, match="t must be"):
+            tdesign_check(platonic("cube"), -1)
 
-    def test_deterministic_with_seed(self):
-        a = tdesign_check(platonic("cube"), 4, trials=16, seed=3)
-        b = tdesign_check(platonic("cube"), 4, trials=16, seed=3)
-        assert a == b
+    @pytest.mark.parametrize("nodes", [circle_nodes(7, 0.3), platonic("cube")],
+                             ids=["circle-7", "cube"])
+    def test_matches_closed_form_node_sums(self, nodes):
+        # P_n(cos phi) = cos(n phi) at D = 2 and the Legendre P_n at D = 3,
+        # summed over every pair of nodes with node k as the axis
+        t = 9
+        dots = np.clip(nodes.nodes @ nodes.nodes.T, -1.0, 1.0)
+        if nodes.dim == 2:
+            values = [np.cos(n * np.arccos(dots)) for n in range(1, t + 1)]
+        else:
+            values = [np.polynomial.legendre.legval(dots, np.eye(t + 1)[n])
+                      for n in range(1, t + 1)]
+        d_omega = Dimension(nodes.dim).surface / nodes.count
+        want = [d_omega * float(np.max(np.abs(v.sum(axis=1)))) for v in values]
+        report = tdesign_check(nodes, t)
+        assert report.per_degree_errors == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_peak_memory_within_2_22_floats(self):
+        # tracemalloc sees numpy's buffers; t = 2 is the tightest fit at L = 2048
+        nodes = circle_nodes(MAX_NODES, 0.1)
+        for t in (0, 2):
+            tracemalloc.start()
+            try:
+                assert tdesign_check(nodes, t).passed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 << 22, t
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        nodes = platonic("dodecahedron")
+        whole = tdesign_check(nodes, 7)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", 3 * 8 * nodes.count)
+        assert tdesign_check(nodes, 7) == whole
+
+    @pytest.mark.parametrize("make, t", [(cell_24, 5), (cell_600, 11)],
+                             ids=["24-cell", "600-cell"])
+    def test_four_dimensional_polytopes(self, make, t):
+        nodes = make()
+        exact = tdesign_check(nodes, t)
+        assert exact.passed and exact.max_abs_error <= 1e-13
+        beyond = tdesign_check(nodes, t + 1)
+        assert not beyond.passed and beyond.per_degree_errors[t] > 1.0
 
 
 def ring_discrete(weights, count, aim_angle, offset=0.0):
@@ -467,7 +520,7 @@ class TestDiscreteMetrics:
                                                else None)
 
     def test_aim_of_wrong_shape(self):
-        for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0):
+        for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0, "ab"):
             with pytest.raises(DomainError, match="3-vector"):
                 discrete_metrics(basic(2, D3), platonic("cube"), aim)
 
@@ -476,7 +529,7 @@ class TestDiscreteMetrics:
             discrete_metrics(basic(2, D3), circle_nodes(8), np.array([1.0, 0.0]))
 
     def test_non_unit_aim(self):
-        with pytest.raises(DomainError):
-            discrete_metrics(
-                basic(2, D3), platonic("cube"), np.array([1.0, 1.0, 0.0])
-            )
+        # a NaN norm fails the unit test too, rather than a later finiteness check
+        for aim in ([1.0, 1.0, 0.0], [math.nan, 0.0, 0.0]):
+            with pytest.raises(DomainError, match="aim must be a unit vector"):
+                discrete_metrics(basic(2, D3), platonic("cube"), np.array(aim))
