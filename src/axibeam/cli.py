@@ -37,7 +37,7 @@ from .designs import (
     supercardioid,
     supercardioid_approx,
 )
-from .errors import AxibeamError, DomainError, NormError, ParseError, _file_lines
+from .errors import AxibeamError, DomainError, NormError, ParseError, _file_lines, _integer
 from .metrics import compute_metrics, eval_pattern
 from .ultraspherical import MAX_DIMENSION, MAX_ORDER, Dimension
 
@@ -109,11 +109,6 @@ def _provenance(command: str, **extra) -> dict:
     return prov
 
 
-def _bounded(name: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise DomainError(f"{name} must lie in {lo}..{hi}, got {value}")
-
-
 def _maxre(order: int, dim: Dimension, ns):
     sol = max_re(order, dim)
     return sol.weights, {"r_e_max": sol.r_e_max, "newton_iterations": sol.iterations}
@@ -160,7 +155,6 @@ def _design_weights(ns, order: int, dim: Dimension):
     """Build the requested design; returns (WeightVector, extras for provenance)."""
     if ns.design is None:
         raise DomainError(f"{ns.command} needs --design")
-    _bounded("order", order, 0, MAX_ORDER)
     vec, extras = _DESIGNS[ns.design](order, dim, ns)
     if ns.norm is not None:
         vec = vec.normalized(Normalization(ns.norm))
@@ -194,12 +188,11 @@ def _parse_orders(ns) -> list:
         orders = [int(p) for p in (text.split("..", 1) if is_range else text.split(","))]
     except ValueError as exc:
         raise DomainError(f"cannot parse --orders {text!r}") from exc
-    # DomainError is a ValueError, so the cap is checked outside the try
+    # DomainError is a ValueError, so the caps are checked outside the try
     if is_range:
-        lo, hi = orders
-        _bounded("--orders", hi, 0, MAX_ORDER)
+        lo, hi = (_integer(o, "--orders", 0, MAX_ORDER) for o in orders)
         orders = list(range(lo, hi + 1))
-    if not orders or any(o < 0 for o in orders):
+    if not orders:
         raise DomainError(f"invalid order range {text!r}")
     return orders
 
@@ -270,7 +263,7 @@ def _cmd_metrics(ns) -> int:
 
 def _cmd_pattern(ns) -> int:
     dim = Dimension(ns.dim)
-    _bounded("--samples", ns.samples, 2, _MAX_SAMPLES)
+    _integer(ns.samples, "--samples", 2, _MAX_SAMPLES)
     vec, extras = _design_weights(ns, ns.order, dim)
     phi = np.linspace(0.0, 180.0, ns.samples)
     x = np.cos(np.radians(phi))
@@ -297,7 +290,7 @@ def _cmd_pattern(ns) -> int:
 def _cmd_tdesign(ns) -> int:
     from . import sampling
 
-    _bounded("--t", ns.t, 0, _MAX_T)
+    _integer(ns.t, "--t", 0, _MAX_T)
     sources = [ns.builtin is not None, ns.circle is not None, ns.nodes_file is not None]
     if sum(sources) != 1:
         raise DomainError("tdesign needs exactly one of --builtin / --circle / --nodes-file")
@@ -307,7 +300,7 @@ def _cmd_tdesign(ns) -> int:
         nodes = sampling.circle_nodes(ns.circle, math.radians(ns.offset_deg))
     else:
         nodes = sampling.load_nodes(ns.nodes_file, dim=ns.node_dim)
-    _bounded("(t+1)*nodes^2", (ns.t + 1) * nodes.count**2, 1, _MAX_TDESIGN_CELLS)
+    _integer((ns.t + 1) * nodes.count**2, "(t+1)*nodes^2", 1, _MAX_TDESIGN_CELLS)
     report = sampling.tdesign_check(nodes, ns.t)
     prov = _provenance(
         "tdesign",

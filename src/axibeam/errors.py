@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package, and the input-file line reader."""
+"""Exception and warning types, the integer-argument check and the input-file line reader."""
+
+import numbers
+import operator
 
 
 class AxibeamError(Exception):
@@ -27,6 +30,24 @@ class NormError(AxibeamError, ValueError):
 
 class RangeWarning(UserWarning):
     """An empirical fit is being evaluated outside its fitted range."""
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int when it is integral and low <= value <= high (high None: no cap).
+
+    Ints, numpy integers and integral floats (2.0) count; any other value, NaN,
+    a string or None included, raises DomainError.  The package's one such check.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        # NaN and +-inf are not integral either
+        real = isinstance(value, numbers.Real) and float(value).is_integer()
+        number = int(value) if real else None
+    if number is None or number < low or (high is not None and number > high):
+        bound = "" if high is None else f" and <= {high}"
+        raise DomainError(f"{name} must be an integer >= {low}{bound}, got {value!r}")
+    return number
 
 
 def _file_lines(path):

@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .ultraspherical import Dimension, _basis, eval_sequence, norms_squared
+from .errors import DomainError, _integer
+from .ultraspherical import MAX_ORDER, Dimension, _basis, eval_sequence, norms_squared
 
 __all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front"]
 
@@ -231,8 +231,7 @@ def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: f
     magnitude (0 for a row of zeros).  A row whose largest magnitude is not
     finite holds a NaN or +-inf value and raises DomainError.
     """
-    if degree_hint < 0:
-        raise DomainError("degree_hint must be >= 0")
+    degree_hint = _integer(degree_hint, "degree_hint", 0)
     if not (-1.0 <= lower < upper <= 1.0):
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
@@ -256,10 +255,11 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     in `integrate_axisym`, each integral is formed on its row scaled by a
     power of two and divided by N_n^2 before it is scaled back, so gamma_n
     is inf or 0 only where it lies outside the double range.  An f that is
-    NaN or +-inf at a node raises DomainError.
+    NaN or +-inf at a node raises DomainError, and so do an N past
+    MAX_ORDER and a degree_hint below -N, before anything is integrated.
     """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
+    max_degree = _integer(max_degree, "max_degree", 0, MAX_ORDER)
+    degree_hint = _integer(degree_hint, "degree_hint", -max_degree)
 
     def integrand(x):
         # an infinite f(x) times P_n(x) = 0 is NaN: no warning, the NaN raises DomainError
@@ -310,4 +310,5 @@ def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
     per-(N, D) record `_basis`; they are exactly symmetric (the odd-even block
     is the transpose) and read-only.
     """
-    return GramMatrix(order=max_degree, dim=dim, entries=_basis(max_degree, dim).gram)
+    basis = _basis(max_degree, dim)
+    return GramMatrix(order=basis.order, dim=dim, entries=basis.gram)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import WeightVector, _unscale
-from .errors import DomainError, NormError, ParseError, _file_lines
+from .errors import DomainError, NormError, ParseError, _file_lines, _integer
 from .ultraspherical import MAX_DIMENSION, Dimension, _series_sum, eval_sequence
 
 __all__ = [
@@ -52,11 +52,6 @@ _MAX_DIM = int(MAX_DIMENSION)
 _BLOCK_VALUES = 1 << 22  # floats that `tdesign_check` holds at once
 
 
-def _check_node_count(count: int) -> None:
-    if not 1 <= count <= MAX_NODES:
-        raise DomainError(f"node count must lie in 1..{MAX_NODES}, got {count}")
-
-
 @dataclass(frozen=True)
 class NodeSet:
     """1 <= L <= MAX_NODES (2048) unit direction vectors in D ambient dimensions.
@@ -71,18 +66,14 @@ class NodeSet:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # `in range` compares by value: 3.0 is in it, 2.5, "3" and NaN are not
-        if self.dim not in range(2, _MAX_DIM + 1):
-            raise DomainError(f"ambient dimension must be an integer in 2..{_MAX_DIM}, "
-                              f"got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _integer(self.dim, "ambient dimension", 2, _MAX_DIM))
         try:
             pts = np.atleast_2d(np.asarray(self.nodes, dtype=float)).copy()
         except (TypeError, ValueError) as exc:
             raise DomainError("node coordinates must be finite real numbers") from exc
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DomainError(f"nodes must be an (L, {self.dim}) array")
-        _check_node_count(pts.shape[0])
+        _integer(pts.shape[0], "node count", 1, MAX_NODES)
         if not np.all(np.isfinite(pts)):
             raise DomainError("node coordinates must be finite")
         norms = np.linalg.norm(pts, axis=1)
@@ -131,7 +122,7 @@ class DiscreteMetrics:
 
 def circle_nodes(count: int, offset_rad: float = 0.0) -> NodeSet:
     """Equiangular ring of `count` unit vectors at angles offset + 2 pi (l-1)/L."""
-    _check_node_count(count)
+    count = _integer(count, "node count", 1, MAX_NODES)
     ang = offset_rad + 2.0 * math.pi * np.arange(count) / count
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     return NodeSet(2, pts, label=f"circle-{count}")
@@ -263,8 +254,7 @@ def tdesign_check(nodes: NodeSet, t: int) -> TDesignReport:
     (0, 0.0, (), True).  The P_n come from `eval_sequence`, not the per-(N, D)
     record, so t is not held to `MAX_ORDER`; the CLI caps it at 256.
     """
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    t = _integer(t, "t", 0)
     dim = Dimension(nodes.dim)
     pts = nodes.nodes
     # a block of rows holds t + 4 arrays of rows x L floats: the dot

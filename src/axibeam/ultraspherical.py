@@ -10,7 +10,10 @@ for D = 3.  Everything in this module is a pure function of its arguments; the
 alpha -> 0 degeneracies of the D = 2 case are handled through explicit limits
 rather than branches.  Series sum_n c_n P_n(x) are summed in the Chebyshev
 basis for D <= 3, through the connection P_n = sum_m C[m, n] T_m, and by
-Clenshaw's recurrence above (see `_series_sum`).
+Clenshaw's recurrence above (see `_series_sum`).  A degree N or n is an
+integer >= 0 (`errors._integer`: an integral float such as 3.0 counts, any
+other value raises DomainError); `eval_sequence`, `derivative` and
+`norm_squared_gamma` take any such N, every other function N <= MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 __all__ = [
     "MAX_DIMENSION",
@@ -218,14 +221,12 @@ class _Basis:
         return off
 
 
-@lru_cache(maxsize=128)
+_cached_basis = lru_cache(maxsize=128)(_Basis)
+
+
 def _basis(order: int, dim: Dimension) -> _Basis:
-    """The cached `_Basis` of (N, D); N < 0 and N > MAX_ORDER raise DomainError."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    if order > MAX_ORDER:
-        raise DomainError(f"degree must be <= {MAX_ORDER}, got {order}")
-    return _Basis(order, dim)
+    """The cached `_Basis` of (N, D), N checked before the cache is read (2.0 hashes like 2)."""
+    return _cached_basis(_integer(order, "order", 0, MAX_ORDER), dim)
 
 
 def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
@@ -255,8 +256,7 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
         Shape (N+1,) for scalar x, or (N+1,) + x.shape for arrays; entry n
         holds P_n(x).
     """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
+    max_degree = _integer(max_degree, "max_degree", 0)
     x = _clamp_argument(x)
     d = dim.d
     if x.ndim == 0:
@@ -286,13 +286,9 @@ def power_series_coeffs(n: int, dim: Dimension) -> np.ndarray:
     with P_n(0) and P_n'(0) within 0.4 (n + 1) eps relative for D in {2, 2.5,
     3, 4, 7.3, 64}); coefficients of the opposite parity are
     exactly zero.  sum(c) = P_n(1) = 1 holds only as far as the alternating
-    sum can be formed: sum |c_k| grows exponentially with n.  n > MAX_ORDER
-    raises DomainError.
+    sum can be formed: sum |c_k| grows exponentially with n.
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    if n > MAX_ORDER:
-        raise DomainError(f"degree must be <= {MAX_ORDER}, got {n}")
+    n = _integer(n, "n", 0, MAX_ORDER)
     two_alpha = dim.d - 2.0
     c = np.zeros(n + 1, dtype=float)
     c[n] = math.prod((two_alpha + 2.0 * i) / (two_alpha + i) for i in range(1, n))
@@ -307,9 +303,7 @@ def beta_coeff(n: int, dim: Dimension) -> float:
     beta_n = (n - 1 + 2 alpha) / (2 (n - 1 + alpha)) for n >= 2; beta_1 = 1 is
     the alpha -> 0 limit of the 0/0 expression and holds for every D.
     """
-    if n < 1:
-        raise DomainError("beta_coeff requires n >= 1")
-    return float(_basis(n - 1, dim).beta[n - 1])
+    return float(_basis(_integer(n, "n", 1) - 1, dim).beta[-1])
 
 
 def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
@@ -325,7 +319,7 @@ def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
 
 def norm_squared(n: int, dim: Dimension) -> float:
     """Squared norm N_n^2 = integral of P_n^2 w over [-1, 1], including S_{D-1}/S_{D-2}."""
-    return float(norms_squared(n, dim)[n])
+    return float(norms_squared(n, dim)[-1])
 
 
 def norm_squared_gamma(n: int, dim: Dimension) -> float:
@@ -334,8 +328,7 @@ def norm_squared_gamma(n: int, dim: Dimension) -> float:
     The Gamma(D-1) numerator reconciles the closed form with the recurrence
     for every real D (the two already agree for D = 2, 3 without it).
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
+    n = _integer(n, "n", 0)
     if n == 0:
         return dim.n0_squared
     d = dim.d
@@ -357,10 +350,11 @@ def _with_derivatives(x, max_degree: int, dim: Dimension):
 
     from P'_0 = 0 and P'_1 = 1; it holds on all of [-1, 1], endpoints included.
     As in `eval_sequence`, one loop fills Python floats for a 0-d x and an
-    array otherwise.
+    array otherwise; N is checked there.
     """
     x = _clamp_argument(x)
     seq = eval_sequence(x, max_degree, dim)
+    max_degree = len(seq) - 1
     d = dim.d
     if x.ndim == 0:
         x, p, der = float(x), seq.tolist(), [0.0] * (max_degree + 1)
@@ -499,11 +493,8 @@ def derivative(x, n: int, dim: Dimension):
 
     The recurrence holds at every x in [-1, 1], so the endpoint values
     P_n'(+-1) = (+-1)^(n+1) n (n + D - 2)/(D - 1) need no separate formula.
-    n < 0 raises DomainError.
     """
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    der = _with_derivatives(x, n, dim)[1][n]
+    der = _with_derivatives(x, n, dim)[1][-1]
     return float(der) if der.ndim == 0 else der
 
 
@@ -516,7 +507,7 @@ def value_at_zero(n: int, dim: Dimension) -> float:
     so the relative error grows only linearly in m (within 1.1e-15 of a
     40-digit product for n <= 128).
     """
-    return float(_basis(n, dim).p0[n])
+    return float(_basis(n, dim).p0[-1])
 
 
 def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
@@ -527,5 +518,6 @@ def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     x0 = _clamp_argument(x0)
     if x0.ndim:
         raise DomainError(f"x0 must be one value, got shape {x0.shape}")
-    coeffs = eval_sequence(x0, max_degree, dim) / norms_squared(max_degree, dim)
-    return _series_sum(coeffs, x, _basis(max_degree, dim))
+    basis = _basis(max_degree, dim)
+    coeffs = eval_sequence(x0, basis.order, dim) / basis.n2
+    return _series_sum(coeffs, x, basis)

@@ -416,24 +416,25 @@ class TestFileErrors:
 class TestSizeCaps:
     # one past each cap: small enough to run, so a missing cap shows as exit 0/1
     @pytest.mark.parametrize(
-        "args",
+        "args, bound",
         [
-            ("weights", "--design", "basic", "--order", "129"),
-            ("metrics", "--design", "basic", "--orders", "0..129"),
-            ("metrics", "--design", "basic", "--orders", "1,129"),
-            ("pattern", "--design", "basic", "--order", "2", "--samples", "100001"),
-            ("tdesign", "--builtin", "cube", "--t", "257"),
-            ("tdesign", "--circle", "2049", "--t", "2"),
+            (("weights", "--design", "basic", "--order", "129"), "<= 128"),
+            (("metrics", "--design", "basic", "--orders", "0..129"), "<= 128"),
+            (("metrics", "--design", "basic", "--orders", "1,129"), "<= 128"),
+            (("pattern", "--design", "basic", "--order", "2", "--samples", "100001"),
+             "<= 100000"),
+            (("tdesign", "--builtin", "cube", "--t", "257"), "<= 256"),
+            (("tdesign", "--circle", "2049", "--t", "2"), "<= 2048"),
             # (t+1) * nodes^2 = 33 * 2048^2, just past 2^27
-            ("tdesign", "--circle", "2048", "--t", "32"),
+            (("tdesign", "--circle", "2048", "--t", "32"), f"<= {2**27}"),
         ],
         ids=["order", "orders-range", "orders-list", "samples", "t", "nodes",
              "tdesign-cells"],
     )
-    def test_value_past_cap_exits_2(self, args):
+    def test_value_past_cap_exits_2(self, args, bound):
         proc = run_cli(*args, check=False)
         assert proc.returncode == 2
-        assert "must lie in" in proc.stderr
+        assert "must be an integer >= " in proc.stderr and bound in proc.stderr
 
     def test_values_at_cap_accepted(self):
         run_cli("weights", "--design", "basic", "--order", "128")

@@ -17,10 +17,15 @@ homogeneous of degree p in the weights, lies outside the double range.
 The quadrature entry points take a callable, not weights: their integrands
 are a pattern with g(1) = 1, times a scale from the same table, and their
 +-inf must be predicted in the same way from the integrand scaled by 2^-m.
+
+Every integer argument (an order, degree, L, t or node count) takes an int,
+a numpy integer or an integral float alike, bit for bit, and rejects any
+other value with a typed error, whatever the state of the per-(N, D) cache.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import math
 import warnings
@@ -31,6 +36,7 @@ import numpy as np
 
 import axibeam as ab
 from axibeam.cli import main
+from axibeam.ultraspherical import _cached_basis
 
 SEED = 20240
 ORDERS = (0, 1, 7, 64, 128, 129)
@@ -268,6 +274,91 @@ def test_non_finite_integrands_raise():
             for label, call in calls.items():
                 got = _outcome(call)
                 assert got is None, f"{label}({name}, D={d}): {got}"
+
+
+D37 = ab.Dimension(3.7)
+CUBE = ab.platonic("cube")
+
+
+def _square(t):
+    return t * t
+
+
+# (callable, integer parameter) -> (call of one value, a valid value k, capped,
+# the error of an invalid value).  A capped parameter has an upper bound that is
+# checked before any work, so it must reject 10**30 too; the others are held to
+# none and would start a recurrence or a rule of 10**30 terms.
+INTEGER_ARGS = {
+    ("eval_sequence", "max_degree"): (lambda k: ab.eval_sequence(0.3, k, D37), 3, False),
+    ("derivative", "n"): (lambda k: ab.derivative(0.3, k, D37), 3, False),
+    ("norm_squared_gamma", "n"): (lambda k: ab.norm_squared_gamma(k, D37), 3, False),
+    ("power_series_coeffs", "n"): (lambda k: ab.power_series_coeffs(k, D37), 3, True),
+    ("beta_coeff", "n"): (lambda k: ab.beta_coeff(k, D37), 3, True),
+    ("norm_squared", "n"): (lambda k: ab.norm_squared(k, D37), 3, True),
+    ("norms_squared", "max_degree"): (lambda k: ab.norms_squared(k, D37), 3, True),
+    ("value_at_zero", "n"): (lambda k: ab.value_at_zero(k, D37), 4, True),
+    ("cd_kernel", "max_degree"): (lambda k: ab.cd_kernel(0.3, 0.5, k, D37), 3, True),
+    ("basic", "order"): (lambda k: ab.basic(k, D37), 3, True),
+    ("max_re", "order"): (lambda k: ab.max_re(k, D37), 3, True),
+    ("supercardioid", "order"): (lambda k: ab.supercardioid(k, D37), 3, True),
+    ("supercardioid_approx", "order"): (lambda k: ab.supercardioid_approx(k, D37), 3, True),
+    ("inphase", "order"): (lambda k: ab.inphase(k, D37), 3, True),
+    ("maxflat", "order"): (lambda k: ab.maxflat(k, 1, D37), 3, True),
+    ("maxflat", "flat_l"): (lambda k: ab.maxflat(3, k, D37), 1, True, ab.InvalidFlatness),
+    ("cap", "order"): (lambda k: ab.cap(k, 0.3, D37), 3, True),
+    ("cap_trapezoid", "order"): (lambda k: ab.cap_trapezoid(k, 20.0, D37), 3, True),
+    ("integrate_axisym", "degree_hint"): (lambda k: ab.integrate_axisym(_square, D37, k), 2,
+                                          False),
+    ("transform_coeffs", "max_degree"): (lambda k: ab.transform_coeffs(_square, k, D37), 3,
+                                         True),
+    ("transform_coeffs", "degree_hint"): (lambda k: ab.transform_coeffs(_square, 3, D37, k), 2,
+                                          False),
+    ("gram_front", "max_degree"): (lambda k: ab.gram_front(k, D37), 3, True),
+    ("circle_nodes", "count"): (lambda k: ab.circle_nodes(k), 3, True),
+    ("NodeSet", "dim"): (lambda k: ab.NodeSet(k, CUBE.nodes), 3, True),
+    ("tdesign_check", "t"): (lambda k: ab.tdesign_check(CUBE, k), 3, False),
+}
+NOT_INTEGERS = (2.5, "2", None, math.nan)
+
+
+def _verdict(call):
+    """The type of a typed error, or the result's repr and float bits; a warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", ab.RangeWarning)
+        try:
+            value = call()
+        except ab.AxibeamError as exc:
+            return type(exc)
+    return repr(value), np.array(_leaves(value)).tobytes()
+
+
+def _cold_and_warm(call, k, value):
+    """The verdicts on value after the per-(N, D) cache is cleared and after k has filled it."""
+    _cached_basis.cache_clear()
+    cold = _verdict(lambda: call(value))
+    _verdict(lambda: call(k))
+    return cold, _verdict(lambda: call(value))
+
+
+def test_every_integer_parameter_is_walked():
+    annotated = {(name, p.name) for name in set(ab.__all__) - NOT_CALLED
+                 if callable(getattr(ab, name))
+                 for p in inspect.signature(getattr(ab, name)).parameters.values()
+                 if p.annotation == "int"}
+    assert set(INTEGER_ARGS) == annotated
+
+
+def test_integer_arguments():
+    for (name, param), (call, k, capped, *error) in INTEGER_ARGS.items():
+        error = error[0] if error else ab.DomainError
+        _cached_basis.cache_clear()
+        want = _verdict(lambda: call(k))
+        assert isinstance(want, tuple), (name, param, want)
+        for value in (np.int64(k), float(k), np.float64(k)):
+            assert _cold_and_warm(call, k, value) == (want, want), (name, param, value)
+        for value in NOT_INTEGERS + ((10**30,) if capped else ()):
+            assert _cold_and_warm(call, k, value) == (error, error), (name, param, value)
 
 
 def _run_cli(argv):

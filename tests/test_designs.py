@@ -638,7 +638,7 @@ class TestOrderingChains:
     ids=["basic", "max_re", "supercardioid", "inphase", "supercardioid_approx", "cap"],
 )
 def test_negative_order_rejected(design):
-    with pytest.raises(DomainError, match="order must be >= 0"):
+    with pytest.raises(DomainError, match="order must be an integer >= 0"):
         design(-1, D3)
 
 

@@ -57,7 +57,7 @@ class TestNodeSet:
 
     @pytest.mark.parametrize("dim", [0, 1, 65, 2.5])
     def test_rejects_bad_dim(self, dim):
-        with pytest.raises(DomainError, match="integer in 2..64"):
+        with pytest.raises(DomainError, match="integer >= 2 and <= 64"):
             NodeSet(dim, [[1.0, 0.0]])
 
     def test_integer_dims_stored_as_int(self):
@@ -82,7 +82,7 @@ class TestNodeSet:
     def test_rejects_more_than_max_nodes(self):
         # distinct unit vectors, so only the count cap can reject them
         ang = 2.0 * math.pi * np.arange(MAX_NODES + 1) / (MAX_NODES + 1)
-        with pytest.raises(DomainError, match="must lie in"):
+        with pytest.raises(DomainError, match=f"<= {MAX_NODES}"):
             NodeSet(2, np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
@@ -96,6 +96,17 @@ class TestCircleNodes:
     def test_count_validation(self, count):
         with pytest.raises(DomainError):
             circle_nodes(count)
+
+    @pytest.mark.parametrize("count", [2.5, "3", None, math.nan])
+    def test_non_integral_count_rejected(self, count):
+        # 2.5 would otherwise space 3 nodes 144 degrees apart, labelled circle-2.5
+        with pytest.raises(DomainError, match="node count must be an integer"):
+            circle_nodes(count)
+
+    def test_integral_float_count(self):
+        ring = circle_nodes(3.0)
+        assert ring.label == "circle-3"
+        assert np.array_equal(ring.nodes, circle_nodes(3).nodes)
 
     def test_non_finite_offset_rejected(self):
         with pytest.raises(DomainError, match="finite"):
