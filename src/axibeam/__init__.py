@@ -50,6 +50,7 @@ from .ultraspherical import (
     cd_kernel,
     derivative,
     eval_sequence,
+    gram_front,
     norm_squared,
     norm_squared_gamma,
     norms_squared,
@@ -62,7 +63,7 @@ __version__ = "0.1.0"
 
 # public names of the modules loaded on first access, by module
 _LAZY = {
-    "quadrature": ("GramMatrix", "gram_front", "integrate_axisym", "transform_coeffs"),
+    "quadrature": ("integrate_axisym", "transform_coeffs"),
     "sampling": (
         "DiscreteMetrics",
         "NodeSet",
@@ -82,7 +83,6 @@ __all__ = [
     "Dimension",
     "DiscreteMetrics",
     "DomainError",
-    "GramMatrix",
     "InvalidFlatness",
     "MaxReSolution",
     "NodeSet",

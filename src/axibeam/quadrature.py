@@ -10,22 +10,20 @@ singularities in low derivatives that slow Gauss-Legendre to polynomial
 decay, so those ranges use Gauss-Jacobi rules on x instead, which absorb the
 fractional weight exactly.  The Gauss-Jacobi rules are built here in numpy,
 by Newton's method on the three-term recurrence; numpy is the only
-dependency.  `gram_front`, the half-interval Gram matrix behind the
-front-to-back ratio, is a closed form and builds no rule.
+dependency.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, _integer
-from .ultraspherical import MAX_ORDER, Dimension, _basis, eval_sequence, norms_squared
+from .ultraspherical import MAX_ORDER, Dimension, eval_sequence, norms_squared
 
-__all__ = ["integrate_axisym", "transform_coeffs", "GramMatrix", "gram_front"]
+__all__ = ["integrate_axisym", "transform_coeffs"]
 
 
 def _read_only(*arrays) -> tuple:
@@ -269,46 +267,3 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     out, k = _scaled_integral(integrand, dim, degree_hint + max_degree, -1.0, 1.0)
     with np.errstate(over="ignore"):
         return np.ldexp(out / norms_squared(max_degree, dim), k)
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Half-interval Gram matrix g_nm = int_0^1 P_n P_m / (N_n^2 N_m^2) w dx.
-
-    entries is exactly symmetric and read-only; back_entries flips the sign
-    pattern to integrate over [-1, 0] instead.
-    """
-
-    order: int
-    dim: Dimension
-    entries: np.ndarray
-
-    @property
-    def back_entries(self) -> np.ndarray:
-        """Gram matrix of the back half-interval, b_nm = (-1)^(n+m) g_nm."""
-        sign = _basis(self.order, self.dim).sign
-        return self.entries * np.outer(sign, sign)
-
-
-def gram_front(max_degree: int, dim: Dimension) -> GramMatrix:
-    """Front-half Gram matrix in closed form; the analytic FBR reads it.
-
-    The scaling 1/(N_n^2 N_m^2) matches the pattern convention
-    g(x) = sum a_n / (S_{D-2} N_n^2) P_n(x), which makes a^T G a proportional
-    to the front-half energy of the pattern.  Diagonal entries are
-    1/(2 N_n^2); off-diagonal entries follow from the boundary term of the
-    Sturm-Liouville identity evaluated at x = 0,
-
-        int_0^1 P_n P_m w dx = [P_n'(0) P_m(0) - P_m'(0) P_n(0)] / (lambda_n - lambda_m)
-
-    with lambda_n = n (n + D - 2), scaled by 1/(N_n^2 N_m^2).  Same-parity
-    entries vanish because P_n(0) = 0 for odd n and P_n'(0) = 0 for even n,
-    so only the even-odd block is formed: one outer product of
-    P_n(0)/N_n^2 (n even) and P_m'(0)/N_m^2 (m odd), divided by
-    lambda_m - lambda_n.  The values at zero are the closed-form products of
-    `ultraspherical._Basis`, not a recurrence.  The entries are cached in the
-    per-(N, D) record `_basis`; they are exactly symmetric (the odd-even block
-    is the transpose) and read-only.
-    """
-    basis = _basis(max_degree, dim)
-    return GramMatrix(order=basis.order, dim=dim, entries=basis.gram)

@@ -12,8 +12,9 @@ rather than branches.  Series sum_n c_n P_n(x) are summed in the Chebyshev
 basis for D <= 3, through the connection P_n = sum_m C[m, n] T_m, and by
 Clenshaw's recurrence above (see `_series_sum`).  A degree N or n is an
 integer >= 0 (`errors._integer`: an integral float such as 3.0 counts, any
-other value raises DomainError); `eval_sequence`, `derivative` and
-`norm_squared_gamma` take any such N, every other function N <= MAX_ORDER.
+other value raises DomainError); `eval_sequence` and `derivative` take any
+such N, every other function N <= MAX_ORDER, `gram_front` (the Gram matrix of
+the front-to-back ratio) included.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "derivative",
     "value_at_zero",
     "cd_kernel",
+    "gram_front",
 ]
 
 # math.gamma in the sphere surfaces overflows from D ~ 343; at D = 64 the
@@ -158,7 +160,7 @@ class _Basis:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Front-half Gram entries in closed form (see `quadrature.gram_front`)."""
+        """Front-half Gram entries in closed form (see `gram_front`)."""
         p0, dp0, n2, lam = self.p0, self.dp0, self.n2, self.lam
         g = np.diag(1.0 / (2.0 * n2))
         # row n even, column m odd: P_n(0) P_m'(0) / ((lambda_m - lambda_n) N_n^2 N_m^2)
@@ -227,6 +229,25 @@ _cached_basis = lru_cache(maxsize=128)(_Basis)
 def _basis(order: int, dim: Dimension) -> _Basis:
     """The cached `_Basis` of (N, D), N checked before the cache is read (2.0 hashes like 2)."""
     return _cached_basis(_integer(order, "order", 0, MAX_ORDER), dim)
+
+
+def gram_front(max_degree: int, dim: Dimension) -> np.ndarray:
+    """Front-half Gram matrix g_nm = int_0^1 P_n P_m / (N_n^2 N_m^2) w dx in closed form.
+
+    The scaling matches the pattern convention g(x) = sum a_n / (S_{D-2}
+    N_n^2) P_n(x), so a^T G a is proportional to the front-half energy; with
+    s = (-1)^n, a^T (G * outer(s, s)) a is the back-half energy.  Diagonal
+    entries are 1/(2 N_n^2); the others follow from the boundary term of the
+    Sturm-Liouville identity at x = 0,
+
+        int_0^1 P_n P_m w dx = [P_n'(0) P_m(0) - P_m'(0) P_n(0)] / (lambda_n - lambda_m)
+
+    with lambda_n = n (n + D - 2).  Same-parity entries vanish (P_n(0) = 0
+    for odd n, P_n'(0) = 0 for even n), so only the even-odd block is formed
+    and the matrix is exactly symmetric.  Returns the read-only array cached
+    in the per-(N, D) record itself.
+    """
+    return _basis(max_degree, dim).gram
 
 
 def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
@@ -326,9 +347,10 @@ def norm_squared_gamma(n: int, dim: Dimension) -> float:
     """Closed form for N_n^2 via log-Gamma, n! Gamma(D-1) / ((2n+D-2) Gamma(n+D-2)) * N_0^2.
 
     The Gamma(D-1) numerator reconciles the closed form with the recurrence
-    for every real D (the two already agree for D = 2, 3 without it).
+    for every real D (the two already agree for D = 2, 3 without it).  n is
+    capped at MAX_ORDER: for large n the log-Gamma difference loses every digit.
     """
-    n = _integer(n, "n", 0)
+    n = _integer(n, "n", 0, MAX_ORDER)
     if n == 0:
         return dim.n0_squared
     d = dim.d

@@ -418,17 +418,17 @@ class TestInphase:
         # relative error grows only linearly in n (8.7e-15 worst seen; one
         # log-Gamma exponent per weight gave 4.6e-13)
         mp = pytest.importorskip("mpmath", exc_type=ImportError)
-        mp.mp.dps = 50
         worst = 0.0
-        for d in (2.0, 2.5, 3.0, 7.3, 30.0, 64.0):
-            dim, big_d = Dimension(d), mp.mpf(d)
-            for order in range(129):
-                a = inphase(order, dim).a
-                ref = mp.mpf(1)
-                for n in range(order + 1):
-                    if n:
-                        ref *= (order - n + 1) / (order + n + big_d - 2)
-                    worst = max(worst, float(abs(mp.mpf(a[n]) / ref - 1)))
+        with mp.workdps(50):
+            for d in (2.0, 2.5, 3.0, 7.3, 30.0, 64.0):
+                dim, big_d = Dimension(d), mp.mpf(d)
+                for order in range(129):
+                    a = inphase(order, dim).a
+                    ref = mp.mpf(1)
+                    for n in range(order + 1):
+                        if n:
+                            ref *= (order - n + 1) / (order + n + big_d - 2)
+                        worst = max(worst, float(abs(mp.mpf(a[n]) / ref - 1)))
         assert worst < 2e-14
 
 

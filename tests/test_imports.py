@@ -76,6 +76,9 @@ import axibeam as ab
 assert not [m for m in ("axibeam.quadrature", "axibeam.sampling", "json") if m in sys.modules]
 assert "axibeam.metrics" in sys.modules
 assert not [n for n in ab.__all__ if n not in dir(ab)]
+# the front-to-back Gram matrix is read from an eager module
+ab.gram_front(4, ab.Dimension(3))
+assert "axibeam.quadrature" not in sys.modules
 # a module's names are bound when the module is imported, so a function
 # patched in the module afterwards is not what the package holds
 quadrature = importlib.import_module("axibeam.quadrature")
@@ -89,6 +92,9 @@ for name in set(ab.__all__) - {"__version__"}:
     obj = getattr(ab, name)
     assert getattr(sys.modules[obj.__module__], name) is obj, name
 assert ab.quadrature is quadrature and ab.sampling is sys.modules["axibeam.sampling"]
+# a lazy name that its module no longer exports is stale
+assert not [(m, n) for m, names in ab._LAZY.items() for n in names
+            if n not in sys.modules[f"axibeam.{m}"].__all__]
 namespace = {}
 exec("from axibeam import *", namespace)
 assert not [n for n in ab.__all__ if n not in namespace]

@@ -19,11 +19,11 @@ from axibeam import (
     compute_metrics_numeric,
     eval_pattern,
     eval_sequence,
+    gram_front,
     inphase,
     max_re,
     norms_squared,
 )
-from axibeam.quadrature import gram_front
 from axibeam.ultraspherical import _basis
 
 D2 = Dimension(2.0)
@@ -179,7 +179,7 @@ class TestMetricKernel:
         [
             (compute_metrics, record_fields("inv_sub", "n2", "beta", "gram", "sign")),
             (eval_pattern, record_fields("inv_sub", "chebyshev")),
-            (gram_front, lambda: (gram_front(9, D3).entries,)),
+            (gram_front, lambda: (gram_front(9, D3),)),
             (norms_squared, lambda: (norms_squared(9, D3),)),
         ],
         ids=["compute_metrics", "eval_pattern", "gram_front", "norms_squared"],
@@ -197,7 +197,7 @@ class TestMetricKernel:
     def test_kernel_cached_per_order_and_dimension(self):
         assert _basis(9, Dimension(3)) is _basis(9, D3)
         assert _basis(9, D3) is not _basis(10, D3)
-        assert gram_front(9, D3).entries is _basis(9, D3).gram
+        assert gram_front(9, D3) is _basis(9, D3).gram
         assert norms_squared(9, D3) is _basis(9, D3).n2
 
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
@@ -216,7 +216,7 @@ class TestMetricKernel:
             g1 = float(np.sum(a * inv))
             beta = np.array([beta_coeff(n, dim) for n in range(1, order + 2)])
             num = float(np.sum(2.0 * beta[:-1] * a[:-1] * a[1:] / n2[:-1]))
-            gram = gram_front(order, dim).entries
+            gram = gram_front(order, dim)
             back = a * (-1.0) ** np.arange(order + 1)
             met = compute_metrics(weights)
             assert met.p == weights.a[0]

@@ -265,6 +265,25 @@ class TestNormSquared:
         for n in range(21):
             assert norm_squared_gamma(n, dim) == pytest.approx(n2[n], rel=1e-12)
 
+    def test_gamma_closed_form_matches_mpmath(self):
+        # the log-Gamma difference loses digits as n grows (1.9e-13 worst
+        # seen, at D = 30, n = 123); past MAX_ORDER it is refused
+        mp = pytest.importorskip("mpmath", exc_type=ImportError)
+        worst = 0.0
+        with mp.workdps(40):
+            for d in (2.0, 2.5, 3.0, 7.3, 30.0, 64.0):
+                dim, big_d = Dimension(d), mp.mpf(d)
+                n0 = mp.sqrt(mp.pi) * mp.gamma((big_d - 1) / 2) / mp.gamma(big_d / 2)
+                for n in range(MAX_ORDER + 1):
+                    ref = n0 if n == 0 else (
+                        n0 * mp.factorial(n) * mp.gamma(big_d - 1)
+                        / ((2 * n + big_d - 2) * mp.gamma(n + big_d - 2)))
+                    worst = max(worst, float(abs(mp.mpf(norm_squared_gamma(n, dim)) / ref - 1)))
+        assert worst <= 5e-13
+        for n in (MAX_ORDER + 1, 10**4, 10**18, 10**30):
+            with pytest.raises(DomainError, match=f"<= {MAX_ORDER}"):
+                norm_squared_gamma(n, D3)
+
     @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 4.0, 64.0])
     def test_vectorised_betas_and_norms_match_scalar_loop(self, d):
         # same operations in the same order, so equality is exact
