@@ -68,8 +68,12 @@ class WeightVector:
         arr = np.array(self.a, dtype=float, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("weights must be a non-empty 1-d sequence")
-        if not np.isfinite(arr).all():
+        # max |a_n|, not finite exactly when a weight is not (NaN and +-inf
+        # propagate through the max); `_scaled` reads its exponent
+        peak = float(np.maximum.reduce(np.abs(arr)))
+        if not math.isfinite(peak):
             raise DomainError("weights must be finite")
+        object.__setattr__(self, "_peak", peak)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
         if not isinstance(self.normalization, Normalization):
@@ -92,7 +96,7 @@ class WeightVector:
         record; none scales the weights or looks the record up itself.
         """
         basis = _basis(self.order, self.dim)
-        k = math.frexp(float(np.abs(self.a).max()))[1]
+        k = math.frexp(self._peak)[1]
         a = np.ldexp(self.a, -k)
         c = a * basis.inv_sub
         a.setflags(write=False)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .designs import WeightVector, _unscale
 from .errors import DomainError
-from .ultraspherical import _series_sum
+from .ultraspherical import _clamp_argument, _series_sum
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
 
@@ -51,7 +51,8 @@ def eval_pattern(weights: WeightVector, x):
     c_n P_n(x) it is within 2.3e-13 sum_n |c_n| for N <= 128 (5e-13 in the
     tests; 1.6e-14 for normally distributed weights).  x may be a float (the
     result is a float) or an array of any shape (the result has its shape);
-    x outside [-1, 1] raises DomainError.
+    x outside [-1, 1] raises DomainError.  That check runs once, here: the
+    series sum takes the checked x.
 
     The sum is formed on the coefficients of the weights scaled by the
     exact power of two 2^-k of `WeightVector._scaled` and scaled back by 2^k
@@ -60,7 +61,7 @@ def eval_pattern(weights: WeightVector, x):
     double range; values that stay in range are unchanged bit for bit.
     """
     k, _, c, basis = weights._scaled
-    g = _series_sum(c, x, basis)
+    g = _series_sum(c, _clamp_argument(x), basis)
     if isinstance(g, float):
         return _unscale(g, k)
     with np.errstate(over="ignore"):
@@ -84,9 +85,11 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     beta_{n+1}, the Gram matrix, the signs (-1)^n and S_{D-1}) is read from
     the cached record `ultraspherical._basis`, which `WeightVector._scaled`
     hands over with the scaled weights, so a call costs about fifteen small
-    array operations (about 14 us at N <= 32 and 21 us at N = 128, best of
-    three timeit runs, 2-vCPU Xeon), bit-identical to the same formulas
-    with those arrays rebuilt.
+    array operations (about 15-19 us at N <= 32 and 24 us at N = 128, best
+    of three timeit runs, 2-vCPU Xeon), bit-identical to the same formulas
+    with those arrays rebuilt.  The four sums call `np.add.reduce`, the
+    reduction that `ndarray.sum` wraps, in the same order.  No x is read
+    here; the pattern readers check theirs once, at their public entry.
 
     The sums are formed on the weights scaled by the power of two 2^-k that
     brings max |a_n| into [0.5, 1) (`WeightVector._scaled`).  That scaling
@@ -100,17 +103,17 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     order = weights.order
     k, a, c, basis = weights._scaled
     aa = a * a
-    e = float((aa * basis.inv_sub).sum())
+    e = float(np.add.reduce(aa * basis.inv_sub))
     if e == 0.0:
         raise DomainError("metrics are undefined for a pattern of zero energy")
-    g1 = float(c.sum())
+    g1 = float(np.add.reduce(c))
     q = basis.surface * g1 * g1 / e
     r_v: float | None = None
     if weights.a[0] != 0.0:
         r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
     n2 = basis.n2
-    r_e = 2.0 * float((basis.beta[:-1] * a[:-1] * a[1:] / n2[:-1]).sum())
-    r_e /= float((aa / n2).sum())
+    r_e = 2.0 * float(np.add.reduce(basis.beta[:-1] * a[:-1] * a[1:] / n2[:-1]))
+    r_e /= float(np.add.reduce(aa / n2))
     back = a * basis.sign
     fbr = float(a @ basis.gram @ a) / float(back @ basis.gram @ back)
     return PatternMetrics(p=float(weights.a[0]), e=_unscale(e, 2 * k), q=q, r_v=r_v,
@@ -130,7 +133,9 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     non-zero weights at any D, and P and E come back in the caller's scale,
     inf or 0 only where the true value lies outside the double range.
     Raises DomainError when the quadrature energy is zero.  `quadrature` is
-    imported on the first call: only this oracle needs it.
+    imported on the first call: only this oracle needs it.  The pattern is
+    read only at rule nodes and at 1.0, all inside [-1, 1], so no x is
+    checked.
     """
     from .quadrature import integrate_axisym
 
@@ -149,7 +154,7 @@ def compute_metrics_numeric(weights: WeightVector) -> PatternMetrics:
     p, e, p1, e1 = (dim.subsurface * integrate_axisym(moments, dim, 2 * order + 1)).tolist()
     if e == 0.0:
         raise DomainError("metrics are undefined for a pattern of zero energy")
-    g1 = float(pattern(1.0))
+    g1 = float(pattern(np.asarray(1.0)))
     q = dim.surface * g1 * g1 / e
     r_v = None if weights.a[0] == 0.0 else p1 / p
     front, back = integrate_axisym(

@@ -159,6 +159,11 @@ def _jacobi_rule(count: int, a: float, b: float):
 _PHI_RULE_FROM = 6.0
 
 
+# Highest degree_hint: a Legendre rule of more nodes is solved from a companion
+# matrix of more than 2^48 doubles (2 PiB), which no machine holds.
+_MAX_HINT = 2**24
+
+
 def _node_count(degree_hint: int, dim: Dimension) -> int:
     return max(64, degree_hint + math.ceil(dim.d) + 16)
 
@@ -204,8 +209,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         DomainError, as does any other shape.
     dim : Dimension
     degree_hint : int
-        Polynomial degree of f if f is polynomial; sizes the rule as
-        max(64, degree_hint + ceil(D) + 16) nodes.
+        Polynomial degree of f if f is polynomial, 0 <= degree_hint <= 2^24;
+        sizes the rule as max(64, degree_hint + ceil(D) + 16) nodes.
     lower, upper : float
         Integration bounds, -1 <= lower < upper <= 1.
 
@@ -229,7 +234,7 @@ def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: f
     magnitude (0 for a row of zeros).  A row whose largest magnitude is not
     finite holds a NaN or +-inf value and raises DomainError.
     """
-    degree_hint = _integer(degree_hint, "degree_hint", 0)
+    degree_hint = _integer(degree_hint, "degree_hint", 0, _MAX_HINT)
     if not (-1.0 <= lower < upper <= 1.0):
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
@@ -254,10 +259,11 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     power of two and divided by N_n^2 before it is scaled back, so gamma_n
     is inf or 0 only where it lies outside the double range.  An f that is
     NaN or +-inf at a node raises DomainError, and so do an N past
-    MAX_ORDER and a degree_hint below -N, before anything is integrated.
+    MAX_ORDER and a degree_hint outside -N .. 2^24 - N, before anything is
+    integrated.
     """
     max_degree = _integer(max_degree, "max_degree", 0, MAX_ORDER)
-    degree_hint = _integer(degree_hint, "degree_hint", -max_degree)
+    degree_hint = _integer(degree_hint, "degree_hint", -max_degree, _MAX_HINT - max_degree)
 
     def integrand(x):
         # an infinite f(x) times P_n(x) = 0 is NaN: no warning, the NaN raises DomainError

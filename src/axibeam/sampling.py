@@ -21,7 +21,7 @@ import numpy as np
 
 from .designs import WeightVector, _unscale
 from .errors import DomainError, NormError, ParseError, _file_lines, _integer
-from .ultraspherical import MAX_DIMENSION, Dimension, _series_sum, eval_sequence
+from .ultraspherical import _MAX_DEGREE, MAX_DIMENSION, Dimension, _series_sum, eval_sequence
 
 __all__ = [
     "NodeSet",
@@ -252,9 +252,10 @@ def tdesign_check(nodes: NodeSet, t: int) -> TDesignReport:
     taken in blocks of node rows that hold at most 2^22 floats at once while
     (t + 4) L <= 2^22.  t = 0 has no degree to check, so its report is
     (0, 0.0, (), True).  The P_n come from `eval_sequence`, not the per-(N, D)
-    record, so t is not held to `MAX_ORDER`; the CLI caps it at 256.
+    record, so t is held to its ceiling 2^48, not to `MAX_ORDER`; the CLI
+    caps it at 256.
     """
-    t = _integer(t, "t", 0)
+    t = _integer(t, "t", 0, _MAX_DEGREE)
     dim = Dimension(nodes.dim)
     pts = nodes.nodes
     # a block of rows holds t + 4 arrays of rows x L floats: the dot
@@ -304,7 +305,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     unscaled sums wherever those do not overflow or underflow; P and E are
     reported in the caller's scale, inf or 0 only where the true value lies
     outside the double range.  Raises DomainError when the node energy E is
-    zero: g vanishes at every node.
+    zero: g vanishes at every node.  The projections, which can round just
+    past +-1, are clipped in place and are the only x the series sum sees.
     """
     if weights.dim.d != float(nodes.dim):
         raise DomainError(
@@ -321,20 +323,22 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
     if not abs(norm - 1.0) <= _FILE_NORM_TOL:
         raise DomainError("aim must be a unit vector")
     aim = aim / norm
-    x = np.clip(nodes.nodes @ aim, -1.0, 1.0)
+    x = nodes.nodes @ aim
+    np.minimum(x, 1.0, out=x)
+    np.maximum(x, -1.0, out=x)
     k, _, c, basis = weights._scaled
     g = _series_sum(c, x, basis)
     d_omega = basis.surface / nodes.count
     # rows g and g^2: their sums are P and E, their first moments rV P and rE E
     samples = np.array([g, g * g])
-    p, e = (d_omega * samples.sum(axis=1)).tolist()
+    p, e = (d_omega * np.add.reduce(samples, axis=1)).tolist()
     if e == 0.0:
         raise DomainError("discrete metrics are undefined when the node energy is zero")
     sums, squares = d_omega * (samples @ nodes.nodes)
     re_vec = squares / e
     r_e = _norm(re_vec)
     r_v = rv_misaim = None
-    floor = nodes.count * _EPS * d_omega * float(np.abs(g).sum())
+    floor = nodes.count * _EPS * d_omega * float(np.add.reduce(np.abs(g)))
     if weights.a[0] != 0.0 and abs(p) > floor:
         rv_vec = sums / p
         r_v = _norm(rv_vec)

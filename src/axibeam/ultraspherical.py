@@ -12,9 +12,11 @@ rather than branches.  Series sum_n c_n P_n(x) are summed in the Chebyshev
 basis for D <= 3, through the connection P_n = sum_m C[m, n] T_m, and by
 Clenshaw's recurrence above (see `_series_sum`).  A degree N or n is an
 integer >= 0 (`errors._integer`: an integral float such as 3.0 counts, any
-other value raises DomainError); `eval_sequence` and `derivative` take any
-such N, every other function N <= MAX_ORDER, `gram_front` (the Gram matrix of
-the front-to-back ratio) included.
+other value raises DomainError); `eval_sequence` and `derivative` take
+N <= 2^48 (past it the N + 1 values alone need 2 PiB), every other function
+N <= MAX_ORDER, `gram_front` (the Gram matrix of the front-to-back ratio)
+included.  An x is checked against [-1, 1] once per public call
+(`_clamp_argument`); the private helpers take it checked.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ MAX_DIMENSION = 64.0
 
 # Highest degree of a per-(N, D) record; its Gram matrix is O(N^2).
 MAX_ORDER = 128
+
+# Highest degree of the recurrences themselves: N + 1 values of P_n, even at
+# one x, then take more than 2^48 doubles (2 PiB), which no machine holds.
+_MAX_DEGREE = 2**48
 
 # |x| may overshoot 1 by at most this much before it is an error.
 _X_CLAMP = 1e-12
@@ -109,12 +115,18 @@ def surface_area(dim: Dimension) -> float:
 
 
 def _clamp_argument(x) -> np.ndarray:
+    """x as a float array in [-1, 1]: the one check of x, run once per public call.
+
+    An overshoot of at most 1e-12 is clipped into a new array; a larger one,
+    NaN, +-inf or a non-number raises DomainError.  The private helpers that
+    receive x (`_series_sum`, `_chebyshev_sum`) take it checked.
+    """
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"x must be a real number or an array of them: {exc}") from exc
     # inside [-1, 1] already (NaN fails both tests): x as it is, never written
-    if x.size and -1.0 <= x.min() and x.max() <= 1.0:
+    if x.size and -1.0 <= np.minimum.reduce(x, None) and np.maximum.reduce(x, None) <= 1.0:
         return x
     # written as a negated <= so that NaN fails the test as well
     if not (np.abs(x) <= 1.0 + _X_CLAMP).all():
@@ -268,7 +280,7 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
         Evaluation point(s) in [-1, 1] (an overshoot below 1e-12 is clamped);
         a non-numeric, NaN or infinite value raises DomainError.
     max_degree : int
-        Highest degree N >= 0.
+        Highest degree 0 <= N <= 2^48.
     dim : Dimension
 
     Returns
@@ -277,7 +289,7 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
         Shape (N+1,) for scalar x, or (N+1,) + x.shape for arrays; entry n
         holds P_n(x).
     """
-    max_degree = _integer(max_degree, "max_degree", 0)
+    max_degree = _integer(max_degree, "max_degree", 0, _MAX_DEGREE)
     x = _clamp_argument(x)
     d = dim.d
     if x.ndim == 0:
@@ -372,17 +384,18 @@ def _with_derivatives(x, max_degree: int, dim: Dimension):
 
     from P'_0 = 0 and P'_1 = 1; it holds on all of [-1, 1], endpoints included.
     As in `eval_sequence`, one loop fills Python floats for a 0-d x and an
-    array otherwise; N is checked there.
+    array otherwise.  x and N are checked there, and the checked x is read
+    back as P_1 = x.
     """
-    x = _clamp_argument(x)
     seq = eval_sequence(x, max_degree, dim)
     max_degree = len(seq) - 1
     d = dim.d
-    if x.ndim == 0:
-        x, p, der = float(x), seq.tolist(), [0.0] * (max_degree + 1)
+    if seq.ndim == 1:
+        p, der = seq.tolist(), [0.0] * (max_degree + 1)
     else:
         p, der = seq, np.zeros_like(seq)
     if max_degree >= 1:
+        x = p[1]
         der[1] = 1.0
     for n in range(1, max_degree):
         der[n + 1] = ((2.0 * n + d - 2.0) * (p[n] + x * der[n]) - n * der[n - 1]) / (n + d - 2.0)
@@ -422,10 +435,10 @@ def _series_sum(coeffs, x, basis: _Basis):
     table folded as in `_chebyshev_sum` took 4.4x as long on 100000.
     The Chebyshev sum has one path for every shape: its numpy calls number
     O(log N), not O(N).  Either way a 0-d x gives a float, an array x an
-    array of its shape, and every shape agrees bit for bit.  x is checked
-    as in `eval_sequence`.
+    array of its shape, and every shape agrees bit for bit.  x is a float
+    array already in [-1, 1]: the public caller checked it once
+    (`_clamp_argument`, or a clip of its own), and no second check runs here.
     """
-    x = _clamp_argument(x)
     if basis.dim.d <= 3.0:
         return _chebyshev_sum(basis.chebyshev @ coeffs, x)
     steps, sigma0 = basis.clenshaw
@@ -535,11 +548,11 @@ def value_at_zero(n: int, dim: Dimension) -> float:
 def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     """Christoffel-Darboux kernel K_N(x, x0) = sum_{n<=N} P_n(x) P_n(x0) / N_n^2, x0 one value.
 
-    One series sum (`_series_sum`, x as there): error <= 1e-12 sum_n |terms| for N <= 128, any x.
+    One series sum (`_series_sum`, x checked as in `eval_pattern`): error <= 1e-12
+    sum_n |terms| for N <= 128, any x.  x0 is checked by `eval_sequence`.
     """
-    x0 = _clamp_argument(x0)
-    if x0.ndim:
-        raise DomainError(f"x0 must be one value, got shape {x0.shape}")
     basis = _basis(max_degree, dim)
-    coeffs = eval_sequence(x0, basis.order, dim) / basis.n2
-    return _series_sum(coeffs, x, basis)
+    seq = eval_sequence(x0, basis.order, dim)
+    if seq.ndim != 1:
+        raise DomainError(f"x0 must be one value, got shape {seq.shape[1:]}")
+    return _series_sum(seq / basis.n2, _clamp_argument(x), basis)

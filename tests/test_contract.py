@@ -36,7 +36,8 @@ import numpy as np
 
 import axibeam as ab
 from axibeam.cli import main
-from axibeam.ultraspherical import _cached_basis
+from axibeam.sampling import MAX_NODES
+from axibeam.ultraspherical import MAX_ORDER, _cached_basis
 
 SEED = 20240
 ORDERS = (0, 1, 7, 64, 128, 129)
@@ -284,39 +285,43 @@ def _square(t):
     return t * t
 
 
-# (callable, integer parameter) -> (call of one value, a valid value k, capped,
-# the error of an invalid value).  A capped parameter has an upper bound that is
-# checked before any work, so it must reject 10**30 too; the others are held to
-# none and would start a recurrence or a rule of 10**30 terms.
+# (callable, integer parameter) -> (call of one value, a valid value k, the
+# largest value accepted, the error of an invalid value).  Every parameter has
+# an upper bound that is checked before any work, so one past it and 10**30 are
+# rejected without a recurrence or a rule of that many terms being started:
+# MAX_ORDER for a per-(N, D) record, 2^48 for the recurrences themselves (their
+# N + 1 values would take more than 2^48 doubles) and 2^24 for a quadrature
+# rule's degree_hint (its Legendre companion matrix would).
+N_MAX, DEGREE_MAX, HINT_MAX = MAX_ORDER, 2**48, 2**24
 INTEGER_ARGS = {
-    ("eval_sequence", "max_degree"): (lambda k: ab.eval_sequence(0.3, k, D37), 3, False),
-    ("derivative", "n"): (lambda k: ab.derivative(0.3, k, D37), 3, False),
-    ("norm_squared_gamma", "n"): (lambda k: ab.norm_squared_gamma(k, D37), 3, True),
-    ("power_series_coeffs", "n"): (lambda k: ab.power_series_coeffs(k, D37), 3, True),
-    ("beta_coeff", "n"): (lambda k: ab.beta_coeff(k, D37), 3, True),
-    ("norm_squared", "n"): (lambda k: ab.norm_squared(k, D37), 3, True),
-    ("norms_squared", "max_degree"): (lambda k: ab.norms_squared(k, D37), 3, True),
-    ("value_at_zero", "n"): (lambda k: ab.value_at_zero(k, D37), 4, True),
-    ("cd_kernel", "max_degree"): (lambda k: ab.cd_kernel(0.3, 0.5, k, D37), 3, True),
-    ("basic", "order"): (lambda k: ab.basic(k, D37), 3, True),
-    ("max_re", "order"): (lambda k: ab.max_re(k, D37), 3, True),
-    ("supercardioid", "order"): (lambda k: ab.supercardioid(k, D37), 3, True),
-    ("supercardioid_approx", "order"): (lambda k: ab.supercardioid_approx(k, D37), 3, True),
-    ("inphase", "order"): (lambda k: ab.inphase(k, D37), 3, True),
-    ("maxflat", "order"): (lambda k: ab.maxflat(k, 1, D37), 3, True),
-    ("maxflat", "flat_l"): (lambda k: ab.maxflat(3, k, D37), 1, True, ab.InvalidFlatness),
-    ("cap", "order"): (lambda k: ab.cap(k, 0.3, D37), 3, True),
-    ("cap_trapezoid", "order"): (lambda k: ab.cap_trapezoid(k, 20.0, D37), 3, True),
+    ("eval_sequence", "max_degree"): (lambda k: ab.eval_sequence(0.3, k, D37), 3, DEGREE_MAX),
+    ("derivative", "n"): (lambda k: ab.derivative(0.3, k, D37), 3, DEGREE_MAX),
+    ("norm_squared_gamma", "n"): (lambda k: ab.norm_squared_gamma(k, D37), 3, N_MAX),
+    ("power_series_coeffs", "n"): (lambda k: ab.power_series_coeffs(k, D37), 3, N_MAX),
+    ("beta_coeff", "n"): (lambda k: ab.beta_coeff(k, D37), 3, N_MAX + 1),
+    ("norm_squared", "n"): (lambda k: ab.norm_squared(k, D37), 3, N_MAX),
+    ("norms_squared", "max_degree"): (lambda k: ab.norms_squared(k, D37), 3, N_MAX),
+    ("value_at_zero", "n"): (lambda k: ab.value_at_zero(k, D37), 4, N_MAX),
+    ("cd_kernel", "max_degree"): (lambda k: ab.cd_kernel(0.3, 0.5, k, D37), 3, N_MAX),
+    ("basic", "order"): (lambda k: ab.basic(k, D37), 3, N_MAX),
+    ("max_re", "order"): (lambda k: ab.max_re(k, D37), 3, N_MAX),
+    ("supercardioid", "order"): (lambda k: ab.supercardioid(k, D37), 3, N_MAX),
+    ("supercardioid_approx", "order"): (lambda k: ab.supercardioid_approx(k, D37), 3, N_MAX),
+    ("inphase", "order"): (lambda k: ab.inphase(k, D37), 3, N_MAX),
+    ("maxflat", "order"): (lambda k: ab.maxflat(k, 1, D37), 3, N_MAX),
+    ("maxflat", "flat_l"): (lambda k: ab.maxflat(3, k, D37), 1, 2, ab.InvalidFlatness),
+    ("cap", "order"): (lambda k: ab.cap(k, 0.3, D37), 3, N_MAX),
+    ("cap_trapezoid", "order"): (lambda k: ab.cap_trapezoid(k, 20.0, D37), 3, N_MAX),
     ("integrate_axisym", "degree_hint"): (lambda k: ab.integrate_axisym(_square, D37, k), 2,
-                                          False),
+                                          HINT_MAX),
     ("transform_coeffs", "max_degree"): (lambda k: ab.transform_coeffs(_square, k, D37), 3,
-                                         True),
+                                         N_MAX),
     ("transform_coeffs", "degree_hint"): (lambda k: ab.transform_coeffs(_square, 3, D37, k), 2,
-                                          False),
-    ("gram_front", "max_degree"): (lambda k: ab.gram_front(k, D37), 3, True),
-    ("circle_nodes", "count"): (lambda k: ab.circle_nodes(k), 3, True),
-    ("NodeSet", "dim"): (lambda k: ab.NodeSet(k, CUBE.nodes), 3, True),
-    ("tdesign_check", "t"): (lambda k: ab.tdesign_check(CUBE, k), 3, False),
+                                          HINT_MAX - 3),
+    ("gram_front", "max_degree"): (lambda k: ab.gram_front(k, D37), 3, N_MAX),
+    ("circle_nodes", "count"): (lambda k: ab.circle_nodes(k), 3, MAX_NODES),
+    ("NodeSet", "dim"): (lambda k: ab.NodeSet(k, CUBE.nodes), 3, 64),
+    ("tdesign_check", "t"): (lambda k: ab.tdesign_check(CUBE, k), 3, DEGREE_MAX),
 }
 NOT_INTEGERS = (2.5, "2", None, math.nan)
 
@@ -350,14 +355,14 @@ def test_every_integer_parameter_is_walked():
 
 
 def test_integer_arguments():
-    for (name, param), (call, k, capped, *error) in INTEGER_ARGS.items():
+    for (name, param), (call, k, high, *error) in INTEGER_ARGS.items():
         error = error[0] if error else ab.DomainError
         _cached_basis.cache_clear()
         want = _verdict(lambda: call(k))
         assert isinstance(want, tuple), (name, param, want)
         for value in (np.int64(k), float(k), np.float64(k)):
             assert _cold_and_warm(call, k, value) == (want, want), (name, param, value)
-        for value in NOT_INTEGERS + ((10**30,) if capped else ()):
+        for value in NOT_INTEGERS + (high + 1, 10**30):
             assert _cold_and_warm(call, k, value) == (error, error), (name, param, value)
 
 

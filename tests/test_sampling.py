@@ -492,18 +492,26 @@ class TestDiscreteMetrics:
     @pytest.mark.parametrize("d", [2.0, 3.0])
     def test_matches_direct_formulas(self, d):
         # the node sums written out, np.linalg.norm for every vector length;
-        # the arithmetic is the same, so every field agrees bit for bit
+        # the arithmetic is the same, so every field agrees bit for bit.  Each
+        # set is also aimed at those of its nodes that project onto themselves
+        # past 1, where the clip is what keeps the pattern's x in [-1, 1]
         dim = Dimension(d)
         rng = np.random.default_rng(23)
         sets = ([circle_nodes(m, float(rng.uniform(0.0, 1.0))) for m in (1, 7, 64, 257)]
                 if d == 2.0 else [platonic(name) for name in PLATONIC_NAMES])
+        past_one = 0
         for order in (0, 1, 5, 32, 128):
             weights = WeightVector(dim, rng.standard_normal(order + 1) * 1e5, "raw")
             _, k = np.frexp(np.max(np.abs(weights.a)))
             unit = WeightVector(dim, np.ldexp(weights.a, -k), "raw")
+            cases = []
             for nodes in sets:
                 aim = rng.standard_normal(nodes.dim)
                 aim /= np.linalg.norm(aim) * (1.0 + 1e-9)  # inside the 1e-6 tolerance
+                past = [v for v in nodes.nodes if np.max(nodes.nodes @ (v / np.linalg.norm(v))) > 1]
+                past_one += len(past)
+                cases += [(nodes, aim)] + [(nodes, v) for v in past]
+            for nodes, aim in cases:
                 disc = discrete_metrics(weights, nodes, aim)
                 aim = aim / np.linalg.norm(aim)
                 g = eval_pattern(unit, np.clip(nodes.nodes @ aim, -1.0, 1.0))
@@ -529,6 +537,7 @@ class TestDiscreteMetrics:
                 assert disc.r_e_misaim_rad == (misaim(squares / e)
                                                if r_e > nodes.count * np.finfo(float).eps
                                                else None)
+        assert past_one
 
     def test_aim_of_wrong_shape(self):
         for aim in ([1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0, "ab"):

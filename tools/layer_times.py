@@ -1,0 +1,150 @@
+"""Per-layer times of the single-vector read path of two source trees, in alternating child runs.
+
+    python tools/layer_times.py --parent REV_OR_DIR [--change DIR] [--pairs N] [--json PATH]
+
+The layers are those of one operation of perfbench's `batch` workload, each
+timed alone at its 7 (N, D) pairs on a 5 % perturbation of `basic(N, D)`:
+
+    weights   WeightVector(dim, a, "raw")._scaled, fresh weights each call
+    metrics   compute_metrics, `_scaled` already cached
+    pattern   eval_pattern on 181 angles, cos 0 .. 180 degrees
+    discrete  discrete_metrics on the dodecahedron (D = 3) or on a ring of
+              2N + 2 nodes (D = 2), one fixed unit aim; none at D = 2.5
+    series    ultraspherical._series_sum alone on the same 181 angles
+
+Each side is a tree holding `src/`; a `--parent` that is not a directory is
+taken as a git revision of this repository and extracted with `git archive`
+(`tools/tier1_wall.py`).  A run is a child process with the tree's `src`
+first on PYTHONPATH that times every (layer, pair) cell as `REPEATS` repeats
+of `NUMBER` calls, the cells taking turns, and prints each repeat's time per
+call.  The sides alternate which one runs first in each pair of runs, so
+slow spells of a shared machine fall on both.  Printed per cell: the median
+and quartiles in microseconds of each side's repeats pooled over its runs,
+and the ratio of the medians, change over parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from tier1_wall import ROOT, extract, tree_env  # noqa: E402
+
+PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0))
+LAYERS = ("weights", "metrics", "pattern", "discrete", "series")
+NUMBER = 200
+REPEATS = 7
+
+
+def measure() -> dict:
+    """{layer: {"N=..,D=..": [us per call, one per repeat]}} for the axibeam on sys.path."""
+    import timeit
+
+    import numpy as np
+
+    import axibeam as ab
+    from axibeam.ultraspherical import _series_sum
+
+    rng = np.random.default_rng(1)
+    angles = np.cos(np.radians(np.linspace(0.0, 180.0, 181)))
+    out: dict = {layer: {} for layer in LAYERS}
+    cells = []
+    for order, d in PAIRS:
+        dim = ab.Dimension(d)
+        base = ab.basic(order, dim).a
+        a = base * (1.0 + 0.05 * rng.standard_normal(base.size))
+        weights = ab.WeightVector(dim, a, "raw")
+        _, _, c, basis = weights._scaled
+        calls = {
+            "weights": lambda: ab.WeightVector(dim, a, "raw")._scaled,
+            "metrics": lambda: ab.compute_metrics(weights),
+            "pattern": lambda: ab.eval_pattern(weights, angles),
+            "series": lambda: _series_sum(c, angles, basis),
+        }
+        if d in (2.0, 3.0):
+            nodes = ab.circle_nodes(2 * order + 2) if d == 2.0 else ab.platonic("dodecahedron")
+            aim = rng.standard_normal(nodes.dim)
+            aim /= np.linalg.norm(aim)
+            calls["discrete"] = lambda: ab.discrete_metrics(weights, nodes, aim)
+        label = f"N={order},D={d:g}"
+        for layer, call in calls.items():
+            call()
+            cells.append((layer, label, timeit.Timer(call)))
+            out[layer][label] = []
+    # the repeats of every cell go round in turn, so a slow spell of the
+    # machine falls on all cells alike rather than on a few whole cells
+    for _ in range(REPEATS):
+        for layer, label, timer in cells:
+            out[layer][label].append(1e6 * timer.timeit(NUMBER) / NUMBER)
+    return out
+
+
+def run_child(tree: Path) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child"], cwd=tree, env=tree_env(tree),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list) -> tuple:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(runs: dict) -> dict:
+    """{layer: {cell: {side: [q1, median, q3]} | ratio}} over the pooled repeats."""
+    summary: dict = {}
+    for layer in LAYERS:
+        for label in runs["parent"][0][layer]:
+            cell = {side: [round(v, 3) for v in
+                           quartiles([t for run in side_runs for t in run[layer][label]])]
+                    for side, side_runs in runs.items()}
+            cell["ratio"] = round(cell["change"][1] / cell["parent"][1], 4)
+            summary.setdefault(layer, {})[label] = cell
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="source tree, or a git revision")
+    parser.add_argument("--change", default=str(ROOT), help="source tree (default: this one)")
+    parser.add_argument("--pairs", type=int, default=3, help="alternating pairs of runs")
+    parser.add_argument("--json", help="also write the summary to this file")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(measure()))
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(args.parent)
+        if not parent.is_dir():
+            parent = extract(args.parent, Path(tmp))
+        sides = {"parent": parent.resolve(), "change": Path(args.change).resolve()}
+        runs: dict = {name: [] for name in sides}
+        for pair in range(args.pairs):
+            order = list(sides) if pair % 2 == 0 else list(reversed(sides))
+            for name in order:
+                runs[name].append(run_child(sides[name]))
+                print(f"pair {pair + 1} {name}: done", flush=True)
+    summary = summarize(runs)
+    print(f"us per call, median [q1, q3] of {args.pairs} runs x {REPEATS} repeats of "
+          f"{NUMBER} calls per side")
+    for layer, cells in summary.items():
+        for label, cell in cells.items():
+            (p1, pm, p3), (c1, cm, c3) = cell["parent"], cell["change"]
+            print(f"{layer:9s} {label:11s} parent {pm:8.2f} [{p1:.2f}, {p3:.2f}]  "
+                  f"change {cm:8.2f} [{c1:.2f}, {c3:.2f}]  ratio {cell['ratio']:.3f}")
+    if args.json:
+        Path(args.json).write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

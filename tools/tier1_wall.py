@@ -34,11 +34,17 @@ DURATION = re.compile(r"^\s*([0-9.]+)s\s+(?:setup|call|teardown)\s+([^:\s]+)::")
 SUMMARY = re.compile(r"^=* ?(.*\b(?:passed|failed)\b.* in [0-9.]+s.*?) ?=*$")
 
 
-def run_suite(tree: Path) -> tuple[float, str, dict]:
-    """(wall seconds, pytest summary line, {test file: seconds}) of one Tier-1 run."""
+def tree_env(tree: Path) -> dict:
+    """This process's environment with the tree's `src` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_suite(tree: Path) -> tuple[float, str, dict]:
+    """(wall seconds, pytest summary line, {test file: seconds}) of one Tier-1 run."""
+    env = tree_env(tree)
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"]
     start = time.perf_counter()
