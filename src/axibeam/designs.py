@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer
-from .ultraspherical import MAX_ORDER, Dimension, _basis, _with_derivatives, eval_sequence
+from .ultraspherical import (MAX_ORDER, Dimension, _basis, _unscale, _with_derivatives,
+                             eval_sequence)
 
 __all__ = [
     "Normalization",
@@ -134,14 +135,6 @@ class WeightVector:
             raise DomainError("cannot normalize to g(1) = 1 when g(1) = 0")
         with np.errstate(over="ignore"):
             return WeightVector(self.dim, a / g1, kind)
-
-
-def _unscale(value: float, k: int) -> float:
-    """value 2^k, an infinity of value's sign where that lies past the double range."""
-    try:
-        return math.ldexp(value, k)
-    except OverflowError:
-        return math.copysign(math.inf, value)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import WeightVector, _unscale
+from .designs import WeightVector
 from .errors import DomainError
-from .ultraspherical import _clamp_argument, _series_sum
+from .ultraspherical import _clamp_argument, _series_sum, _unscale
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
 
@@ -61,11 +61,7 @@ def eval_pattern(weights: WeightVector, x):
     double range; values that stay in range are unchanged bit for bit.
     """
     k, _, c, basis = weights._scaled
-    g = _series_sum(c, _clamp_argument(x), basis)
-    if isinstance(g, float):
-        return _unscale(g, k)
-    with np.errstate(over="ignore"):
-        return np.ldexp(g, k)
+    return _unscale(_series_sum(c, _clamp_argument(x), basis), k)
 
 
 def compute_metrics(weights: WeightVector) -> PatternMetrics:
@@ -80,6 +76,16 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     a^T G a and b^T G b of a and of its mirror b_n = (-1)^n a_n.  Both forms
     are evaluated in full: their difference, rewritten from the even-odd
     block alone, can round to zero for a strongly directive pattern.
+
+    FBR has a floor: b^T G b cancels O(1) terms down to about 1/FBR, so the
+    closed form loses about eps FBR relative, and every digit (even the
+    sign) once FBR passes about 1e16; for a back-dominant pattern a^T G a
+    cancels alike, so an FBR below about eps reads about eps.  The FBR of
+    `supercardioid(12, Dimension(2))` reads -3.05e16 where
+    `compute_metrics_numeric` gives 3.37e17, and the mirrored D = 3
+    supercardioid at N = 12 .. 18 reads +1.4e-16 to +1.6e-16 where the true
+    FBR runs from 1e-17 down to 1e-26.  ROADMAP item 2 (FBR as the ratio of
+    two positive half-range sums) is the fix.
 
     Everything that depends only on (N, D) (1/(S_{D-2} N_n^2), N_n^2,
     beta_{n+1}, the Gram matrix, the signs (-1)^n and S_{D-1}) is read from

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, _integer
-from .ultraspherical import MAX_ORDER, Dimension, eval_sequence, norms_squared
+from .ultraspherical import MAX_ORDER, Dimension, _unscale, eval_sequence, norms_squared
 
 __all__ = ["integrate_axisym", "transform_coeffs"]
 
@@ -221,10 +221,7 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
     bit for bit, unless a product of an integrand value and a rule weight is
     subnormal.
     """
-    out, k = _scaled_integral(f, dim, degree_hint, lower, upper)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(out, k)
-    return float(out) if out.ndim == 0 else out
+    return _unscale(*_scaled_integral(f, dim, degree_hint, lower, upper))
 
 
 def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: float):
@@ -271,5 +268,4 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
             return eval_sequence(x, max_degree, dim) * f(x)
 
     out, k = _scaled_integral(integrand, dim, degree_hint + max_degree, -1.0, 1.0)
-    with np.errstate(over="ignore"):
-        return np.ldexp(out / norms_squared(max_degree, dim), k)
+    return _unscale(out / norms_squared(max_degree, dim), k)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import WeightVector, _unscale
+from .designs import WeightVector
 from .errors import DomainError, NormError, ParseError, _file_lines, _integer
-from .ultraspherical import _MAX_DEGREE, MAX_DIMENSION, Dimension, _series_sum, eval_sequence
+from .ultraspherical import (_MAX_DEGREE, MAX_DIMENSION, Dimension, _series_sum, _unscale,
+                             eval_sequence)
 
 __all__ = [
     "NodeSet",

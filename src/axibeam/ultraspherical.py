@@ -17,11 +17,19 @@ N <= 2^48 (past it the N + 1 values alone need 2 PiB), every other function
 N <= MAX_ORDER, `gram_front` (the Gram matrix of the front-to-back ratio)
 included.  An x is checked against [-1, 1] once per public call
 (`_clamp_argument`); the private helpers take it checked.
+
+The per-degree constants of one D come from one record: `_basis(N, D)` is
+an LRU of 128 entries, and an order it misses is cut from the largest live
+record at the same D (`_Cut`, read-only views of that record's arrays) when
+that record reaches N, or else built as a full record at up to twice the
+order of the last one, so an ascending scan of orders builds about log2 N
+records.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -135,6 +143,25 @@ def _clamp_argument(x) -> np.ndarray:
     return x.clip(-1.0, 1.0)
 
 
+def _unscale(value, k):
+    """value 2^k for a scaled float or array: the one way back from a power-of-two scaling.
+
+    A Python float and an int k take math.ldexp (an infinity of value's sign
+    where the result lies past the double range); anything else, an array
+    or a numpy scalar with k an exponent per entry that broadcasts, takes
+    np.ldexp with its overflow to +-inf silenced, and a 0-d result comes
+    back as a float.  Both round alike, so either gives the same bits.
+    """
+    if type(value) is float:
+        try:
+            return math.ldexp(value, k)
+        except OverflowError:
+            return math.copysign(math.inf, value)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(value, k)
+    return float(out) if out.ndim == 0 else out
+
+
 class _Basis:
     """The per-degree constants of P_0 .. P_N at one D.
 
@@ -148,7 +175,8 @@ class _Basis:
     the Clenshaw factors `clenshaw` and the Jacobi off-diagonal `off` are
     `functools.cached_property` fields, built on first use; each array builder
     sets its result read-only.  `_series_sum` reads `chebyshev` for D <= 3 and
-    `clenshaw` above.
+    `clenshaw` above.  A record of lower order at the same D is a `_Cut` of
+    this one: views of its leading entries, equal bit for bit to a build.
     """
 
     def __init__(self, order: int, dim: Dimension) -> None:
@@ -156,27 +184,41 @@ class _Basis:
         self.dim = dim
         self.surface = dim.surface  # S_{D-1}
         d, a, sub = dim.d, dim.alpha, dim.subsurface
-        beta, n2, p0, dp0 = [1.0], [self.surface / sub], [1.0], [0.0]
+        v = self.surface / sub  # N_n^2
+        beta, n2, inv_sub = [1.0], [v], [1.0 / (sub * v)]
+        p0, dp0, sign, lam = [1.0], [0.0], [1.0], [0.0]
+        b = even = 1.0  # beta_{n-1}, and P_{n'}(0) for the last even n' < n
         for n in range(1, order + 1):
             m = float(n)
-            beta.append((m + 2.0 * a) / (2.0 * (m + a)))
-            n2.append(n2[n - 1] * (1.0 - beta[n]) / beta[n - 1])
-            odd = n % 2
-            p0.append(0.0 if odd else p0[n - 2] * (-(m - 1.0) / (m + d - 3.0)))
-            dp0.append(m * p0[n - 1] if odd else 0.0)
-        rows = np.array([beta, n2, [1.0 / (sub * v) for v in n2], p0, dp0,
-                         [-1.0 if n % 2 else 1.0 for n in range(order + 1)],
-                         [n * (n + d - 2.0) for n in range(order + 1)]])
+            b, prev = (m + 2.0 * a) / (2.0 * (m + a)), b
+            v = v * (1.0 - b) / prev
+            beta.append(b)
+            n2.append(v)
+            inv_sub.append(1.0 / (sub * v))
+            if n % 2:
+                p0.append(0.0)
+                dp0.append(m * even)
+                sign.append(-1.0)
+            else:
+                even *= -(m - 1.0) / (m + d - 3.0)
+                p0.append(even)
+                dp0.append(0.0)
+                sign.append(1.0)
+            lam.append(m * (m + d - 2.0))
+        # one flat list converts faster than a nested one
+        rows = np.array(beta + n2 + inv_sub + p0 + dp0 + sign + lam).reshape(7, order + 1)
         rows.setflags(write=False)
+        self._rows = rows
         self.beta, self.n2, self.inv_sub, self.p0, self.dp0, self.sign, self.lam = rows
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Front-half Gram entries in closed form (see `gram_front`)."""
         p0, dp0, n2, lam = self.p0, self.dp0, self.n2, self.lam
-        g = np.diag(1.0 / (2.0 * n2))
+        g = np.zeros((self.order + 1, self.order + 1))
+        g.ravel()[::self.order + 2] = 1.0 / (2.0 * n2)  # the diagonal
         # row n even, column m odd: P_n(0) P_m'(0) / ((lambda_m - lambda_n) N_n^2 N_m^2)
-        block = np.outer(p0[0::2] / n2[0::2], dp0[1::2] / n2[1::2])
+        block = np.multiply.outer(p0[0::2] / n2[0::2], dp0[1::2] / n2[1::2])
         block /= lam[1::2] - lam[0::2, None]
         g[0::2, 1::2] = block
         g[1::2, 0::2] = block.T
@@ -235,7 +277,64 @@ class _Basis:
         return off
 
 
-_cached_basis = lru_cache(maxsize=128)(_Basis)
+class _Cut(_Basis):
+    """The record of order N cut from a full record of order M >= N at the same D.
+
+    Every field but `clenshaw` is prefix-stable: entry n depends on n and D
+    alone (the column sums of `chebyshev` add only zeros past row n), so the
+    rows and `gram`, `chebyshev` and `off` are read-only views of the
+    parent's arrays, the leading N + 1 entries, equal bit for bit to a
+    direct `_Basis(N, D)`.  The views of the parent's lazy fields are cut on
+    first use, and `clenshaw`, whose sigma_k are seeded at the top degree,
+    is built for order N itself.  The cut holds its parent, so a parent
+    stays alive while it or one of its cuts is cached.
+    """
+
+    def __init__(self, parent: _Basis, order: int) -> None:
+        self.order = order
+        self.dim = parent.dim
+        self.surface = parent.surface
+        self.parent = parent
+        rows = parent._rows[:, :order + 1]
+        self.beta, self.n2, self.inv_sub, self.p0, self.dp0, self.sign, self.lam = rows
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The parent's `gram`, rows and columns 0 .. N: a row-strided view."""
+        return self.parent.gram[:self.order + 1, :self.order + 1]
+
+    @cached_property
+    def chebyshev(self) -> np.ndarray:
+        """The parent's `chebyshev`, rows and columns 0 .. N: a row-strided view."""
+        return self.parent.chebyshev[:self.order + 1, :self.order + 1]
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        """The parent's `off`, entries 1 .. N."""
+        return self.parent.off[:self.order]
+
+
+# The largest live full record of each D, the one a missing order is cut
+# from.  Its values are weak: the LRU below is the only strong owner of a
+# record, and every live full record is cached itself or is the parent of a
+# cached cut, so at most 128 of them, each of order <= MAX_ORDER, are alive
+# (besides those a caller holds).
+_live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@lru_cache(maxsize=128)
+def _cached_basis(order: int, dim: Dimension) -> _Basis:
+    """The record of (N, D): a cut of the live record at D if that reaches N, else a new build.
+
+    A new build takes order max(N, min(MAX_ORDER, 2 M)), M the order of the
+    live record at D (0 if there is none), so an ascending scan of orders
+    builds about log2 N records and cuts the rest.
+    """
+    parent = _live.get(dim)
+    if parent is None or parent.order < order:
+        top = order if parent is None else max(order, min(MAX_ORDER, 2 * parent.order))
+        parent = _live[dim] = _Basis(top, dim)
+    return parent if parent.order == order else _Cut(parent, order)
 
 
 def _basis(order: int, dim: Dimension) -> _Basis:
@@ -257,7 +356,9 @@ def gram_front(max_degree: int, dim: Dimension) -> np.ndarray:
     with lambda_n = n (n + D - 2).  Same-parity entries vanish (P_n(0) = 0
     for odd n, P_n'(0) = 0 for even n), so only the even-odd block is formed
     and the matrix is exactly symmetric.  Returns the read-only array cached
-    in the per-(N, D) record itself.
+    in the per-(N, D) record itself; where that record is a cut of a larger
+    one at the same D, the array is a row-strided read-only view of the
+    larger record's matrix, with the same values.
     """
     return _basis(max_degree, dim).gram
 

@@ -1,7 +1,9 @@
+import gc
 import inspect
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from axibeam import (
     surface_area,
     value_at_zero,
 )
+from axibeam import ultraspherical
 from axibeam.quadrature import integrate_axisym
-from axibeam.ultraspherical import MAX_DIMENSION, MAX_ORDER, _Basis, _basis, _with_derivatives
+from axibeam.ultraspherical import (MAX_DIMENSION, MAX_ORDER, _Basis, _basis, _with_derivatives,
+                                    gram_front)
 
 D2 = Dimension(2.0)
 D3 = Dimension(3.0)
@@ -687,20 +691,27 @@ class TestBasis:
         assert isinstance(rec.clenshaw, tuple) and isinstance(rec.surface, float)
 
     def test_concurrent_first_use(self):
-        # threads racing on the lazy fields of fresh records all read the
+        # threads racing on the lazy fields of fresh records, and on building
+        # and cutting the records of one D in different orders, all read the
         # uncached build's values
         names = self.ARRAYS
         dims = [Dimension(2.0 + k / 64.0 + 1e-9) for k in range(16)]
-        expected = [[getattr(_Basis(20, dim), name) for name in names] for dim in dims]
+        orders = (20, 7, 13)
+        expected = [[getattr(_Basis(order, dim), name) for name in names]
+                    for dim in dims for order in orders]
         seen = []
 
-        def read_all():
-            seen.append([[getattr(_basis(20, dim), name) for name in names] for dim in dims])
+        def read_all(turn):
+            # each thread requests the orders of a D in its own rotation
+            rotated = orders[turn:] + orders[:turn]
+            got = {(dim, order): [getattr(_basis(order, dim), name) for name in names]
+                   for dim in dims for order in rotated}
+            seen.append([got[dim, order] for dim in dims for order in orders])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            threads = [threading.Thread(target=read_all, args=(k % 3,)) for k in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -729,6 +740,118 @@ class TestBasis:
         assert "gram" not in vars(_basis(11, low)) and "clenshaw" not in vars(_basis(11, low))
         norms_squared(11, Dimension(6.25))
         assert "gram" not in vars(_basis(11, Dimension(6.25)))
+
+    # records per D: an order the LRU misses is cut from the largest live
+    # record at its D; each test starts from an empty cache and weak map
+
+    @pytest.fixture
+    def live(self, monkeypatch):
+        fresh = weakref.WeakValueDictionary()
+        monkeypatch.setattr(ultraspherical, "_live", fresh)
+        ultraspherical._cached_basis.cache_clear()
+        yield fresh
+        ultraspherical._cached_basis.cache_clear()
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, 3.0, 7.3, 64.0])
+    def test_shuffled_orders_match_direct_builds(self, d, live):
+        dim = Dimension(d)
+        names = self.ARRAYS + ("surface", "clenshaw")
+
+        def scan(seed):
+            """Request the orders 0..128 in a seeded order; the number of cuts."""
+            cuts = 0
+            for order in np.random.default_rng(seed).permutation(MAX_ORDER + 1).tolist():
+                rec, ref = _basis(order, dim), _Basis(order, dim)
+                for name in names:
+                    got, want = getattr(rec, name), getattr(ref, name)
+                    if isinstance(want, np.ndarray):
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                    else:
+                        assert got == want, name
+                gram = gram_front(order, dim)
+                assert gram is rec.gram and not gram.flags.writeable
+                if type(rec) is _Basis:
+                    continue
+                cuts += 1
+                parent = rec.parent
+                assert type(parent) is _Basis and parent.order > order
+                for name in self.ARRAYS:
+                    arr = getattr(rec, name)
+                    # off is empty at N = 0, and an empty view shares nothing
+                    assert np.shares_memory(arr, getattr(parent, name)) or not arr.size, name
+                    assert not arr.flags.writeable, name
+            return cuts
+
+        assert scan(int(10 * d)) > MAX_ORDER // 2
+        ultraspherical._cached_basis.cache_clear()
+        gc.collect()
+        assert len(live) == 0
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, 7.3])
+    def test_orders_below_a_live_record_share_its_arrays(self, d):
+        dim = Dimension(d)
+        ultraspherical._cached_basis.cache_clear()
+        top = _basis(MAX_ORDER, dim)
+        for order in range(MAX_ORDER):
+            rec = _basis(order, dim)
+            for name in self.ARRAYS:
+                arr, full = getattr(rec, name), getattr(top, name)
+                assert np.shares_memory(arr, full) or not arr.size, (order, name)
+                assert arr.tobytes() == full[(slice(0, arr.shape[0]),) * arr.ndim].tobytes()
+                assert not arr.flags.writeable
+        # gram_front keeps its values: a row-strided view, equal to a direct build
+        assert gram_front(17, dim).strides[0] == (MAX_ORDER + 1) * 8
+        assert gram_front(17, dim).tobytes() == _Basis(17, dim).gram.tobytes()
+
+    def test_ascending_scan_builds_log2_records(self, live):
+        dim = Dimension(4.5)
+        built = set()
+        for order in range(MAX_ORDER + 1):
+            rec = _basis(order, dim)
+            built.add(id(getattr(rec, "parent", rec)))
+        assert len(built) == 9  # orders 0, 1, 2, 4, 8, .., 128
+        # the LRU is the only strong owner: nothing outlives the cache
+        ultraspherical._cached_basis.cache_clear()
+        del rec
+        gc.collect()
+        assert len(live) == 0
+
+    @pytest.mark.parametrize("d", [2.0, 3.0, 7.3])
+    def test_readers_agree_on_cut_and_built_records(self, d, live):
+        # every reader of the record returns the same bytes whether its order
+        # was cut from a larger live record or built directly; D = 2 and 3 sum
+        # patterns in the Chebyshev basis, D = 7.3 by Clenshaw
+        from axibeam import (circle_nodes, compute_metrics, discrete_metrics, max_re, platonic,
+                             supercardioid)
+
+        dim = Dimension(d)
+        xs = np.cos(np.radians(np.linspace(0.0, 180.0, 37)))
+        nodes = {2.0: circle_nodes(40), 3.0: platonic("dodecahedron")}.get(d)
+        aim = np.eye(nodes.dim)[0] if nodes is not None else None
+
+        def readings(order):
+            rng = np.random.default_rng(order)
+            w = WeightVector(dim, rng.standard_normal(order + 1) + 2.0, "raw")
+            sol = max_re(order, dim)
+            out = [repr(compute_metrics(w)), eval_pattern(w, xs), repr(eval_pattern(w, 0.3)),
+                   sol.weights.a, repr(sol.r_e_max), supercardioid(order, dim).a,
+                   cd_kernel(xs, 0.3, order, dim), repr(cd_kernel(0.7, 0.3, order, dim))]
+            if nodes is not None:
+                out.append(repr(discrete_metrics(w, nodes, aim)))
+            return [v.tobytes() if isinstance(v, np.ndarray) else v for v in out]
+
+        for order in (1, 6, 13, 40):
+            live.clear()
+            ultraspherical._cached_basis.cache_clear()
+            top = _basis(2 * order + 3, dim)
+            cut = readings(order)
+            assert _basis(order, dim).parent is top
+            del top
+            live.clear()
+            ultraspherical._cached_basis.cache_clear()
+            built = readings(order)
+            assert type(_basis(order, dim)) is _Basis
+            assert cut == built
 
 
 @pytest.mark.parametrize(
@@ -807,3 +930,16 @@ class TestClampContract:
         assert writable.tobytes() == before.tobytes()
         assert not np.shares_memory(got, writable)
 
+
+@pytest.mark.parametrize("k", [-1100, -1074, -3, 0, 5, 1023, 1100])
+def test_unscale_float_and_array_agree(k):
+    # the one way back from a power-of-two scaling: a float, an array and a
+    # numpy scalar give the same bits, infinities past the double range
+    values = [0.75, -0.75, 0.5000000000000001, 0.0, -0.0, 5e-324]
+    arr = ultraspherical._unscale(np.array(values), k)
+    assert arr.shape == (len(values),)
+    for v, a in zip(values, arr):
+        f = ultraspherical._unscale(v, k)
+        assert type(f) is float and np.float64(f).tobytes() == a.tobytes()
+        scalar = ultraspherical._unscale(np.float64(v), np.int32(k))
+        assert type(scalar) is float and np.float64(scalar).tobytes() == a.tobytes()

@@ -2,8 +2,9 @@
 
     python tools/layer_times.py --parent REV_OR_DIR [--change DIR] [--pairs N] [--json PATH]
 
-The layers are those of one operation of perfbench's `batch` workload, each
-timed alone at its 7 (N, D) pairs on a 5 % perturbation of `basic(N, D)`:
+The first layers are those of one operation of perfbench's `batch`
+workload, each timed alone at its 7 (N, D) pairs on a 5 % perturbation of
+`basic(N, D)`:
 
     weights   WeightVector(dim, a, "raw")._scaled, fresh weights each call
     metrics   compute_metrics, `_scaled` already cached
@@ -11,6 +12,21 @@ timed alone at its 7 (N, D) pairs on a 5 % perturbation of `basic(N, D)`:
     discrete  discrete_metrics on the dodecahedron (D = 3) or on a ring of
               2N + 2 nodes (D = 2), one fixed unit aim; none at D = 2.5
     series    ultraspherical._series_sum alone on the same 181 angles
+
+The record layer times, at the same pairs (the orders of `batch`, and those
+up to 16 of `sweep`), how the per-(N, D) record is provided:
+
+    build     a cold ultraspherical._Basis(N, D) with its Gram
+    miss      an order the record LRU misses while a record of order 128 at
+              the same D is live: the cache's own miss path (the function
+              the LRU wraps) with its Gram, a cut of that record where the
+              tree cuts and a build where it does not
+
+and the scan layer times one pass of `compute_metrics(max_re(N, D).weights)`
+over N = 1 .. 128 at D = 2.5, 3 and 7.3 (microseconds per pass), each pass
+from an empty record LRU, in rounds of their own before the other cells.
+Each pair's calls are made in a function of their own, so every cell times
+its own pair.
 
 Each side is a tree holding `src/`; a `--parent` that is not a directory is
 taken as a git revision of this repository and extracted with `git archive`
@@ -37,43 +53,68 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from tier1_wall import ROOT, extract, tree_env  # noqa: E402
 
 PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0))
-LAYERS = ("weights", "metrics", "pattern", "discrete", "series")
+SCAN_D = (2.5, 3.0, 7.3)
+LAYERS = ("weights", "metrics", "pattern", "discrete", "series", "record", "scan")
 NUMBER = 200
 REPEATS = 7
 
 
 def measure() -> dict:
     """{layer: {"N=..,D=..": [us per call, one per repeat]}} for the axibeam on sys.path."""
+    import time
     import timeit
 
     import numpy as np
 
     import axibeam as ab
-    from axibeam.ultraspherical import _series_sum
+    from axibeam.ultraspherical import MAX_ORDER, _Basis, _basis, _cached_basis, _series_sum
 
     rng = np.random.default_rng(1)
     angles = np.cos(np.radians(np.linspace(0.0, 180.0, 181)))
     out: dict = {layer: {} for layer in LAYERS}
-    cells = []
-    for order, d in PAIRS:
+    # the scans come first, while no record is live, each from an empty LRU
+    clock = time.perf_counter
+    for _ in range(REPEATS):
+        for d in SCAN_D:
+            dim = ab.Dimension(d)
+            _cached_basis.cache_clear()
+            start = clock()
+            for order in range(1, MAX_ORDER + 1):
+                ab.compute_metrics(ab.max_re(order, dim).weights)
+            out["scan"].setdefault(f"D={d:g}", []).append(1e6 * (clock() - start))
+    _cached_basis.cache_clear()
+    miss = _cached_basis.__wrapped__
+    keep = []
+
+    def pair_calls(order: int, d: float) -> dict:
+        """{(layer, kind): call} of one (N, D) pair, each call bound to this pair's objects."""
         dim = ab.Dimension(d)
         base = ab.basic(order, dim).a
         a = base * (1.0 + 0.05 * rng.standard_normal(base.size))
         weights = ab.WeightVector(dim, a, "raw")
         _, _, c, basis = weights._scaled
         calls = {
-            "weights": lambda: ab.WeightVector(dim, a, "raw")._scaled,
-            "metrics": lambda: ab.compute_metrics(weights),
-            "pattern": lambda: ab.eval_pattern(weights, angles),
-            "series": lambda: _series_sum(c, angles, basis),
+            ("weights", ""): lambda: ab.WeightVector(dim, a, "raw")._scaled,
+            ("metrics", ""): lambda: ab.compute_metrics(weights),
+            ("pattern", ""): lambda: ab.eval_pattern(weights, angles),
+            ("series", ""): lambda: _series_sum(c, angles, basis),
         }
         if d in (2.0, 3.0):
             nodes = ab.circle_nodes(2 * order + 2) if d == 2.0 else ab.platonic("dodecahedron")
             aim = rng.standard_normal(nodes.dim)
             aim /= np.linalg.norm(aim)
-            calls["discrete"] = lambda: ab.discrete_metrics(weights, nodes, aim)
-        label = f"N={order},D={d:g}"
-        for layer, call in calls.items():
+            calls["discrete", ""] = lambda: ab.discrete_metrics(weights, nodes, aim)
+        # the record of order 128 stays live through `keep` while the miss
+        # path, which leaves the LRU as it is, is timed
+        keep.append(_basis(MAX_ORDER, dim))
+        calls["record", "build "] = lambda: _Basis(order, dim).gram
+        calls["record", "miss "] = lambda: miss(order, dim).gram
+        return calls
+
+    cells = []
+    for order, d in PAIRS:
+        for (layer, kind), call in pair_calls(order, d).items():
+            label = f"{kind}N={order},D={d:g}"
             call()
             cells.append((layer, label, timeit.Timer(call)))
             out[layer][label] = []
@@ -86,7 +127,11 @@ def measure() -> dict:
 
 
 def run_child(tree: Path) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--child"], cwd=tree, env=tree_env(tree),
+    # one BLAS thread, as in perfbench: the scan's eigensolver would otherwise
+    # take a second thread and time the contention of a shared machine
+    env = tree_env(tree)
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run([sys.executable, __file__, "--child"], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -139,7 +184,7 @@ def main() -> int:
     for layer, cells in summary.items():
         for label, cell in cells.items():
             (p1, pm, p3), (c1, cm, c3) = cell["parent"], cell["change"]
-            print(f"{layer:9s} {label:11s} parent {pm:8.2f} [{p1:.2f}, {p3:.2f}]  "
+            print(f"{layer:9s} {label:17s} parent {pm:8.2f} [{p1:.2f}, {p3:.2f}]  "
                   f"change {cm:8.2f} [{c1:.2f}, {c3:.2f}]  ratio {cell['ratio']:.3f}")
     if args.json:
         Path(args.json).write_text(json.dumps(summary, indent=1) + "\n")
