@@ -8,8 +8,10 @@ D = 6 on its endpoint behaviour phi^(D-2) is smooth enough for every bound
 pair too.  A bound at +-1 with non-integer 2 < D < 6 leaves algebraic
 singularities in low derivatives that slow Gauss-Legendre to polynomial
 decay, so those ranges use Gauss-Jacobi rules on x instead, which absorb the
-fractional weight exactly.  The Gauss-Jacobi rules are built here in numpy,
-by Newton's method on the three-term recurrence; numpy is the only
+fractional weight exactly.  The Gauss-Jacobi rules are built here in numpy:
+one pass of the three-term recurrence evaluates P_n and P_n' at
+asymptotic starts, and a Taylor series of the Jacobi differential equation
+about each start carries it to the root and its weight; numpy is the only
 dependency.
 """
 
@@ -38,14 +40,31 @@ def _legendre_rule(count: int):
     return _read_only(*np.polynomial.legendre.leggauss(count))
 
 
+# Taylor terms of P_n about each start, and Newton steps on their sum
+# (`_jacobi_roots` says why these suffice)
+_TAYLOR_TERMS = 8
+_SERIES_STEPS = 3
+
+
+def _series(coefficients: list, t: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] t^k by Horner's rule."""
+    acc = coefficients[-1] * t
+    for c in coefficients[-2:0:-1]:
+        acc += c
+        acc *= t
+    return acc + coefficients[0]
+
+
 def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """Roots of the Jacobi polynomials P_n^(a,b) in [0, 1) by Newton from the starts x.
+    """Roots of the Jacobi polynomials P_n^(a,b) next to the starts x, from one recurrence pass.
 
     a and b are columns of shape (rows, 1) and x holds one row of starts per
     (a, b) pair, so that a single pass over the degrees serves every row.
     Returns the roots, descending like x, and weights proportional to
-    1/((1 - x^2) P_n'(x)^2) at the roots.  P_n runs as r_k = P_k(x)/P_k(1)
-    in Reinsch's difference form,
+    1/((1 - x^2) P_n'(x)^2) at the roots.
+
+    The pass evaluates P_n and P_n' at the starts only.  P_n runs as
+    r_k = P_k(x)/P_k(1) in Reinsch's difference form,
 
         d_{k+1} = f_k d_k - g_k (1 - x) r_k,    r_{k+1} = r_k + d_{k+1},
 
@@ -53,16 +72,38 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
     P_{k+1} = (A_k x + B_k) P_k - C_k P_{k-1} and h_k = P_k(1) (the
     coefficients are precomputed, Python floats for a single row; a degree
     is five in-place ufuncs).  Near x = 1, where the plain recurrence loses
-    about eps/(1 - x^2) relative, 1 - x is exact for x >= 1/2 and no digits
-    cancel, so the Newton step P_n/P_n' is accurate even at the root.  P_n'
-    comes from
+    about eps/(1 - x^2) relative, u = 1 - x is exact for x >= 1/2 and no
+    digits cancel; x is reset to 1 - u, also exact, so that the series below
+    is taken about the very point the pass evaluated.  P_n' comes from
     (2n+a+b)(1-x^2) P_n' = n((a-b) - (2n+a+b)x) P_n + 2(n+a)(n+b) P_{n-1}.
-    After three Newton steps one more pass evaluates P_n' at the converged
-    nodes.  Its Newton step, now at rounding level, still moves each node and
-    its weight to the root to first order (1/((1-x^2) P_n'^2) has
-    logarithmic slope -2(a - b + (a+b+1)x)/(1 - x^2) at a root): evaluated
-    at the rounded node instead, a weight at the end of a 1048-node rule is
-    off by up to about 1e-10 relative.
+
+    The rest follows from the Jacobi equation
+    (1-x^2) y'' = (a - b + (a+b+2)x) y' - n(n+a+b+1) y, as in Glaser, Liu
+    & Rokhlin (SISC 29(4), 2007).  Its Taylor coefficients c_k of
+    P_n(x + t) about a start obey the two-term recursion
+
+        (1-x^2)(k+1)(k+2) c_{k+2}
+            = (a - b + (a+b+2)x + 2kx)(k+1) c_{k+1} + (k-n)(k+n+a+b+1) c_k
+
+    from c_0 = P_n and c_1 = P_n'.  `_TAYLOR_TERMS` = 8 of them are summed,
+    and `_SERIES_STEPS` = 3 Newton steps from t = 0 on that sum give the
+    offset t to the root, which lies at u - t.  P_n' at the root is the
+    derivative of the same sum at t, and 1 - x^2 there is (u - t)(2 - u + t),
+    so the weight belongs to the exact root, not to the rounded node.
+
+    Why these constants.  The series converges geometrically, its terms
+    falling by about the larger of pi |t|/gap, from the oscillation of P_n
+    between neighbouring nodes a gap apart, and |t|/(u - t), from the
+    singular point of the equation at x = 1.  Measured over n = 2 .. 64,
+    100, 128, 200, 333, 512, 1048 and 3001 at eight D in (2, 6), for both
+    kinds of rule, the start lies within 1.6e-3 of the gap to its nearest
+    node and within 4.9e-3 of its root's distance u to x = 1 (the worst is
+    the end node at D = 2.5).  Against 16 terms and 6 steps, 6 terms leave
+    the weights 1.1e-14 apart and 7 terms 2.2e-16; 8 terms give every node
+    and weight bit for bit, with one term in hand.  The Newton steps on the
+    series measure at most 4.9e-3, 1.1e-5 and 1.6e-10 of u at the same
+    points, and a fourth would be below 1e-18 of u, under rounding.  For
+    n < 8 the eight terms hold all of P_n (c_k = 0 for k > n).
     """
     s = a + b
     k = np.arange(1.0, n + 1.0)
@@ -75,52 +116,61 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
     f = np.concatenate((np.zeros_like(a), f), axis=1)
     g = np.concatenate((0.5 * (s + 2.0) / (1.0 + a), g), axis=1)
     # one entry per degree, zipped in the loop rather than paired in a list:
-    # zip reuses its tuple, so a pass allocates no object per degree
+    # zip reuses its tuple, so the pass allocates no object per degree
     f, g = (v[0].tolist() if len(v) == 1 else list(v.T[:, :, None]) for v in (f, g))
-    h_n = h[:, n:]
+    u = 1.0 - x
+    x = 1.0 - u
+    r = np.ones_like(x)
+    d = np.zeros_like(x)
+    tmp = np.empty_like(x)
+    for fk, gk in zip(f, g):
+        np.multiply(r, u, out=tmp)
+        tmp *= gk
+        d *= fk
+        d -= tmp
+        r += d
+    # P_n = h_n r_n and P_{n-1} = h_{n-1} (r_n - d_n)
+    one_minus = u * (2.0 - u)
     degree = 2.0 * n + s
-    head = n * h_n
-    tail = 2.0 * (n + a) * (n + b) * h[:, n - 1:n]
-    head_0, head_1 = head * (a - b), head * degree
-
-    def newton_step(x):
-        u = 1.0 - x
-        r = np.ones_like(x)
-        d = np.zeros_like(x)
-        tmp = np.empty_like(x)
-        for fk, gk in zip(f, g):
-            np.multiply(r, u, out=tmp)
-            tmp *= gk
-            d *= fk
-            d -= tmp
-            r += d
-        # q = (2n+a+b)(1-x^2) P_n', with P_n = h_n r_n and P_{n-1} = h_{n-1}(r_n - d_n)
-        q = (head_0 - head_1 * x) * r + tail * (r - d)
-        one_minus = u * (2.0 - u)
-        return degree * one_minus * (h_n * r) / q, one_minus, q
-
-    for _ in range(3):
-        x = x - newton_step(x)[0]
-    step, one_minus, q = newton_step(x)
-    w = one_minus / (q * q) * (1.0 + 2.0 * (a - b + (s + 1.0) * x) / one_minus * step)
-    return x - step, w
+    value = h[:, n:] * r
+    slope = (n * ((a - b) - degree * x) * value
+             + 2.0 * (n + a) * (n + b) * h[:, n - 1:n] * (r - d)) / (degree * one_minus)
+    # the Taylor coefficients by the two-term recursion, then the offset t by
+    # Newton's method on their sum; its first step, from t = 0, is -c_0/c_1
+    terms = [value, slope]
+    lin = (a - b) + (s + 2.0) * x
+    for j in range(_TAYLOR_TERMS - 2):
+        term = (lin + 2.0 * j * x) * terms[j + 1] * (1.0 / (j + 2.0))
+        term += (j - n) * (j + n + s + 1.0) / ((j + 1.0) * (j + 2.0)) * terms[j]
+        term /= one_minus
+        terms.append(term)
+    slopes = [j * terms[j] for j in range(1, _TAYLOR_TERMS)]
+    t = -value / slope
+    for _ in range(_SERIES_STEPS - 1):
+        t -= _series(terms, t) / _series(slopes, t)
+    slope = _series(slopes, t)
+    u -= t
+    return x + t, 1.0 / (u * (2.0 - u) * slope * slope)
 
 
 @lru_cache(maxsize=128)
 def _jacobi_rule(count: int, a: float, b: float):
     """Gauss-Jacobi nodes (ascending) and weights for (1-x)^a (1+x)^b on [-1, 1].
 
-    Newton's method from the interior start of Hale & Townsend (SISC 35(2),
-    2013): phi_k = pi (4k - 1 + 2a) / (4n + 2a + 2b + 2) plus the
+    The starts are the interior approximation of Hale & Townsend (SISC
+    35(2), 2013): phi_k = pi (4k - 1 + 2a) / (4n + 2a + 2b + 2) plus the
     Gatteschi-Pittaluga term ((1/4 - a^2) cot(phi_k/2) - (1/4 - b^2)
     tan(phi_k/2)) / (4 rho^2), rho = n + (a + b + 1)/2, gives x_k =
-    cos(theta_k).  For -1/2 < a, b < 3/2 (2 < D < 6) the third Newton step
-    is below 1e-10, so three steps reach rounding level (`_jacobi_roots`).
-    The nodes in [0, 1) are solved as roots of P_n^(a,b), the others as
-    negated roots of P_n^(b,a), so that every node is solved where 1 - x
-    keeps full relative precision; both halves run as two rows of one
-    recurrence pass, and when a = b the positive half is solved once and
-    mirrored.  The weights are scaled to the exact mass
+    cos(theta_k).  For -1/2 < a, b < 3/2 (2 < D < 6) a start lies within
+    1.6e-3 of the gap to the neighbouring node, close enough that one recurrence
+    pass at the starts and a short Taylor series of the Jacobi equation about
+    each of them reach the root and its weight at rounding level
+    (`_jacobi_roots`).  The nodes in [0, 1) are solved as roots of
+    P_n^(a,b), the others as negated roots of P_n^(b,a), so that every node
+    is solved where 1 - x keeps full relative precision; both halves run as
+    two rows of that one pass, and when a = b the positive half is solved
+    once and mirrored.  Each weight is 1/((1 - x^2) P_n'^2) at the exact
+    root, from the same series; the weights are scaled to the exact mass
     2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).
     """
     n = count
@@ -135,8 +185,8 @@ def _jacobi_rule(count: int, a: float, b: float):
             upper[-1] = 0.0  # P_n is odd
         lower, w_lower = upper[:n // 2], w_upper[:n // 2]
     else:
-        # rows of equal length: each row's surplus starts lie past x = 0 and
-        # converge to nodes the other row solves, and are dropped
+        # rows of equal length: each row's surplus starts lie past x = 0,
+        # solve to nodes the other row solves, and are dropped
         m = int(np.count_nonzero(x >= 0.0))
         width = max(m, n - m)
         roots, weights = _jacobi_roots(n, np.array([[a], [b]]), np.array([[b], [a]]),
@@ -154,8 +204,12 @@ def _jacobi_rule(count: int, a: float, b: float):
 # Non-integer D from here on takes the phi rule up to the endpoints.  With 64
 # nodes, for e^(kx) w (k = 0, 3, 6) on [-1, 1] and on [x0, 1], it is within
 # 5e-15 of mpmath for 5.9 <= D <= 10 (1.4e-13 at D = 5.5, 2e-11 at D = 4.5)
-# and as close as a Gauss-Jacobi rule up to D = 64, while the third Newton
-# step of `_jacobi_rule` grows from 5e-11 at D = 6 to 1e-8 at D = 7.3.
+# and as close as a Gauss-Jacobi rule up to D = 64, while the starts of
+# `_jacobi_rule` move away from its roots once a, b pass 3/2: over both kinds
+# of 64-node rule, its third Newton step on the Taylor series grows from
+# 1.6e-10 of a root's distance u to x = 1 at D = 6 to 4.2e-8 at D = 7.3, and
+# the error that step leaves (the size of a fourth) from 9e-20 of u, under
+# rounding, to 2.8e-15 of u, above it.
 _PHI_RULE_FROM = 6.0
 
 

@@ -22,21 +22,25 @@ up to 16 of `sweep`), how the per-(N, D) record is provided:
               the LRU wraps) with its Gram, a cut of that record where the
               tree cuts and a build where it does not
 
-and the scan layer times one pass of `compute_metrics(max_re(N, D).weights)`
-over N = 1 .. 128 at D = 2.5, 3 and 7.3 (microseconds per pass), each pass
-from an empty record LRU, in rounds of their own before the other cells.
-Each pair's calls are made in a function of their own, so every cell times
-its own pair.
+the rule layer times one cold Gauss-Jacobi rule build,
+`quadrature._jacobi_rule.__wrapped__(n, a, b)` at n = 64, 128, 512 and
+1048, for the symmetric (a, a) and the one-sided (a, 0) rule at D = 2.5 and
+3.5 (a = (D - 3)/2), and the scan layer times one pass of
+`compute_metrics(max_re(N, D).weights)` over N = 1 .. 128 at D = 2.5, 3 and
+7.3 (microseconds per pass), each pass from an empty record LRU, in rounds
+of their own before the other cells.  Each pair's calls are made in a
+function of their own, so every cell times its own pair.
 
 Each side is a tree holding `src/`; a `--parent` that is not a directory is
 taken as a git revision of this repository and extracted with `git archive`
 (`tools/tier1_wall.py`).  A run is a child process with the tree's `src`
 first on PYTHONPATH that times every (layer, pair) cell as `REPEATS` repeats
-of `NUMBER` calls, the cells taking turns, and prints each repeat's time per
-call.  The sides alternate which one runs first in each pair of runs, so
-slow spells of a shared machine fall on both.  Printed per cell: the median
-and quartiles in microseconds of each side's repeats pooled over its runs,
-and the ratio of the medians, change over parent.
+of `NUMBER` calls (`RULE_NUMBER` for a rule build), the cells taking turns,
+and prints each repeat's time per call.  The sides alternate which one runs
+first in each pair of runs, so slow spells of a shared machine fall on both.
+Printed per cell: the median and quartiles in microseconds of each side's
+repeats pooled over its runs, and the ratio of the medians, change over
+parent.
 """
 
 from __future__ import annotations
@@ -54,8 +58,11 @@ from tier1_wall import ROOT, extract, tree_env  # noqa: E402
 
 PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0))
 SCAN_D = (2.5, 3.0, 7.3)
-LAYERS = ("weights", "metrics", "pattern", "discrete", "series", "record", "scan")
+RULE_COUNTS = (64, 128, 512, 1048)
+RULE_D = (2.5, 3.5)
+LAYERS = ("weights", "metrics", "pattern", "discrete", "series", "record", "rule", "scan")
 NUMBER = 200
+RULE_NUMBER = 5
 REPEATS = 7
 
 
@@ -63,10 +70,12 @@ def measure() -> dict:
     """{layer: {"N=..,D=..": [us per call, one per repeat]}} for the axibeam on sys.path."""
     import time
     import timeit
+    from functools import partial
 
     import numpy as np
 
     import axibeam as ab
+    from axibeam.quadrature import _jacobi_rule
     from axibeam.ultraspherical import MAX_ORDER, _Basis, _basis, _cached_basis, _series_sum
 
     rng = np.random.default_rng(1)
@@ -116,13 +125,22 @@ def measure() -> dict:
         for (layer, kind), call in pair_calls(order, d).items():
             label = f"{kind}N={order},D={d:g}"
             call()
-            cells.append((layer, label, timeit.Timer(call)))
+            cells.append((layer, label, timeit.Timer(call), NUMBER))
             out[layer][label] = []
+    for d in RULE_D:
+        a = (d - 3.0) / 2.0
+        for count in RULE_COUNTS:
+            for kind, b in (("aa ", a), ("a0 ", 0.0)):
+                label = f"{kind}n={count},D={d:g}"
+                cells.append(("rule", label,
+                              timeit.Timer(partial(_jacobi_rule.__wrapped__, count, a, b)),
+                              RULE_NUMBER))
+                out["rule"][label] = []
     # the repeats of every cell go round in turn, so a slow spell of the
     # machine falls on all cells alike rather than on a few whole cells
     for _ in range(REPEATS):
-        for layer, label, timer in cells:
-            out[layer][label].append(1e6 * timer.timeit(NUMBER) / NUMBER)
+        for layer, label, timer, number in cells:
+            out[layer][label].append(1e6 * timer.timeit(number) / number)
     return out
 
 
@@ -180,7 +198,7 @@ def main() -> int:
                 print(f"pair {pair + 1} {name}: done", flush=True)
     summary = summarize(runs)
     print(f"us per call, median [q1, q3] of {args.pairs} runs x {REPEATS} repeats of "
-          f"{NUMBER} calls per side")
+          f"{NUMBER} calls ({RULE_NUMBER} per rule build) per side")
     for layer, cells in summary.items():
         for label, cell in cells.items():
             (p1, pm, p3), (c1, cm, c3) = cell["parent"], cell["change"]
