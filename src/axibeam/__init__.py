@@ -6,10 +6,13 @@ supercardioid, inphase, max-flat, spherical caps), compute their
 P/E/Q/rV/rE/FBR metrics both analytically and by quadrature, and verify
 t-design node sets on the sphere S^{D-1} exactly, for any integer D.
 
-Importing the package loads `errors`, `ultraspherical`, `designs` and
-`metrics`.  The public names of `quadrature` (the integration oracle) and
-`sampling` (node sets and t-design checks) resolve on first access, through
-the module `__getattr__` below: no `weights`, `metrics` or `pattern` command
+Each module's `__all__` is its public surface and the one declaration of
+its public names.  Importing the package loads `errors`, `ultraspherical`,
+`designs` and `metrics` and republishes their `__all__` by wildcard import;
+the package `__all__` is those four lists plus the names in `_LAZY`.  The
+public names of `quadrature` (the integration oracle) and `sampling` (node
+sets and t-design checks) resolve on first access, through the module
+`__getattr__` below: no `weights`, `metrics` or `pattern` command
 calls either module, and a short CLI process spends most of its time
 importing, so each module is compiled only by a process that uses it.  When
 such a module is imported, by a first access here or by any import of it,
@@ -21,43 +24,11 @@ import sys
 from importlib import import_module
 from types import ModuleType
 
-from .designs import (
-    MaxReSolution,
-    Normalization,
-    WeightVector,
-    basic,
-    cap,
-    cap_trapezoid,
-    inphase,
-    max_re,
-    maxflat,
-    supercardioid,
-    supercardioid_approx,
-)
-from .errors import (
-    AxibeamError,
-    DomainError,
-    InvalidFlatness,
-    NormError,
-    ParseError,
-    RangeWarning,
-    ZeroPressure,
-)
-from .metrics import PatternMetrics, compute_metrics, compute_metrics_numeric, eval_pattern
-from .ultraspherical import (
-    Dimension,
-    beta_coeff,
-    cd_kernel,
-    derivative,
-    eval_sequence,
-    gram_front,
-    norm_squared,
-    norm_squared_gamma,
-    norms_squared,
-    power_series_coeffs,
-    surface_area,
-    value_at_zero,
-)
+from . import designs, errors, metrics, ultraspherical
+from .designs import *
+from .errors import *
+from .metrics import *
+from .ultraspherical import *
 
 __version__ = "0.1.0"
 
@@ -77,53 +48,10 @@ _LAZY = {
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
-__all__ = [
-    "__version__",
-    "AxibeamError",
-    "Dimension",
-    "DiscreteMetrics",
-    "DomainError",
-    "InvalidFlatness",
-    "MaxReSolution",
-    "NodeSet",
-    "NormError",
-    "Normalization",
-    "ParseError",
-    "PatternMetrics",
-    "RangeWarning",
-    "TDesignReport",
-    "WeightVector",
-    "ZeroPressure",
-    "basic",
-    "beta_coeff",
-    "cap",
-    "cap_trapezoid",
-    "cd_kernel",
-    "circle_nodes",
-    "compute_metrics",
-    "compute_metrics_numeric",
-    "derivative",
-    "discrete_metrics",
-    "eval_pattern",
-    "eval_sequence",
-    "gram_front",
-    "inphase",
-    "integrate_axisym",
-    "load_nodes",
-    "max_re",
-    "maxflat",
-    "norm_squared",
-    "norm_squared_gamma",
-    "norms_squared",
-    "platonic",
-    "power_series_coeffs",
-    "supercardioid",
-    "supercardioid_approx",
-    "surface_area",
-    "tdesign_check",
-    "transform_coeffs",
-    "value_at_zero",
-]
+__all__ = ["__version__", *sorted(
+    name for names in (errors.__all__, ultraspherical.__all__, designs.__all__,
+                       metrics.__all__, *_LAZY.values())
+    for name in names)]
 
 
 class _Package(ModuleType):

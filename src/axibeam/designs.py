@@ -59,6 +59,9 @@ class WeightVector:
     """Design weights a_0..a_N for one dimension, tagged with their scaling.
 
     The weights must be finite; NaN or an infinite weight raises DomainError.
+    The tag is taken on trust: `normalized(kind)` rescales only weights whose
+    tag differs from kind, so `WeightVector(Dimension(3), [2, 1],
+    "a0").normalized("a0").a` stays [2, 1].
     """
 
     dim: Dimension

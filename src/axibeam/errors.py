@@ -3,6 +3,9 @@
 import numbers
 import operator
 
+__all__ = ["AxibeamError", "DomainError", "InvalidFlatness", "ZeroPressure", "ParseError",
+           "NormError", "RangeWarning"]
+
 
 class AxibeamError(Exception):
     """Base class for all axibeam errors."""
@@ -17,7 +20,11 @@ class InvalidFlatness(AxibeamError, ValueError):
 
 
 class ZeroPressure(AxibeamError, ValueError):
-    """The velocity-vector length r_V is undefined because a_0 = 0."""
+    """A weight vector with a_0 = 0 cannot be scaled to a_0 = 1.
+
+    Raised by `WeightVector.normalized("a0")`; `compute_metrics` reports the
+    undefined r_V of such a vector as None instead.
+    """
 
 
 class ParseError(AxibeamError, ValueError):

@@ -116,7 +116,8 @@ def compute_metrics(weights: WeightVector) -> PatternMetrics:
     q = basis.surface * g1 * g1 / e
     r_v: float | None = None
     if weights.a[0] != 0.0:
-        r_v = float(weights.a[1] / weights.a[0]) if order >= 1 else 0.0
+        # Python floats: a quotient past the double range is +-inf, with no numpy warning
+        r_v = float(weights.a[1]) / float(weights.a[0]) if order >= 1 else 0.0
     n2 = basis.n2
     r_e = 2.0 * float(np.add.reduce(basis.beta[:-1] * a[:-1] * a[1:] / n2[:-1]))
     r_e /= float(np.add.reduce(aa / n2))

@@ -203,11 +203,12 @@ def load_nodes(path, dim: int | None = None) -> NodeSet:
     reading; otherwise rows that are all unit-norm are taken as 2-d Cartesian
     and anything else as azimuth/zenith.  Rows whose norm deviates from 1 by
     less than 1e-6 are renormalized; worse rows raise NormError.  A `dim`
-    other than None, 2 or 3 raises DomainError, and one the columns cannot
-    give raises ParseError.
+    other than None must be an integer 2 <= dim <= 64 (DomainError); one
+    the columns cannot give raises ParseError, so a two-column file takes
+    only 2 or 3 and a k-column file only k.
     """
-    if dim not in (None, 2, 3):
-        raise DomainError(f"dim must be None, 2 or 3, got {dim!r}")
+    if dim is not None:
+        dim = _integer(dim, "dim", 2, _MAX_DIM)
     data = np.asarray(_rows_from_file(path), dtype=float)
     width = data.shape[1]
     if width == 1:
@@ -217,6 +218,8 @@ def load_nodes(path, dim: int | None = None) -> NodeSet:
         pts = np.column_stack([np.cos(az), np.sin(az)])
         return NodeSet(2, pts, label=str(path))
     if width == 2:
+        if dim not in (None, 2, 3):
+            raise ParseError(f"{path}: 2-column file cannot be a {dim}-d node set")
         norms = np.linalg.norm(data, axis=1)
         looks_cartesian = bool(np.all(np.abs(norms - 1.0) < _FILE_NORM_TOL))
         use_dim = dim if dim is not None else (2 if looks_cartesian else 3)

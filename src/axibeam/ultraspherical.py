@@ -38,8 +38,6 @@ import numpy as np
 from .errors import DomainError, _integer
 
 __all__ = [
-    "MAX_DIMENSION",
-    "MAX_ORDER",
     "Dimension",
     "surface_area",
     "eval_sequence",

@@ -95,6 +95,11 @@ assert ab.quadrature is quadrature and ab.sampling is sys.modules["axibeam.sampl
 # a lazy name that its module no longer exports is stale
 assert not [(m, n) for m, names in ab._LAZY.items() for n in names
             if n not in sys.modules[f"axibeam.{m}"].__all__]
+# each public name is declared once, in its own module's __all__
+eager = [sys.modules[f"axibeam.{m}"].__all__
+         for m in ("errors", "ultraspherical", "designs", "metrics")]
+assert sum(map(len, eager)) == len(set().union(*eager))
+assert set(ab.__all__) == {"__version__"}.union(*eager, *ab._LAZY.values())
 namespace = {}
 exec("from axibeam import *", namespace)
 assert not [n for n in ab.__all__ if n not in namespace]

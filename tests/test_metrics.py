@@ -329,6 +329,13 @@ class TestComputeMetrics:
         # the true energy, about 0.14 * a_0^2, lies outside the double range
         assert met.e == (math.inf if shift > 0 else 0.0)
 
+    @pytest.mark.parametrize("a", [[1e-300, 1e300], [5e-324, 1e308]], ids=["1e-300", "5e-324"])
+    def test_rv_past_double_range_is_inf(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            met = compute_metrics(raw(D3, a))
+        assert met.r_v == math.inf
+
     def test_zero_energy_is_domain_error(self):
         vec = raw(D3, [0.0, 0.0, 0.0])
         with pytest.raises(DomainError):

@@ -195,21 +195,31 @@ class TestLoadNodes:
         loaded = load_nodes(path, dim=3)
         assert loaded.dim == 3
 
-    @pytest.mark.parametrize("dim", [4, 0, 1, "3"])
-    def test_dim_outside_two_three(self, tmp_path, dim):
-        # without the check a two-column file reads as 3-d for any dim but 2
+    @pytest.mark.parametrize("dim", [0, 1, 2.5, "3", 65])
+    def test_dim_not_an_integer_from_2_to_64(self, tmp_path, dim):
         path = tmp_path / "xy.csv"
         path.write_text("1,0\n0,1\n")
-        with pytest.raises(DomainError, match="dim must be None, 2 or 3"):
+        with pytest.raises(DomainError, match="dim must be an integer >= 2 and <= 64"):
             load_nodes(path, dim=dim)
+
+    def test_dim_four_reads_four_columns(self, tmp_path):
+        path = tmp_path / "s3.csv"
+        path.write_text("1,0,0,0\n0,1,0,0\n0,0,0,-1\n")
+        forced, found = load_nodes(path, dim=4), load_nodes(path)
+        assert forced.dim == found.dim == 4
+        assert np.array_equal(forced.nodes, found.nodes)
 
     @pytest.mark.parametrize(
         "text, dim, message",
         [("1,0,0\n0,1,0\n", 2, "3-column file cannot be a 2-d"),
          ("0\n90\n", 3, "1-column file cannot be a 3-d"),
          ("1,0,0,0\n0,1,0,0\n", 3, "4-column file cannot be a 3-d"),
+         # without the check a two-column file reads as azimuth/zenith for any dim but 2
+         ("1,0\n0,1\n", 4, "2-column file cannot be a 4-d"),
+         ("1,0\n0,1\n", 5, "2-column file cannot be a 5-d"),
          (",".join(["0"] * 64 + ["1"]) + "\n", None, "expected 1 to 64 columns, got 65")],
-        ids=["3-columns-as-2d", "1-column-as-3d", "4-columns-as-3d", "65-columns"],
+        ids=["3-columns-as-2d", "1-column-as-3d", "4-columns-as-3d", "2-columns-as-4d",
+             "2-columns-as-5d", "65-columns"],
     )
     def test_columns_do_not_fit(self, tmp_path, text, dim, message):
         path = tmp_path / "nodes.csv"

@@ -50,11 +50,10 @@ import json
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from tier1_wall import ROOT, extract, tree_env  # noqa: E402
+from tier1_wall import ROOT, alternate, tree_env  # noqa: E402
 
 PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0))
 SCAN_D = (2.5, 3.0, 7.3)
@@ -185,17 +184,7 @@ def main() -> int:
         return 0
     if args.parent is None:
         parser.error("--parent is required")
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(args.parent)
-        if not parent.is_dir():
-            parent = extract(args.parent, Path(tmp))
-        sides = {"parent": parent.resolve(), "change": Path(args.change).resolve()}
-        runs: dict = {name: [] for name in sides}
-        for pair in range(args.pairs):
-            order = list(sides) if pair % 2 == 0 else list(reversed(sides))
-            for name in order:
-                runs[name].append(run_child(sides[name]))
-                print(f"pair {pair + 1} {name}: done", flush=True)
+    runs = alternate(args.parent, args.change, args.pairs, run_child, lambda _: "done")
     summary = summarize(runs)
     print(f"us per call, median [q1, q3] of {args.pairs} runs x {REPEATS} repeats of "
           f"{NUMBER} calls ({RULE_NUMBER} per rule build) per side")

@@ -68,6 +68,27 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
+def alternate(parent: str, change: str, pairs: int, run, describe) -> dict:
+    """{"parent": [run(tree), ...], "change": [...]}, the sides taking turns to go first.
+
+    A parent that is not a directory is a git revision, extracted for the
+    runs.  Each run is printed as `pair P side: describe(result)`.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(parent)
+        if not tree.is_dir():
+            tree = extract(parent, Path(tmp))
+        sides = {"parent": tree.resolve(), "change": Path(change).resolve()}
+        runs: dict = {name: [] for name in sides}
+        for pair in range(pairs):
+            order = list(sides) if pair % 2 == 0 else list(reversed(sides))
+            for name in order:
+                result = run(sides[name])
+                runs[name].append(result)
+                print(f"pair {pair + 1} {name}: {describe(result)}", flush=True)
+    return runs
+
+
 def report(name: str, runs: list) -> None:
     walls = [wall for wall, _, _ in runs]
     print(f"{name}: median wall {statistics.median(walls):.2f} s over {len(runs)} runs "
@@ -84,18 +105,8 @@ def main() -> int:
     parser.add_argument("--change", default=str(ROOT), help="source tree (default: this one)")
     parser.add_argument("--pairs", type=int, default=3, help="alternating pairs of runs")
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(args.parent)
-        if not parent.is_dir():
-            parent = extract(args.parent, Path(tmp))
-        sides = {"parent": parent.resolve(), "change": Path(args.change).resolve()}
-        runs: dict = {name: [] for name in sides}
-        for pair in range(args.pairs):
-            order = list(sides) if pair % 2 == 0 else list(reversed(sides))
-            for name in order:
-                wall, summary, per_file = run_suite(sides[name])
-                runs[name].append((wall, summary, per_file))
-                print(f"pair {pair + 1} {name}: {wall:.2f} s, {summary}", flush=True)
+    runs = alternate(args.parent, args.change, args.pairs, run_suite,
+                     lambda run: f"{run[0]:.2f} s, {run[1]}")
     for name, side_runs in runs.items():
         report(name, side_runs)
     return 0
