@@ -11,8 +11,10 @@ decay, so those ranges use Gauss-Jacobi rules on x instead, which absorb the
 fractional weight exactly.  The Gauss-Jacobi rules are built here in numpy:
 one pass of the three-term recurrence evaluates P_n and P_n' at
 asymptotic starts, and a Taylor series of the Jacobi differential equation
-about each start carries it to the root and its weight; numpy is the only
-dependency.
+about each start carries it to the root and its weight.  The symmetric
+rule for (1-x^2)^a, the one every full range takes, is built from a rule
+of half as many nodes in t = 2x^2 - 1, so its pass runs over half as many
+degrees.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
 
     a and b are columns of shape (rows, 1) and x holds one row of starts per
     (a, b) pair, so that a single pass over the degrees serves every row.
-    Returns the roots, descending like x, and weights proportional to
+    Returns the roots, descending like x, their distances u = 1 - x to
+    x = 1, solved to full relative precision, and weights proportional to
     1/((1 - x^2) P_n'(x)^2) at the roots.
 
     The pass evaluates P_n and P_n' at the starts only.  P_n runs as
@@ -70,8 +73,8 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
 
     with f_k = C_k h_{k-1}/h_{k+1} and g_k = A_k h_k/h_{k+1} from
     P_{k+1} = (A_k x + B_k) P_k - C_k P_{k-1} and h_k = P_k(1) (the
-    coefficients are precomputed, Python floats for a single row; a degree
-    is five in-place ufuncs).  Near x = 1, where the plain recurrence loses
+    coefficients are precomputed, one (rows, 1) column per degree; a
+    degree is five in-place ufuncs).  Near x = 1, where the plain recurrence loses
     about eps/(1 - x^2) relative, u = 1 - x is exact for x >= 1/2 and no
     digits cancel; x is reset to 1 - u, also exact, so that the series below
     is taken about the very point the pass evaluated.  P_n' comes from
@@ -94,16 +97,22 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
     Why these constants.  The series converges geometrically, its terms
     falling by about the larger of pi |t|/gap, from the oscillation of P_n
     between neighbouring nodes a gap apart, and |t|/(u - t), from the
-    singular point of the equation at x = 1.  Measured over n = 2 .. 64,
-    100, 128, 200, 333, 512, 1048 and 3001 at eight D in (2, 6), for both
-    kinds of rule, the start lies within 1.6e-3 of the gap to its nearest
-    node and within 4.9e-3 of its root's distance u to x = 1 (the worst is
-    the end node at D = 2.5).  Against 16 terms and 6 steps, 6 terms leave
-    the weights 1.1e-14 apart and 7 terms 2.2e-16; 8 terms give every node
-    and weight bit for bit, with one term in hand.  The Newton steps on the
-    series measure at most 4.9e-3, 1.1e-5 and 1.6e-10 of u at the same
-    points, and a fourth would be below 1e-18 of u, under rounding.  For
-    n < 8 the eight terms hold all of P_n (c_k = 0 for k > n).
+    singular point of the equation at x = 1.  The rules built are those
+    for (a, 0) and, as halves of the symmetric rules, for (a, -1/2) and
+    (a, 1/2), with -1/2 < a < 3/2.  Measured over n = 8 .. 64, 100, 128,
+    166, 200, 256, 333, 512, 524, 1048 and 1500 at D = 2.0001, 2.2, 2.5,
+    3.5, 4.5, 5.5, 5.9 and 5.9999, for all three kinds and both rows, the
+    start lies within 1.7e-3 of the gap to its nearest node (the worst is
+    n = 8 at D = 5.9999) and within 4.9e-3 of its root's distance u to
+    x = 1 (the end node at D = 2.5).  Below n = 8 the eight terms hold all
+    of P_n (c_k = 0 for k > n), and the starts lie within 3.0e-3 of the gap
+    and 8.7e-3 of u.  Over the symmetric rules of n = 1 .. 129, 200, 333,
+    512, 1048, 2001 and 3001 nodes at the same D, against 16 terms and 6
+    steps, 6 terms leave the weights 1.1e-14 apart and 7 terms 4.4e-16;
+    8 terms give every node bit for bit and every weight but one, whose
+    last bit a fourth Newton step flips.  The Newton steps on the series
+    measure at most 4.9e-3, 1.1e-5 and 1.6e-10 of u from n = 2 on, and a
+    fourth 1.8e-18 of u, under rounding.
     """
     s = a + b
     k = np.arange(1.0, n + 1.0)
@@ -117,7 +126,7 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
     g = np.concatenate((0.5 * (s + 2.0) / (1.0 + a), g), axis=1)
     # one entry per degree, zipped in the loop rather than paired in a list:
     # zip reuses its tuple, so the pass allocates no object per degree
-    f, g = (v[0].tolist() if len(v) == 1 else list(v.T[:, :, None]) for v in (f, g))
+    f, g = (list(v.T[:, :, None]) for v in (f, g))
     u = 1.0 - x
     x = 1.0 - u
     r = np.ones_like(x)
@@ -150,53 +159,94 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
         t -= _series(terms, t) / _series(slopes, t)
     slope = _series(slopes, t)
     u -= t
-    return x + t, 1.0 / (u * (2.0 - u) * slope * slope)
+    return x + t, u, 1.0 / (u * (2.0 - u) * slope * slope)
+
+
+def _mass(a: float, b: float) -> float:
+    """int_{-1}^{1} (1-x)^a (1+x)^b dx = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2)."""
+    return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+
+
+def _gauss_jacobi(n: int, a: float, b: float):
+    """Gauss-Jacobi nodes x (ascending), 1 + x and weights for (1-x)^a (1+x)^b on [-1, 1].
+
+    The starts are the interior approximation of Hale & Townsend (SISC
+    35(2), 2013): phi_k = pi (4k - 1 + 2a) / (4n + 2a + 2b + 2) plus the
+    Gatteschi-Pittaluga term ((1/4 - a^2) cot(phi_k/2) - (1/4 - b^2)
+    tan(phi_k/2)) / (4 rho^2), rho = n + (a + b + 1)/2, gives x_k =
+    cos(theta_k).  For -1/2 < a < 3/2 and b = 0 or +-1/2 (the rules that
+    2 < D < 6 builds) a start lies within 1.7e-3 of the gap to the
+    neighbouring node, close enough that one recurrence pass at the starts
+    and a short Taylor series of the Jacobi equation about each of them
+    reach the root and its weight at rounding level (`_jacobi_roots`).  The
+    nodes in [0, 1) are solved as roots of P_n^(a,b), the others as negated
+    roots of P_n^(b,a), so that every node is solved where its distance to
+    the nearer end keeps full relative precision; 1 + x is returned from
+    that distance, not from the rounded node.  Both halves run as two rows
+    of that one pass.  Each weight is 1/((1 - x^2) P_n'^2) at the exact
+    root, from the same series, scaled to the exact mass `_mass(a, b)`.
+    """
+    rho = n + 0.5 * (a + b + 1.0)
+    phi = (np.arange(1.0, n + 1.0) + 0.5 * a - 0.25) * (math.pi / rho)
+    half_tan = np.tan(0.5 * phi)
+    x = np.cos(phi + ((0.25 - a * a) / half_tan - (0.25 - b * b) * half_tan) / (4.0 * rho * rho))
+    # rows of equal length: each row's surplus starts lie past x = 0, solve
+    # to nodes the other row solves, and are dropped
+    m = int(np.count_nonzero(x >= 0.0))
+    width = max(m, n - m)
+    roots, dist, weights = _jacobi_roots(n, np.array([[a], [b]]), np.array([[b], [a]]),
+                                         np.stack((x[:width], -x[n - width:][::-1])))
+    x = np.concatenate((-roots[1, :n - m], roots[0, :m][::-1]))
+    one_plus = np.concatenate((dist[1, :n - m], 2.0 - dist[0, :m][::-1]))
+    w = np.concatenate((weights[1, :n - m], weights[0, :m][::-1]))
+    w *= _mass(a, b) / math.fsum(w)
+    return x, one_plus, w
 
 
 @lru_cache(maxsize=128)
 def _jacobi_rule(count: int, a: float, b: float):
     """Gauss-Jacobi nodes (ascending) and weights for (1-x)^a (1+x)^b on [-1, 1].
 
-    The starts are the interior approximation of Hale & Townsend (SISC
-    35(2), 2013): phi_k = pi (4k - 1 + 2a) / (4n + 2a + 2b + 2) plus the
-    Gatteschi-Pittaluga term ((1/4 - a^2) cot(phi_k/2) - (1/4 - b^2)
-    tan(phi_k/2)) / (4 rho^2), rho = n + (a + b + 1)/2, gives x_k =
-    cos(theta_k).  For -1/2 < a, b < 3/2 (2 < D < 6) a start lies within
-    1.6e-3 of the gap to the neighbouring node, close enough that one recurrence
-    pass at the starts and a short Taylor series of the Jacobi equation about
-    each of them reach the root and its weight at rounding level
-    (`_jacobi_roots`).  The nodes in [0, 1) are solved as roots of
-    P_n^(a,b), the others as negated roots of P_n^(b,a), so that every node
-    is solved where 1 - x keeps full relative precision; both halves run as
-    two rows of that one pass, and when a = b the positive half is solved
-    once and mirrored.  Each weight is 1/((1 - x^2) P_n'^2) at the exact
-    root, from the same series; the weights are scaled to the exact mass
-    2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).
+    A rule with a != b is `_gauss_jacobi`'s.  A symmetric rule comes from a
+    rule of m = count // 2 nodes, so its recurrence pass runs over half as
+    many degrees, by the quadratic transformations (DLMF 18.7.13-14)
+
+        P_2m^(a,a)(x) ~ P_m^(a,-1/2)(2x^2 - 1),
+        P_2m+1^(a,a)(x) ~ x P_m^(a,1/2)(2x^2 - 1).
+
+    With (t_k, omega_k) the m-node rule for (1-t)^a (1+t)^(-1/2) at even
+    count and (1-t)^a (1+t)^(1/2) at odd count, and s_k = (1 + t_k)/2, the
+    nodes are +-sqrt(s_k) with weight 2^(-a-3/2) omega_k at even count and
+    2^(-a-5/2) omega_k / s_k at odd count, where x = 0 is a node too.  s_k
+    is taken from the distance 1 + t_k that `_gauss_jacobi` solves to full
+    relative precision, so the nodes next to x = 0, where t_k lies next to
+    -1, keep theirs.  The weight at x = 0 is the Christoffel number
+    2^(2a+1) Gamma(n+a+1)^2 / (Gamma(n+2a+1) n! P_n'(0)^2) with
+    P_n'(0) = (n+a) P_(n-1)(0) and P_2m(0) from the transformation above:
+    the mass times prod_{j<=m} j (j+a) / ((j+1/2) (j+a+1/2)), formed as
+    that product, never as the mass less the other weights.  Over n <= 3001
+    and 2 < D < 6 it is within 3.1e-15 of a 30-digit value.  The weights are
+    scaled to the exact mass `_mass(a, b)`.
     """
-    n = count
-    rho = n + 0.5 * (a + b + 1.0)
-    phi = (np.arange(1.0, n + 1.0) + 0.5 * a - 0.25) * (math.pi / rho)
-    half_tan = np.tan(0.5 * phi)
-    x = np.cos(phi + ((0.25 - a * a) / half_tan - (0.25 - b * b) * half_tan) / (4.0 * rho * rho))
-    if a == b:
-        (upper,), (w_upper,) = _jacobi_roots(n, np.array([[a]]), np.array([[a]]),
-                                             x[None, :(n + 1) // 2])
-        if n % 2:
-            upper[-1] = 0.0  # P_n is odd
-        lower, w_lower = upper[:n // 2], w_upper[:n // 2]
+    if a != b:
+        x, _, w = _gauss_jacobi(count, a, b)
+        return _read_only(x, w)
+    half, odd = divmod(count, 2)
+    if half:
+        _, one_plus, w = _gauss_jacobi(half, a, odd - 0.5)
     else:
-        # rows of equal length: each row's surplus starts lie past x = 0,
-        # solve to nodes the other row solves, and are dropped
-        m = int(np.count_nonzero(x >= 0.0))
-        width = max(m, n - m)
-        roots, weights = _jacobi_roots(n, np.array([[a], [b]]), np.array([[b], [a]]),
-                                       np.stack((x[:width], -x[n - width:][::-1])))
-        upper, lower = roots[0, :m], roots[1, :n - m]
-        w_upper, w_lower = weights[0, :m], weights[1, :n - m]
-    x = np.concatenate((-lower, upper[::-1]))
-    w = np.concatenate((w_lower, w_upper[::-1]))
-    mass = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+        one_plus, w = np.zeros(0), np.zeros(0)
+    x = np.sqrt(0.5 * one_plus)
+    w *= 2.0 ** (-a - 1.5)
+    mass = _mass(a, a)
+    centre = []
+    if odd:
+        w /= one_plus
+        j = np.arange(1.0, half + 1.0)
+        centre = [mass * np.prod(j * (j + a) / ((j + 0.5) * (j + a + 0.5)))]
+    x = np.concatenate((-x[::-1], [0.0] * odd, x))
+    w = np.concatenate((w[::-1], centre, w))
     w *= mass / math.fsum(w)
     return _read_only(x, w)
 
@@ -205,10 +255,11 @@ def _jacobi_rule(count: int, a: float, b: float):
 # nodes, for e^(kx) w (k = 0, 3, 6) on [-1, 1] and on [x0, 1], it is within
 # 5e-15 of mpmath for 5.9 <= D <= 10 (1.4e-13 at D = 5.5, 2e-11 at D = 4.5)
 # and as close as a Gauss-Jacobi rule up to D = 64, while the starts of
-# `_jacobi_rule` move away from its roots once a, b pass 3/2: over both kinds
-# of 64-node rule, its third Newton step on the Taylor series grows from
-# 1.6e-10 of a root's distance u to x = 1 at D = 6 to 4.2e-8 at D = 7.3, and
-# the error that step leaves (the size of a fourth) from 9e-20 of u, under
+# `_jacobi_rule` move away from its roots once a, b pass 3/2: over the
+# 64-node (a, 0) rule and the 32-node halves of the 64- and 65-node symmetric
+# rules, its third Newton step on the Taylor series grows from 1.6e-10 of a
+# root's distance u to x = 1 at D = 6 to 4.2e-8 at D = 7.3, and the error
+# that step leaves (the size of a fourth) from at most 6e-19 of u, under
 # rounding, to 2.8e-15 of u, above it.
 _PHI_RULE_FROM = 6.0
 

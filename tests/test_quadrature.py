@@ -176,8 +176,13 @@ class TestIntegrateAxisym:
 
 class TestJacobiRule:
     @pytest.mark.parametrize("d", [2.2, 2.5, 3.5, 5.5])
-    @pytest.mark.parametrize("count", [64, 333, 1048])
-    @pytest.mark.parametrize("kind", ["symmetric", "upper"])
+    @pytest.mark.parametrize(
+        "kind, count",
+        [(kind, count) for kind in ("symmetric", "upper") for count in (64, 333, 1048)]
+        # the symmetric rule comes from a rule of count // 2 nodes: none, one,
+        # two and 32 of them, at even count and at odd count with x = 0
+        + [("symmetric", count) for count in (1, 2, 3, 5, 65)],
+    )
     def test_matches_mpmath_nodes_and_weights(self, d, count, kind):
         # The reference node is one 20-digit Newton step on mpmath's
         # hypergeometric P_n^(a,b), which shares nothing with the recurrence
@@ -191,10 +196,11 @@ class TestJacobiRule:
         assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
         if kind == "symmetric":
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-        # every node at n = 64; otherwise six at each end, every 149th and the
-        # middle one (at odd n the node x = 0 that the symmetric rule sets)
-        picks = sorted({*range(6), *range(0, count, 149), count // 2,
-                        *range(count - 6, count)})
+        # six nodes at each end, every 149th and the middle two (at odd n the
+        # node x = 0 of the symmetric rule and its neighbour), so every node
+        # of a small rule
+        picks = sorted({*range(6), *range(0, count, 149), count // 2, count // 2 + 1,
+                        *range(count - 6, count)} & set(range(count)))
         eps = np.finfo(float).eps
         with mp.workdps(20):
             ma, mb, n = mp.mpf(a), mp.mpf(b), count
@@ -217,6 +223,21 @@ class TestJacobiRule:
                 # the weight of the exact root: the weight formula at the rounded
                 # node is off by up to about 1e-10 at the ends of the 1048-node rule
                 assert abs(w[i] / (const / ((1 - t * t) * slope(t) ** 2)) - 1) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2.2, 2.5, 3.5, 5.5])
+    def test_symmetric_rule_integrates_even_moments(self, d):
+        # an n-node rule is exact for x^(2k) (1-x^2)^a up to 2k = 2n - 2, whose
+        # integral B(k + 1/2, a + 1) follows from k = 0 by the exact ratio
+        # (k - 1/2)/(k + a + 1/2); n = 1, 2, 3, 4 and 5 build the symmetric rule
+        # from a rule of no, one or two nodes, and odd n sets a weight at x = 0
+        a = (d - 3.0) / 2.0
+        for count in (*range(1, 10), 17, 64):
+            x, w = _jacobi_rule(count, a, a)
+            moment = math.gamma(0.5) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+            for k in range(count):
+                if k:
+                    moment *= (k - 0.5) / (k + a + 0.5)
+                assert w @ x ** (2 * k) == pytest.approx(moment, rel=1e-14)
 
     def test_no_library_path_imports_scipy(self):
         # each call below builds a Gauss-Jacobi rule except the last (D >= 6
