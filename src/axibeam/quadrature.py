@@ -46,6 +46,9 @@ def _legendre_rule(count: int):
 # (`_jacobi_roots` says why these suffice)
 _TAYLOR_TERMS = 8
 _SERIES_STEPS = 3
+# degrees of recurrence coefficients spread to the state's shape at a time
+# (`_jacobi_roots` says why this length)
+_BLOCK = 64
 
 
 def _series(coefficients: list, t: np.ndarray) -> np.ndarray:
@@ -73,8 +76,8 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
 
     with f_k = C_k h_{k-1}/h_{k+1} and g_k = A_k h_k/h_{k+1} from
     P_{k+1} = (A_k x + B_k) P_k - C_k P_{k-1} and h_k = P_k(1) (the
-    coefficients are precomputed, one (rows, 1) column per degree; a
-    degree is five in-place ufuncs).  Near x = 1, where the plain recurrence loses
+    coefficients are precomputed for every row and degree; a degree is five
+    in-place ufuncs).  Near x = 1, where the plain recurrence loses
     about eps/(1 - x^2) relative, u = 1 - x is exact for x >= 1/2 and no
     digits cancel; x is reset to 1 - u, also exact, so that the series below
     is taken about the very point the pass evaluated.  P_n' comes from
@@ -113,6 +116,23 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
     last bit a fourth Newton step flips.  The Newton steps on the series
     measure at most 4.9e-3, 1.1e-5 and 1.6e-10 of u from n = 2 on, and a
     fourth 1.8e-18 of u, under rounding.
+
+    Why every operand takes the state's shape.  numpy runs a ufunc whose
+    operands share one contiguous shape by a fast path, and one that
+    broadcasts a (rows, 1) column against the (rows, width) state by its
+    general iterator, which costs more per call; at the widths built here a
+    call's fixed cost is a large share of its time.  So a, b, a + b, h_n and
+    h_{n-1} are copied to the state's shape once, and f_k and g_k are spread
+    to it `_BLOCK` degrees at a time, by one assignment into a
+    (block, rows, width) buffer each.  Each ufunc sees the values it would
+    see broadcast, so the rules are the same bit for bit, and they are built
+    in 0.71-0.91 of the time (n = 64 .. 1048, both kinds, D = 2.5 and 3.5,
+    best of 15 interleaved rounds on a 2-vCPU Xeon, three runs).  Over that
+    grid, blocks of 48 to 96 degrees read within about 3 % of 64 in every
+    cell, and 16 degrees up to 6 % longer.  At the (a, 0) rule of n = 1048
+    blocks of 128 degrees took up to 7 % longer and 256 degrees 12-35 %
+    longer (its two buffers then hold 4.3 MB, against 1.1 MB at 64), and
+    one block for all degrees 1.6 times as long.
     """
     s = a + b
     k = np.arange(1.0, n + 1.0)
@@ -122,28 +142,34 @@ def _jacobi_roots(n: int, a: np.ndarray, b: np.ndarray, x: np.ndarray):
     den = 2.0 * (k + 1.0) * (k + s + 1.0) * c
     f = 2.0 * (k + a) * (k + b) * (c + 2.0) / den * h[:, :-2] / h[:, 2:]
     g = (c + 1.0) * (c + 2.0) * c / den * h[:, 1:-1] / h[:, 2:]
-    f = np.concatenate((np.zeros_like(a), f), axis=1)
-    g = np.concatenate((0.5 * (s + 2.0) / (1.0 + a), g), axis=1)
-    # one entry per degree, zipped in the loop rather than paired in a list:
-    # zip reuses its tuple, so the pass allocates no object per degree
-    f, g = (list(v.T[:, :, None]) for v in (f, g))
+    f = np.concatenate((np.zeros_like(a), f), axis=1).T[:, :, None]
+    g = np.concatenate((0.5 * (s + 2.0) / (1.0 + a), g), axis=1).T[:, :, None]
     u = 1.0 - x
     x = 1.0 - u
     r = np.ones_like(x)
     d = np.zeros_like(x)
     tmp = np.empty_like(x)
-    for fk, gk in zip(f, g):
-        np.multiply(r, u, out=tmp)
-        tmp *= gk
-        d *= fk
-        d -= tmp
-        r += d
+    # every operand of the pass and of the series takes the state's shape
+    f_block = np.empty((_BLOCK,) + x.shape)
+    g_block = np.empty_like(f_block)
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        f_block[:size] = f[start:start + size]
+        g_block[:size] = g[start:start + size]
+        for fk, gk in zip(f_block[:size], g_block[:size]):
+            np.multiply(r, u, out=tmp)
+            tmp *= gk
+            d *= fk
+            d -= tmp
+            r += d
+    a, b, s, h_n, h_prev = (np.broadcast_to(v, x.shape).copy()
+                            for v in (a, b, s, h[:, n:], h[:, n - 1:n]))
     # P_n = h_n r_n and P_{n-1} = h_{n-1} (r_n - d_n)
     one_minus = u * (2.0 - u)
     degree = 2.0 * n + s
-    value = h[:, n:] * r
+    value = h_n * r
     slope = (n * ((a - b) - degree * x) * value
-             + 2.0 * (n + a) * (n + b) * h[:, n - 1:n] * (r - d)) / (degree * one_minus)
+             + 2.0 * (n + a) * (n + b) * h_prev * (r - d)) / (degree * one_minus)
     # the Taylor coefficients by the two-term recursion, then the offset t by
     # Newton's method on their sum; its first step, from t = 0, is -c_0/c_1
     terms = [value, slope]
@@ -200,7 +226,7 @@ def _gauss_jacobi(n: int, a: float, b: float):
     x = np.concatenate((-roots[1, :n - m], roots[0, :m][::-1]))
     one_plus = np.concatenate((dist[1, :n - m], 2.0 - dist[0, :m][::-1]))
     w = np.concatenate((weights[1, :n - m], weights[0, :m][::-1]))
-    w *= _mass(a, b) / math.fsum(w)
+    w *= _mass(a, b) / math.fsum(w.tolist())
     return x, one_plus, w
 
 
@@ -247,7 +273,7 @@ def _jacobi_rule(count: int, a: float, b: float):
         centre = [mass * np.prod(j * (j + a) / ((j + 0.5) * (j + a + 0.5)))]
     x = np.concatenate((-x[::-1], [0.0] * odd, x))
     w = np.concatenate((w[::-1], centre, w))
-    w *= mass / math.fsum(w)
+    w *= mass / math.fsum(w.tolist())
     return _read_only(x, w)
 
 

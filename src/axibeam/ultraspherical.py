@@ -335,9 +335,12 @@ def _cached_basis(order: int, dim: Dimension) -> _Basis:
     return parent if parent.order == order else _Cut(parent, order)
 
 
-def _basis(order: int, dim: Dimension) -> _Basis:
-    """The cached `_Basis` of (N, D), N checked before the cache is read (2.0 hashes like 2)."""
-    return _cached_basis(_integer(order, "order", 0, MAX_ORDER), dim)
+def _basis(order: int, dim: Dimension, name: str = "order") -> _Basis:
+    """The cached `_Basis` of (N, D), N checked under `name` before the cache is read.
+
+    The check also makes 2.0 hash like 2.
+    """
+    return _cached_basis(_integer(order, name, 0, MAX_ORDER), dim)
 
 
 def gram_front(max_degree: int, dim: Dimension) -> np.ndarray:
@@ -358,7 +361,7 @@ def gram_front(max_degree: int, dim: Dimension) -> np.ndarray:
     one at the same D, the array is a row-strided read-only view of the
     larger record's matrix, with the same values.
     """
-    return _basis(max_degree, dim).gram
+    return _basis(max_degree, dim, "max_degree").gram
 
 
 def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
@@ -435,7 +438,8 @@ def beta_coeff(n: int, dim: Dimension) -> float:
     beta_n = (n - 1 + 2 alpha) / (2 (n - 1 + alpha)) for n >= 2; beta_1 = 1 is
     the alpha -> 0 limit of the 0/0 expression and holds for every D.
     """
-    return float(_basis(_integer(n, "n", 1) - 1, dim).beta[-1])
+    # beta_n is the last entry of the order n - 1 record
+    return float(_cached_basis(_integer(n, "n", 1, MAX_ORDER + 1) - 1, dim).beta[-1])
 
 
 def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
@@ -446,12 +450,12 @@ def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
     `norm_squared_gamma` provides the closed form for cross-checking.  The
     result is cached per (N, D) and read-only.
     """
-    return _basis(max_degree, dim).n2
+    return _basis(max_degree, dim, "max_degree").n2
 
 
 def norm_squared(n: int, dim: Dimension) -> float:
     """Squared norm N_n^2 = integral of P_n^2 w over [-1, 1], including S_{D-1}/S_{D-2}."""
-    return float(norms_squared(n, dim)[-1])
+    return float(_basis(n, dim, "n").n2[-1])
 
 
 def norm_squared_gamma(n: int, dim: Dimension) -> float:
@@ -641,7 +645,7 @@ def value_at_zero(n: int, dim: Dimension) -> float:
     so the relative error grows only linearly in m (within 1.1e-15 of a
     40-digit product for n <= 128).
     """
-    return float(_basis(n, dim).p0[-1])
+    return float(_basis(n, dim, "n").p0[-1])
 
 
 def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
@@ -650,7 +654,7 @@ def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     One series sum (`_series_sum`, x checked as in `eval_pattern`): error <= 1e-12
     sum_n |terms| for N <= 128, any x.  x0 is checked by `eval_sequence`.
     """
-    basis = _basis(max_degree, dim)
+    basis = _basis(max_degree, dim, "max_degree")
     seq = eval_sequence(x0, basis.order, dim)
     if seq.ndim != 1:
         raise DomainError(f"x0 must be one value, got shape {seq.shape[1:]}")

@@ -9,6 +9,7 @@ import pytest
 
 from axibeam import Dimension, DomainError, compute_metrics, eval_sequence, max_re, norms_squared
 from axibeam.quadrature import (
+    _BLOCK,
     _jacobi_rule,
     _legendre_rule,
     _node_count,
@@ -174,6 +175,20 @@ class TestIntegrateAxisym:
                 integrate_axisym(f, Dimension(d))
 
 
+def assert_even_moments(count: int, a: float) -> None:
+    """The count-node symmetric rule integrates x^(2k) (1-x^2)^a within 1e-14, k < count.
+
+    A rule of n nodes is exact up to 2k = 2n - 2; the integral B(k + 1/2, a + 1)
+    follows from k = 0 by the exact ratio (k - 1/2)/(k + a + 1/2).
+    """
+    x, w = _jacobi_rule(count, a, a)
+    moment = math.gamma(0.5) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    for k in range(count):
+        if k:
+            moment *= (k - 0.5) / (k + a + 0.5)
+        assert w @ x ** (2 * k) == pytest.approx(moment, rel=1e-14)
+
+
 class TestJacobiRule:
     @pytest.mark.parametrize("d", [2.2, 2.5, 3.5, 5.5])
     @pytest.mark.parametrize(
@@ -226,18 +241,37 @@ class TestJacobiRule:
 
     @pytest.mark.parametrize("d", [2.2, 2.5, 3.5, 5.5])
     def test_symmetric_rule_integrates_even_moments(self, d):
-        # an n-node rule is exact for x^(2k) (1-x^2)^a up to 2k = 2n - 2, whose
-        # integral B(k + 1/2, a + 1) follows from k = 0 by the exact ratio
-        # (k - 1/2)/(k + a + 1/2); n = 1, 2, 3, 4 and 5 build the symmetric rule
-        # from a rule of no, one or two nodes, and odd n sets a weight at x = 0
-        a = (d - 3.0) / 2.0
+        # n = 1, 2, 3, 4 and 5 build the symmetric rule from a rule of no, one
+        # or two nodes, and odd n sets a weight at x = 0
         for count in (*range(1, 10), 17, 64):
-            x, w = _jacobi_rule(count, a, a)
-            moment = math.gamma(0.5) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
-            for k in range(count):
-                if k:
-                    moment *= (k - 0.5) / (k + a + 0.5)
-                assert w @ x ** (2 * k) == pytest.approx(moment, rel=1e-14)
+            assert_even_moments(count, (d - 3.0) / 2.0)
+
+    @pytest.mark.parametrize("d", [2.2, 3.5, 5.5])
+    @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_rules_across_degree_blocks(self, d, count):
+        # The pass spreads its coefficients over the state a block of _BLOCK
+        # degrees at a time: counts one short of a block, at it, one past it
+        # and one past two blocks.  The (a, 0) rule is exact for
+        # (1 + x)^j (1 - x)^a up to j = 2n - 1, whose integral 2^(a+j+1)
+        # B(a + 1, j + 1) is 2^(a+1)/(a + 1) times the exact rational
+        # prod_{i<=j} 2i/(a + i + 1).  1 + x is carried as its rounded sum s and
+        # the exact remainder e, so that the j-th power does not multiply the
+        # rounding of s by j.
+        a = (d - 3.0) / 2.0
+        x, w = _jacobi_rule(count, a, 0.0)
+        s = 1.0 + x
+        e = x - (s - 1.0)
+        ratio = Fraction(1)
+        for j in range(2 * count):
+            if j:
+                ratio *= 2 * j / (Fraction(a) + j + 1)
+            exact = 2.0 ** (a + 1.0) / (a + 1.0) * float(ratio)
+            assert w @ (s**j * (1.0 + j * e / s)) == pytest.approx(exact, rel=1e-14)
+        # the symmetric rule's pass runs over count // 2 degrees, so 2n + 1
+        # nodes put it at the block edge that n puts the (a, 0) rule's at; at
+        # 2 (2B + 1) + 1 nodes the reference's own rounding nears the bound
+        for sym in (count, 2 * count + 1) if count <= _BLOCK + 1 else (count,):
+            assert_even_moments(sym, a)
 
     def test_no_library_path_imports_scipy(self):
         # each call below builds a Gauss-Jacobi rule except the last (D >= 6

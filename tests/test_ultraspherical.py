@@ -873,6 +873,29 @@ def test_negative_degree_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name, low, high, value",
+    [
+        (beta_coeff, "n", 1, MAX_ORDER + 1, MAX_ORDER + 2),
+        (beta_coeff, "n", 1, MAX_ORDER + 1, 200),
+        (beta_coeff, "n", 1, MAX_ORDER + 1, 0),
+        (norm_squared, "n", 0, MAX_ORDER, MAX_ORDER + 1),
+        (value_at_zero, "n", 0, MAX_ORDER, MAX_ORDER + 1),
+        (norms_squared, "max_degree", 0, MAX_ORDER, MAX_ORDER + 1),
+        (gram_front, "max_degree", 0, MAX_ORDER, MAX_ORDER + 1),
+        (lambda n, dim: cd_kernel(0.5, 0.5, n, dim), "max_degree", 0, MAX_ORDER, MAX_ORDER + 1),
+    ],
+    ids=["beta_coeff-130", "beta_coeff-200", "beta_coeff-0", "norm_squared", "value_at_zero",
+         "norms_squared", "gram_front", "cd_kernel"],
+)
+def test_degree_error_names_the_argument(call, name, low, high, value):
+    # each function checks its own argument: beta_n lives in the order n - 1
+    # record, so beta_coeff takes n up to MAX_ORDER + 1, and says n, not order
+    message = f"^{name} must be an integer >= {low} and <= {high}, got {value}$"
+    with pytest.raises(DomainError, match=message):
+        call(value, D3)
+
+
 # Every public reader of x checks it the same way: |x| <= 1 + 1e-12, clamped
 # to [-1, 1].  D = 3 sums patterns in the Chebyshev basis, D = 7.3 by Clenshaw.
 CLAMP_READERS = {

@@ -26,9 +26,10 @@ up to 16 of `sweep`), how the per-(N, D) record is provided:
 the rule layer times one cold Gauss-Jacobi rule build,
 `quadrature._jacobi_rule.__wrapped__(n, a, b)` at n = 64, 128, 333, 512 and
 1048, for the symmetric (a, a) and the one-sided (a, 0) rule at D = 2.5 and
-3.5 (a = (D - 3)/2), and the scan layer times one pass of
-`compute_metrics(max_re(N, D).weights)` over N = 1 .. 128 at D = 2.5, 3 and
-7.3 (microseconds per pass), each pass from an empty record LRU, in rounds
+3.5 (a = (D - 3)/2), the legendre layer times one cold Gauss-Legendre rule
+build, `quadrature._legendre_rule.__wrapped__(n)` at the same n, and the scan
+layer times one pass of `compute_metrics(max_re(N, D).weights)` over
+N = 1 .. 128 at D = 2.5, 3 and 7.3 (microseconds per pass), each pass from an empty record LRU, in rounds
 of their own before the other cells.  Each pair's calls are made in a
 function of their own, so every cell times its own pair.  `--layers` times
 only the layers it names (default: all of them).
@@ -37,6 +38,8 @@ A rule cell also reads its digits: -log10 of the relative error of
 int e^(3x) (1-x)^a (1+x)^b dx by the rule against mpmath's closed form
 2^(a+b+1) B(a+1, b+1) e^-3 1F1(b+1; a+b+2; 6), computed once per cell
 outside the timed loop (none where mpmath is missing; 17 for an exact sum).
+A legendre cell reads the same digits at a = b = 0, where the closed form
+is (e^3 - e^-3)/3.
 
 Each side is a tree holding `src/`; a `--parent` that is not a directory is
 taken as a git revision of this repository and extracted with `git archive`
@@ -67,7 +70,8 @@ PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0
 SCAN_D = (2.5, 3.0, 7.3)
 RULE_COUNTS = (64, 128, 333, 512, 1048)
 RULE_D = (2.5, 3.5)
-LAYERS = ("weights", "metrics", "pattern", "discrete", "series", "record", "rule", "scan")
+LAYERS = ("weights", "metrics", "pattern", "discrete", "series", "record", "rule", "legendre",
+          "scan")
 NUMBER = 200
 RULE_NUMBER = 5
 REPEATS = 7
@@ -101,13 +105,13 @@ def measure(layers: tuple) -> dict:
     import numpy as np
 
     import axibeam as ab
-    from axibeam.quadrature import _jacobi_rule
+    from axibeam.quadrature import _jacobi_rule, _legendre_rule
     from axibeam.ultraspherical import MAX_ORDER, _Basis, _basis, _cached_basis, _series_sum
 
     rng = np.random.default_rng(1)
     angles = np.cos(np.radians(np.linspace(0.0, 180.0, 181)))
     out: dict = {layer: {} for layer in layers}
-    out["digits"] = {"rule": {}}
+    out["digits"] = {"rule": {}, "legendre": {}}
     # the scans come first, while no record is live, each from an empty LRU
     clock = time.perf_counter
     for _ in range(REPEATS if "scan" in layers else 0):
@@ -165,6 +169,12 @@ def measure(layers: tuple) -> dict:
                 out["digits"]["rule"][label] = rule_digits(*build(), a, b)
                 cells.append(("rule", label, timeit.Timer(build), RULE_NUMBER))
                 out["rule"][label] = []
+    for count in RULE_COUNTS if "legendre" in layers else ():
+        label = f"n={count}"
+        build = partial(_legendre_rule.__wrapped__, count)
+        out["digits"]["legendre"][label] = rule_digits(*build(), 0.0, 0.0)
+        cells.append(("legendre", label, timeit.Timer(build), RULE_NUMBER))
+        out["legendre"][label] = []
     # the repeats of every cell go round in turn, so a slow spell of the
     # machine falls on all cells alike rather than on a few whole cells
     for _ in range(REPEATS):
