@@ -10,7 +10,9 @@ energy-vector design (max-rE), the front-to-back-ratio optimum (supercardioid)
 and its power-law approximation, the sidelobe-free higher-order cardioid
 (inphase), max-flat designs with a prescribed split of flatness degrees, and
 spherical-cap windows.  Every generator checks its order 0 <= N <= MAX_ORDER
-(128) before any work (`errors._integer`: 3.0 counts, 2.5 raises DomainError).
+(128) before any work (`errors._integer`: 3.0 counts, 2.5 raises DomainError),
+and reads a real argument (cap's x0, cap_trapezoid's spacing) by float()
+(`errors._real`: "0.5" counts, None raises DomainError).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer
+from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer, _real
 from .ultraspherical import (MAX_ORDER, Dimension, _basis, _unscale, _with_derivatives,
                              eval_sequence)
 
@@ -46,19 +48,27 @@ class Normalization(str, Enum):
     """Scaling conventions for a weight vector.
 
     A0_UNITY pins a_0 = 1, G1_UNITY pins the on-axis pattern value g(1) = 1,
-    RAW keeps whatever scale the generator produced.
+    RAW keeps whatever scale the generator produced.  Any other value raises
+    DomainError.
     """
 
     A0_UNITY = "a0"
     G1_UNITY = "g1"
     RAW = "raw"
 
+    @classmethod
+    def _missing_(cls, value):
+        # Enum re-raises this in place of its bare ValueError
+        raise DomainError(f"normalization must be one of {', '.join(m.value for m in cls)}, "
+                          f"got {value!r}")
+
 
 @dataclass(frozen=True)
 class WeightVector:
     """Design weights a_0..a_N for one dimension, tagged with their scaling.
 
-    The weights must be finite; NaN or an infinite weight raises DomainError.
+    The weights must be finite reals; NaN, an infinite weight or one that
+    float() cannot read raises DomainError.
     The tag is taken on trust: `normalized(kind)` rescales only weights whose
     tag differs from kind, so `WeightVector(Dimension(3), [2, 1],
     "a0").normalized("a0").a` stays [2, 1].
@@ -69,7 +79,10 @@ class WeightVector:
     normalization: Normalization
 
     def __post_init__(self) -> None:
-        arr = np.array(self.a, dtype=float, ndmin=1)
+        try:
+            arr = np.array(self.a, dtype=float, ndmin=1)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"weights must be real numbers: {exc}") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("weights must be a non-empty 1-d sequence")
         # max |a_n|, not finite exactly when a weight is not (NaN and +-inf
@@ -327,6 +340,7 @@ def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
     x0 < 0), summed as a continued fraction.
     """
     order = _integer(order, "order", 0, MAX_ORDER)
+    x0 = _real(x0, "cap boundary x0")
     if not (-1.0 < x0 < 1.0):
         raise DomainError(f"cap boundary must satisfy -1 < x0 < 1, got {x0}")
     a = np.empty(order + 1)
@@ -350,6 +364,7 @@ def cap_trapezoid(order: int, spacing_deg: float, dim: Dimension) -> WeightVecto
     spacing angle s; multiplying their weight sequences realizes the angular
     convolution of the two indicator functions.
     """
+    spacing_deg = _real(spacing_deg, "spacing")
     if not (0.0 < spacing_deg < 180.0 / 1.375):
         raise DomainError(
             f"spacing must satisfy 0 < s < {180.0 / 1.375:.3f} deg, got {spacing_deg}"

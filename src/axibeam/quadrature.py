@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _real
 from .ultraspherical import MAX_ORDER, Dimension, _unscale, eval_sequence, norms_squared
 
 __all__ = ["integrate_axisym", "transform_coeffs"]
@@ -343,7 +343,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         Polynomial degree of f if f is polynomial, 0 <= degree_hint <= 2^24;
         sizes the rule as max(64, degree_hint + ceil(D) + 16) nodes.
     lower, upper : float
-        Integration bounds, -1 <= lower < upper <= 1.
+        Integration bounds, -1 <= lower < upper <= 1; other bounds, and
+        values that float() cannot read, raise DomainError.
 
     Each integrand row is scaled by the exact power of two 2^-k that brings
     its largest magnitude into [0.5, 1) before the rule is applied, and the
@@ -352,7 +353,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
     bit for bit, unless a product of an integrand value and a rule weight is
     subnormal.
     """
-    return _unscale(*_scaled_integral(f, dim, degree_hint, lower, upper))
+    return _unscale(*_scaled_integral(f, dim, degree_hint, _real(lower, "lower bound"),
+                                      _real(upper, "upper bound")))
 
 
 def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: float):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import WeightVector
-from .errors import DomainError, NormError, ParseError, _file_lines, _integer
+from .errors import DomainError, NormError, ParseError, _file_lines, _integer, _real
 from .ultraspherical import (_MAX_DEGREE, MAX_DIMENSION, Dimension, _series_sum, _unscale,
                              eval_sequence)
 
@@ -122,9 +122,9 @@ class DiscreteMetrics:
 
 
 def circle_nodes(count: int, offset_rad: float = 0.0) -> NodeSet:
-    """Equiangular ring of `count` unit vectors at angles offset + 2 pi (l-1)/L."""
+    """Equiangular ring of `count` unit vectors at angles offset + 2 pi (l-1)/L, offset one real."""
     count = _integer(count, "node count", 1, MAX_NODES)
-    ang = offset_rad + 2.0 * math.pi * np.arange(count) / count
+    ang = _real(offset_rad, "offset") + 2.0 * math.pi * np.arange(count) / count
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     return NodeSet(2, pts, label=f"circle-{count}")
 

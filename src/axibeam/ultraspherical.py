@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _real
 
 __all__ = [
     "Dimension",
@@ -72,6 +72,11 @@ _X_CLAMP = 1e-12
 # long with 256), and 2048 or more gained nothing.
 _BLOCK = 1024
 
+# Most (N, width) plans that `_chebyshev_sum` keeps between calls.  perfbench's
+# `batch` reads at 33 keys (12 in its timed reads, 21 more in its oracle checks).
+_PLANS = 48
+_plans: dict = {}
+
 
 def _sphere_surface(d: float) -> float:
     """Surface of the unit sphere S^(d-1) embedded in d dimensions, d >= 1."""
@@ -84,13 +89,14 @@ class Dimension:
 
     alpha is always computed from d, never stored, so the two cannot drift
     apart.  Non-integer dimensions are allowed; they interpolate between the
-    Chebyshev (D=2) and Legendre (D=3) families.  Other D raise DomainError.
+    Chebyshev (D=2) and Legendre (D=3) families.  Other D, and a d that
+    float() cannot read, raise DomainError.
     """
 
     d: float
 
     def __post_init__(self) -> None:
-        d = float(self.d)
+        d = _real(self.d, "dimension")
         if not 2.0 <= d <= MAX_DIMENSION:
             raise DomainError(f"dimension must lie in [2, {MAX_DIMENSION:g}], got {self.d!r}")
         object.__setattr__(self, "d", d)
@@ -565,26 +571,26 @@ def _series_sum(coeffs, x, basis: _Basis):
     return y1
 
 
-@lru_cache(maxsize=MAX_ORDER + 1)
-def _chebyshev_schedule(n: int) -> tuple:
-    """Row slices of `_chebyshev_sum` for degree n: (doubling steps, folds).
+def _chebyshev_plan(n: int, width: int) -> tuple:
+    """A new (n+1) x width table V of `_chebyshev_sum` and its row views: (V, steps, folds).
 
-    A doubling step (new, low, k, mirror) forms rows k+1 .. k+j of V from
+    A doubling step (new, low, V_k, mirror) forms rows k+1 .. k+j of V from
     rows 1 .. j, row k and rows k-1 .. k-j (reversed), j = min(k, n - k);
     a fold (lower, upper) adds rows m-h .. m-1 onto rows 0 .. h-1, h = m // 2.
     """
+    v = np.empty((n + 1, width))
     steps, k = [], 1
     while k < n:
         j = min(k, n - k)
-        steps.append((slice(k + 1, k + j + 1), slice(1, j + 1), k,
-                      slice(k - 1, k - j - 1 if k > j else None, -1)))
+        steps.append((v[k + 1:k + j + 1], v[1:j + 1], v[k],
+                      v[k - 1:k - j - 1 if k > j else None:-1]))
         k += j
     folds, m = [], n + 1
     while m > 1:
         h = m // 2
-        folds.append((slice(0, h), slice(m - h, m)))
+        folds.append((v[:h], v[m - h:m]))
         m -= h
-    return tuple(steps), tuple(folds)
+    return v, tuple(steps), tuple(folds)
 
 
 def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
@@ -595,34 +601,50 @@ def _chebyshev_sum(d: np.ndarray, x: np.ndarray):
     steps from V_0 = 2 and V_1 = 2x; the factor 2 is exact and saves a
     multiply per step).  The products d_m V_m are summed by folding the upper
     half of the rows onto the lower half until one row is left, which is then
-    halved.  The row slices of both depend on N alone and are cached
-    (`_chebyshev_schedule`).  x of any shape, a 0-d one included, is
-    flattened and taken `_BLOCK` points at a time, so the table stays in
-    cache and memory is O(N _BLOCK).  Each point's column sees the same
-    operations in the same order whatever the block width, so every shape
-    agrees bit for bit (numpy's own row sums could not promise that: they
-    sum one column pairwise and many columns row by row).  The result has
-    x's shape; a 0-d x gives a float.
+    halved.  x of any shape, a 0-d one included, is flattened and taken
+    `_BLOCK` points at a time, so the table stays in cache and memory is
+    O(N _BLOCK).  Each point's column sees the same operations in the same
+    order whatever the block width, so every shape agrees bit for bit
+    (numpy's own row sums could not promise that: they sum one column
+    pairwise and many columns row by row).  The result has x's shape; a 0-d
+    x gives a float.
+
+    The table of one block width and its row views (`_chebyshev_plan`) are
+    kept between calls in the pool `_plans`, keyed by (N, width): at N = 32
+    a call would otherwise rebuild about 36 views, most of a short read's
+    cost.  A block checks its plan out of the pool (`dict.pop`) and puts it
+    back when its column of sums is copied out, so no two calls ever write
+    one table, whether they run on two threads or one call re-enters the
+    sum; a call that finds its key checked out builds a plan of its own.
+    The result is a new array, never pool memory.  The pool is cleared
+    whole when it holds `_PLANS` plans, an eviction that needs no iteration
+    over a dict that other threads change.  A plan holds at most 129 x 1024
+    doubles (1.06 MB at N = MAX_ORDER), so the pool retains at most
+    `_PLANS` x 1.06 MB = 51 MB, and far less for short reads: the 33 plans
+    of perfbench's `batch` hold 0.36 MB.
     """
     n = d.size - 1
-    steps, folds = _chebyshev_schedule(n)
     flat = x.ravel()
     out = np.empty(flat.size)
-    table = np.empty((n + 1, min(flat.size, _BLOCK)))
+    scale = d[:, None]
     for start in range(0, flat.size, _BLOCK):
         xb = flat[start:start + _BLOCK]
-        v = table[:, :xb.size]
+        key = (n, xb.size)
+        plan = _plans.pop(key, None) or _chebyshev_plan(*key)
+        v, steps, folds = plan
         v[0] = 2.0
         if n:
             np.multiply(xb, 2.0, out=v[1])
-        for new, low, k, mirror in steps:
-            rows = v[new]
-            np.multiply(v[low], v[k], out=rows)
-            rows -= v[mirror]
-        v *= d[:, None]
+        for rows, low, vk, mirror in steps:
+            np.multiply(low, vk, out=rows)
+            rows -= mirror
+        v *= scale
         for lower, upper in folds:
-            v[lower] += v[upper]
+            lower += upper
         np.multiply(v[0], 0.5, out=out[start:start + xb.size])
+        if len(_plans) >= _PLANS:
+            _plans.clear()
+        _plans[key] = plan
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 

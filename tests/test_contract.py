@@ -21,6 +21,9 @@ are a pattern with g(1) = 1, times a scale from the same table, and their
 Every integer argument (an order, degree, L, t or node count) takes an int,
 a numpy integer or an integral float alike, bit for bit, and rejects any
 other value with a typed error, whatever the state of the per-(N, D) cache.
+Every real argument (a dimension, bound, offset, weight or normalization)
+takes any value that float() (or `Normalization`) reads, with the result of
+that float, and rejects any other value with DomainError.
 """
 
 from __future__ import annotations
@@ -364,6 +367,57 @@ def test_integer_arguments():
             assert _cold_and_warm(call, k, value) == (want, want), (name, param, value)
         for value in NOT_INTEGERS + (high + 1, 10**30):
             assert _cold_and_warm(call, k, value) == (error, error), (name, param, value)
+
+
+def _scalar(call, k):
+    """A REAL_ARGS entry: the numpy float, 0-d array and string forms of k read as k,
+    and what float() cannot read, NaN included, raises DomainError."""
+    return call, k, (np.float64(k), np.array(k), str(k)), ("abc", None, [k], 1j, math.nan)
+
+
+# (callable, real parameter) -> (call of one value, a valid value, values that
+# must give the same verdict, values that must raise DomainError); a weight
+# vector takes the same forms per element
+REAL_ARGS = {
+    ("Dimension", "d"): _scalar(ab.Dimension, 3.7),
+    ("cap", "x0"): _scalar(lambda v: ab.cap(3, v, D37), 0.3),
+    ("cap_trapezoid", "spacing_deg"): _scalar(lambda v: ab.cap_trapezoid(3, v, D37), 20.0),
+    ("cd_kernel", "x0"): _scalar(lambda v: ab.cd_kernel(0.3, v, 3, D37), 0.5),
+    ("circle_nodes", "offset_rad"): _scalar(lambda v: ab.circle_nodes(4, v), 0.25),
+    ("integrate_axisym", "lower"): _scalar(lambda v: ab.integrate_axisym(_square, D37, 0, v),
+                                           -0.5),
+    ("integrate_axisym", "upper"): _scalar(
+        lambda v: ab.integrate_axisym(_square, D37, 0, -1.0, v), 0.5),
+    ("WeightVector", "a"): (lambda v: ab.WeightVector(D37, v, "raw"), [1.0, 0.5],
+                            (np.array([1.0, 0.5]), ("1.0", "0.5"), [np.float64(1.0), 0.5]),
+                            (["a"], "abc", [[1.0], [1.0, 0.5]], [1j, 0.5], [math.nan])),
+    ("WeightVector", "normalization"): (
+        lambda v: ab.WeightVector(D37, [1.0, 0.5], v), "g1", (ab.Normalization.G1_UNITY,),
+        ("xyz", None, ["g1"], 1j, math.nan)),
+    ("WeightVector.normalized", "kind"): (
+        lambda v: ab.WeightVector(D37, [1.0, 0.5], "raw").normalized(v), "a0",
+        (ab.Normalization.A0_UNITY,), ("xyz", None, ["a0"], 1j, math.nan)),
+}
+
+
+def test_every_real_parameter_is_walked():
+    annotated = {(name, p.name) for name in set(ab.__all__) - NOT_CALLED
+                 if callable(getattr(ab, name))
+                 for p in inspect.signature(getattr(ab, name)).parameters.values()
+                 if p.annotation == "float"}
+    weights = {("WeightVector", "a"), ("WeightVector", "normalization"),
+               ("WeightVector.normalized", "kind")}
+    assert set(REAL_ARGS) == annotated | weights
+
+
+def test_real_arguments():
+    for (name, param), (call, k, same, invalid) in REAL_ARGS.items():
+        want = _verdict(lambda: call(k))
+        assert isinstance(want, tuple), (name, param, want)
+        for value in same:
+            assert _verdict(lambda: call(value)) == want, (name, param, value)
+        for value in invalid:
+            assert _verdict(lambda: call(value)) == ab.DomainError, (name, param, value)
 
 
 def _run_cli(argv):

@@ -966,3 +966,59 @@ def test_unscale_float_and_array_agree(k):
         assert type(f) is float and np.float64(f).tobytes() == a.tobytes()
         scalar = ultraspherical._unscale(np.float64(v), np.int32(k))
         assert type(scalar) is float and np.float64(scalar).tobytes() == a.tobytes()
+
+
+class TestChebyshevPool:
+    # `_chebyshev_sum` keeps one table per (N, width) between calls, checked
+    # out of the pool for the length of a block; each test starts from an
+    # empty pool
+    ORDER = 32
+
+    @pytest.fixture(autouse=True)
+    def pool(self, monkeypatch):
+        plans = {}
+        monkeypatch.setattr(ultraspherical, "_plans", plans)
+        return plans
+
+    def test_threads_read_their_own_table(self):
+        x = np.cos(np.radians(np.linspace(0.0, 180.0, 181)))
+        rng = np.random.default_rng(35)
+        coeffs = [rng.standard_normal(self.ORDER + 1) for _ in range(2)]
+        expected = [ultraspherical._chebyshev_sum(d, x) for d in coeffs]
+        seen = [[], []]
+
+        def read(k):
+            seen[k].extend(ultraspherical._chebyshev_sum(coeffs[k], x) for _ in range(200))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(seen, expected):
+            assert len(got) == 200
+            assert all(g.tobytes() == want.tobytes() for g in got)
+
+    @pytest.mark.parametrize("shape", [(), (181,), (3, 7), (2050,)])
+    def test_result_owns_its_memory(self, pool, shape):
+        rng = np.random.default_rng(36)
+        x = rng.uniform(-1.0, 1.0, shape)
+        first = ultraspherical._chebyshev_sum(rng.standard_normal(self.ORDER + 1), x)
+        kept = np.array(first)
+        ultraspherical._chebyshev_sum(rng.standard_normal(self.ORDER + 1), x)
+        assert np.asarray(first).tobytes() == kept.tobytes()
+        assert pool and all((self.ORDER, v.shape[1]) == key for key, (v, _, _) in pool.items())
+        assert not any(np.shares_memory(first, v) for v, _, _ in pool.values())
+
+    def test_pool_is_bounded(self, pool):
+        bound = ultraspherical._PLANS
+        d = np.arange(1.0, 5.0)
+        for width in range(1, bound + 10):
+            ultraspherical._chebyshev_sum(d, np.linspace(-1.0, 1.0, width))
+            assert 0 < len(pool) <= bound and (3, width) in pool

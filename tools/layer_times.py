@@ -9,7 +9,11 @@ workload, each timed alone at its 7 (N, D) pairs on a 5 % perturbation of
 
     weights   WeightVector(dim, a, "raw")._scaled, fresh weights each call
     metrics   compute_metrics, `_scaled` already cached
-    pattern   eval_pattern on 181 angles, cos 0 .. 180 degrees
+    pattern   eval_pattern on 181 angles, cos 0 .. 180 degrees; one more
+              cell, "long", at N = 128, D = 3 on 100000 points (98 blocks
+              of the Chebyshev sum's table per call, so a table kept
+              between calls saves least there; `LONG_NUMBER` calls per
+              repeat)
     discrete  discrete_metrics on the dodecahedron (D = 3) or on a ring of
               2N + 2 nodes (D = 2), one fixed unit aim; none at D = 2.5
     series    ultraspherical._series_sum alone on the same 181 angles
@@ -39,7 +43,14 @@ int e^(3x) (1-x)^a (1+x)^b dx by the rule against mpmath's closed form
 2^(a+b+1) B(a+1, b+1) e^-3 1F1(b+1; a+b+2; 6), computed once per cell
 outside the timed loop (none where mpmath is missing; 17 for an exact sum).
 A legendre cell reads the same digits at a = b = 0, where the closed form
-is (e^3 - e^-3)/3.
+is (e^3 - e^-3)/3.  A series or pattern cell reads -log10 of its worst error
+over sum_n |c_n|, the scale of the README's bounds, against a 40-digit
+mpmath three-term sum of its coefficients c_n at its points (every
+`LONG_STRIDE`-th point of the long cell); a discrete cell reads the worst of
+the errors of P and E, the node means of g and g^2 times S_{D-1}, over
+S_{D-1} sum_n |c_n| and S_{D-1} (sum_n |c_n|)^2, against node sums of the
+same reference at the same projections.  Each reference is built once per
+cell, outside the timed loop.
 
 Each side is a tree holding `src/`; a `--parent` that is not a directory is
 taken as a git revision of this repository and extracted with `git archive`
@@ -67,6 +78,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from tier1_wall import ROOT, alternate, tree_env  # noqa: E402
 
 PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0))
+LONG_ORDER, LONG_D, LONG_POINTS, LONG_STRIDE, LONG_NUMBER = 128, 3.0, 100_000, 100, 5
 SCAN_D = (2.5, 3.0, 7.3)
 RULE_COUNTS = (64, 128, 333, 512, 1048)
 RULE_D = (2.5, 3.5)
@@ -94,11 +106,64 @@ def rule_digits(x, w, a: float, b: float) -> float | None:
     return 17.0 if err == 0 else round(-math.log10(float(err)), 3)
 
 
+def mp_patterns(c, x, d: float):
+    """[sum_n c_n P_n(x_i) for each x_i] as mpmath numbers at 40 digits; None without mpmath."""
+    try:
+        import mpmath as mp
+    except ImportError:
+        return None
+    with mp.workdps(40):
+        dd, coeffs, out = mp.mpf(d), [mp.mpf(v) for v in c.tolist()], []
+        for t in map(mp.mpf, x.tolist()):
+            prev, cur, total = mp.mpf(1), t, coeffs[0]
+            for n, cn in enumerate(coeffs[1:], 1):
+                total += cn * cur
+                prev, cur = cur, ((2 * n + dd - 2) * t * cur - n * prev) / (n + dd - 2)
+            out.append(total)
+    return out
+
+
+def worst_digits(triples) -> float:
+    """-log10 of the largest |value - reference| / scale over (value, reference, scale) triples.
+
+    17 for an exact match; the references are mpmath numbers.
+    """
+    import math
+
+    import mpmath as mp
+    with mp.workdps(40):
+        err = max(abs(mp.mpf(value) - ref) / scale for value, ref, scale in triples)
+    return 17.0 if err == 0 else round(-math.log10(float(err)), 3)
+
+
+def series_digits(values, c, x, d: float) -> float | None:
+    """worst_digits of a pattern's values at x against the 40-digit sum, on the scale sum |c_n|."""
+    ref = mp_patterns(c, x, d)
+    if ref is None:
+        return None
+    scale = float(abs(c).sum())
+    return worst_digits((v, r, scale) for v, r in zip(values.tolist(), ref))
+
+
+def discrete_digits(met, c, x, d: float, surface: float) -> float | None:
+    """worst_digits of P and E against node sums of the 40-digit pattern at the projections x."""
+    ref = mp_patterns(c, x, d)
+    if ref is None:
+        return None
+    import mpmath as mp
+    scale = float(abs(c).sum())
+    with mp.workdps(40):
+        d_omega = mp.mpf(surface) / len(ref)
+        p, e = d_omega * mp.fsum(ref), d_omega * mp.fsum(g * g for g in ref)
+    return worst_digits([(met.p, p, surface * scale), (met.e, e, surface * scale ** 2)])
+
+
 def measure(layers: tuple) -> dict:
     """{layer: {"N=..,D=..": [us per call, one per repeat]}, "digits": {layer: {cell: digits}}}.
 
     For the axibeam on sys.path, over the named layers only.
     """
+    import math
     import time
     import timeit
 
@@ -111,7 +176,7 @@ def measure(layers: tuple) -> dict:
     rng = np.random.default_rng(1)
     angles = np.cos(np.radians(np.linspace(0.0, 180.0, 181)))
     out: dict = {layer: {} for layer in layers}
-    out["digits"] = {"rule": {}, "legendre": {}}
+    out["digits"] = {"pattern": {}, "discrete": {}, "series": {}, "rule": {}, "legendre": {}}
     # the scans come first, while no record is live, each from an empty LRU
     clock = time.perf_counter
     for _ in range(REPEATS if "scan" in layers else 0):
@@ -127,38 +192,66 @@ def measure(layers: tuple) -> dict:
     keep = []
 
     def pair_calls(order: int, d: float) -> dict:
-        """{(layer, kind): call} of one (N, D) pair, each call bound to this pair's objects."""
+        """{(layer, kind): (call, digits of its result or None)} of one (N, D) pair.
+
+        Each call is bound to this pair's objects.
+        """
         dim = ab.Dimension(d)
         base = ab.basic(order, dim).a
         a = base * (1.0 + 0.05 * rng.standard_normal(base.size))
         weights = ab.WeightVector(dim, a, "raw")
-        _, _, c, basis = weights._scaled
+        k, _, c, basis = weights._scaled
+        unscaled = np.ldexp(c, k)
         calls = {
-            ("weights", ""): lambda: ab.WeightVector(dim, a, "raw")._scaled,
-            ("metrics", ""): lambda: ab.compute_metrics(weights),
-            ("pattern", ""): lambda: ab.eval_pattern(weights, angles),
-            ("series", ""): lambda: _series_sum(c, angles, basis),
+            ("weights", ""): (lambda: ab.WeightVector(dim, a, "raw")._scaled, None),
+            ("metrics", ""): (lambda: ab.compute_metrics(weights), None),
+            ("pattern", ""): (lambda: ab.eval_pattern(weights, angles),
+                              lambda g: series_digits(g, unscaled, angles, d)),
+            ("series", ""): (lambda: _series_sum(c, angles, basis),
+                             lambda g: series_digits(g, c, angles, d)),
         }
         if d in (2.0, 3.0):
             nodes = ab.circle_nodes(2 * order + 2) if d == 2.0 else ab.platonic("dodecahedron")
             aim = rng.standard_normal(nodes.dim)
             aim /= np.linalg.norm(aim)
-            calls["discrete", ""] = lambda: ab.discrete_metrics(weights, nodes, aim)
+            # the projections discrete_metrics forms, bit for bit
+            x = np.clip(nodes.nodes @ (aim / math.sqrt(float(aim @ aim))), -1.0, 1.0)
+            calls["discrete", ""] = (lambda: ab.discrete_metrics(weights, nodes, aim),
+                                     lambda met: discrete_digits(met, unscaled, x, d,
+                                                                 basis.surface))
         # the record of order 128 stays live through `keep` while the miss
         # path, which leaves the LRU as it is, is timed
         keep.append(_basis(MAX_ORDER, dim))
-        calls["record", "build "] = lambda: _Basis(order, dim).gram
-        calls["record", "miss "] = lambda: miss(order, dim).gram
+        calls["record", "build "] = (lambda: _Basis(order, dim).gram, None)
+        calls["record", "miss "] = (lambda: miss(order, dim).gram, None)
         return calls
 
+    def long_pattern() -> dict:
+        """The long-x pattern cell, in the form of `pair_calls`."""
+        dim = ab.Dimension(LONG_D)
+        base = ab.basic(LONG_ORDER, dim).a
+        weights = ab.WeightVector(dim, base * (1.0 + 0.05 * rng.standard_normal(base.size)),
+                                  "raw")
+        k, _, c, _ = weights._scaled
+        x = np.cos(np.linspace(0.0, math.pi, LONG_POINTS))
+        sample = slice(None, None, LONG_STRIDE)
+        return {("pattern", "long "): (
+            lambda: ab.eval_pattern(weights, x),
+            lambda g: series_digits(g[sample], np.ldexp(c, k), x[sample], LONG_D))}
+
     cells = []
-    for order, d in PAIRS:
-        for (layer, kind), call in pair_calls(order, d).items():
+    groups = [((order, d), pair_calls(order, d)) for order, d in PAIRS]
+    groups.append(((LONG_ORDER, LONG_D), long_pattern()))
+    for (order, d), calls in groups:
+        for (layer, kind), (call, digits) in calls.items():
             if layer not in layers:
                 continue
             label = f"{kind}N={order},D={d:g}"
-            call()
-            cells.append((layer, label, timeit.Timer(call), NUMBER))
+            value = call()
+            if digits is not None:
+                out["digits"][layer][label] = digits(value)
+            number = LONG_NUMBER if kind == "long " else NUMBER
+            cells.append((layer, label, timeit.Timer(call), number))
             out[layer][label] = []
     for d in RULE_D if "rule" in layers else ():
         a = (d - 3.0) / 2.0
@@ -230,7 +323,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="source tree, or a git revision")
     parser.add_argument("--change", default=str(ROOT), help="source tree (default: this one)")
-    parser.add_argument("--pairs", type=int, default=3, help="alternating pairs of runs")
+    parser.add_argument("--pairs", type=int, default=4,
+                        help="alternating pairs of runs, rounded up to an even count")
     parser.add_argument("--json", help="also write the summary to this file")
     parser.add_argument("--layers", type=layer_list, default=LAYERS,
                         help=f"comma-separated layers to time (default: {','.join(LAYERS)})")
@@ -244,8 +338,9 @@ def main() -> int:
     runs = alternate(args.parent, args.change, args.pairs,
                      partial(run_child, layers=args.layers), lambda _: "done")
     summary = summarize(runs)
-    print(f"us per call, median [q1, q3] of {args.pairs} runs x {REPEATS} repeats of "
-          f"{NUMBER} calls ({RULE_NUMBER} per rule build) per side")
+    print(f"us per call, median [q1, q3] of {len(runs['parent'])} runs x {REPEATS} repeats of "
+          f"{NUMBER} calls ({RULE_NUMBER} per rule build, {LONG_NUMBER} per long pattern) "
+          "per side")
     for layer, cells in summary.items():
         for label, cell in cells.items():
             (p1, pm, p3), (c1, cm, c3) = cell["parent"], cell["change"]

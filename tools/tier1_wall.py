@@ -9,9 +9,10 @@ ROADMAP.md, `python -m pytest -q --continue-on-collection-errors`, with the
 tree's `src` first on PYTHONPATH and `--durations=0 --durations-min=0` added,
 in a child process whose wall time is taken around it.  The sides alternate
 which one runs first in each pair, so slow spells of a shared machine fall on
-both.  Printed: each run's wall time and pytest summary line, then per side
-the median wall time and the median per-file sum of the setup, call and
-teardown durations.
+both, and the pair count is even (an odd request is rounded up), so each side
+runs first, and second, equally often.  Printed: each run's wall time and
+pytest summary line, then per side the median wall time and the median
+per-file sum of the setup, call and teardown durations.
 """
 
 from __future__ import annotations
@@ -72,8 +73,15 @@ def alternate(parent: str, change: str, pairs: int, run, describe) -> dict:
     """{"parent": [run(tree), ...], "change": [...]}, the sides taking turns to go first.
 
     A parent that is not a directory is a git revision, extracted for the
-    runs.  Each run is printed as `pair P side: describe(result)`.
+    runs.  An odd pair count is rounded up, so that each side goes first in
+    half the pairs: a side that runs second more often than the other reads
+    a slower or faster machine.  Each run is printed as `pair P side:
+    describe(result)`.
     """
+    if pairs % 2:
+        pairs += 1
+        print(f"running {pairs} pairs, not {pairs - 1}, so that each side goes first "
+              "equally often", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(parent)
         if not tree.is_dir():
@@ -103,7 +111,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="source tree, or a git revision")
     parser.add_argument("--change", default=str(ROOT), help="source tree (default: this one)")
-    parser.add_argument("--pairs", type=int, default=3, help="alternating pairs of runs")
+    parser.add_argument("--pairs", type=int, default=4,
+                        help="alternating pairs of runs, rounded up to an even count")
     args = parser.parse_args()
     runs = alternate(args.parent, args.change, args.pairs, run_suite,
                      lambda run: f"{run[0]:.2f} s, {run[1]}")
