@@ -12,7 +12,8 @@ and its power-law approximation, the sidelobe-free higher-order cardioid
 spherical-cap windows.  Every generator checks its order 0 <= N <= MAX_ORDER
 (128) before any work (`errors._integer`: 3.0 counts, 2.5 raises DomainError),
 and reads a real argument (cap's x0, cap_trapezoid's spacing) by float()
-(`errors._real`: "0.5" counts, None raises DomainError).
+(`errors._real`: "0.5" counts, None raises DomainError).  A dim must be a
+`Dimension`; any other value, a float included, raises DomainError.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer, _real
-from .ultraspherical import (MAX_ORDER, Dimension, _basis, _unscale, _with_derivatives,
-                             eval_sequence)
+from .ultraspherical import (MAX_ORDER, Dimension, _basis, _cached_basis, _dimension,
+                             _sequence, _unscale, _with_derivatives)
 
 __all__ = [
     "Normalization",
@@ -68,7 +69,8 @@ class WeightVector:
     """Design weights a_0..a_N for one dimension, tagged with their scaling.
 
     The weights must be finite reals; NaN, an infinite weight or one that
-    float() cannot read raises DomainError.
+    float() cannot read raises DomainError, and so does a dim that is not a
+    `Dimension`.
     The tag is taken on trust: `normalized(kind)` rescales only weights whose
     tag differs from kind, so `WeightVector(Dimension(3), [2, 1],
     "a0").normalized("a0").a` stays [2, 1].
@@ -79,6 +81,25 @@ class WeightVector:
     normalization: Normalization
 
     def __post_init__(self) -> None:
+        _dimension(self.dim)
+        self._read_weights()
+
+    @classmethod
+    def _of(cls, dim: Dimension, a, normalization: Normalization) -> "WeightVector":
+        """WeightVector(dim, a, normalization) for a dim its caller has checked.
+
+        The designs test their dim once, where they first read it; this
+        builds their result without `__post_init__`'s second test.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "normalization", normalization)
+        self._read_weights()
+        return self
+
+    def _read_weights(self) -> None:
+        """Check a and the tag, then store a as a read-only float array and the tag as a member."""
         try:
             arr = np.array(self.a, dtype=float, ndmin=1)
         except (TypeError, ValueError) as exc:
@@ -112,7 +133,8 @@ class WeightVector:
         range.  Every pattern reader shares these read-only arrays and this
         record; none scales the weights or looks the record up itself.
         """
-        basis = _basis(self.order, self.dim)
+        # the dim was tested when the vector was built
+        basis = _cached_basis(_integer(self.order, "order", 0, MAX_ORDER), self.dim)
         k = math.frexp(self._peak)[1]
         a = np.ldexp(self.a, -k)
         c = a * basis.inv_sub
@@ -140,17 +162,17 @@ class WeightVector:
         """
         kind = Normalization(kind)
         if kind is Normalization.RAW or kind is self.normalization:
-            return WeightVector(self.dim, self.a, kind)
+            return WeightVector._of(self.dim, self.a, kind)
         if kind is Normalization.A0_UNITY:
             if self.a[0] == 0.0:
                 raise ZeroPressure("cannot normalize to a_0 = 1 when a_0 = 0")
-            return WeightVector(self.dim, self.a / self.a[0], kind)
+            return WeightVector._of(self.dim, self.a / self.a[0], kind)
         _, a, c, _ = self._scaled
         g1 = float(c.sum())
         if g1 == 0.0:
             raise DomainError("cannot normalize to g(1) = 1 when g(1) = 0")
         with np.errstate(over="ignore"):
-            return WeightVector(self.dim, a / g1, kind)
+            return WeightVector._of(self.dim, a / g1, kind)
 
 
 @dataclass(frozen=True)
@@ -183,11 +205,12 @@ def max_re(order: int, dim: Dimension) -> MaxReSolution:
     `_Basis.off`.  r is the largest eigenvalue, polished by one Newton step
     on P_{N+1}, whose value and slope come from one recurrence run at r.
     """
-    r = float(np.linalg.eigvalsh(np.diag(_basis(order, dim).off, -1))[-1])
-    seq, der = _with_derivatives(r, order + 1, dim)
+    basis = _basis(order, dim)
+    r = float(np.linalg.eigvalsh(np.diag(basis.off, -1))[-1])
+    seq, der = _with_derivatives(r, basis.order + 1, dim)
     r -= float(seq[-1] / der[-1])
-    weights = eval_sequence(r, order, dim)
-    return MaxReSolution(WeightVector(dim, weights, Normalization.A0_UNITY), r, 1)
+    weights = _sequence(r, basis.order, dim)
+    return MaxReSolution(WeightVector._of(dim, weights, Normalization.A0_UNITY), r, 1)
 
 
 def supercardioid(order: int, dim: Dimension) -> WeightVector:
@@ -210,7 +233,7 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     spread = order * (order + dim.d - 1.0) - n * (n + dim.d - 1.0)
     _, vecs = np.linalg.eigh(np.diag(basis.off * spread, -1))
     a = np.sqrt(basis.n2) * vecs[:, -1]
-    return WeightVector(dim, a / a[0], Normalization.A0_UNITY)
+    return WeightVector._of(dim, a / a[0], Normalization.A0_UNITY)
 
 
 def supercardioid_approx(order: int, dim: Dimension) -> WeightVector:
@@ -221,16 +244,17 @@ def supercardioid_approx(order: int, dim: Dimension) -> WeightVector:
     and the formula extrapolates.
     """
     order = _integer(order, "order", 0, MAX_ORDER)
-    if not (1 <= order <= 10) or not (2.0 <= dim.d <= 3.0):
+    d = _dimension(dim).d
+    if not (1 <= order <= 10) or not (2.0 <= d <= 3.0):
         warnings.warn(
             f"supercardioid_approx fitted for 1 <= N <= 10, 2 <= D <= 3; "
-            f"got N={order}, D={dim.d}",
+            f"got N={order}, D={d}",
             RangeWarning,
             stacklevel=2,
         )
-    exponent = (0.73 * order + 0.67 * dim.d - 1.11) / (order + 1.11 * dim.d - 1.5)
-    a = inphase(order, dim).a ** exponent
-    return WeightVector(dim, a, Normalization.A0_UNITY)
+    exponent = (0.73 * order + 0.67 * d - 1.11) / (order + 1.11 * d - 1.5)
+    a = np.array(_inphase(order, d)) ** exponent
+    return WeightVector._of(dim, a, Normalization.A0_UNITY)
 
 
 def inphase(order: int, dim: Dimension) -> WeightVector:
@@ -242,10 +266,16 @@ def inphase(order: int, dim: Dimension) -> WeightVector:
     grows only linearly in n (within 2e-14 of mpmath for N <= 128).
     """
     order = _integer(order, "order", 0, MAX_ORDER)
+    d = _dimension(dim).d
+    return WeightVector._of(dim, _inphase(order, d), Normalization.A0_UNITY)
+
+
+def _inphase(order: int, d: float) -> list:
+    """The `inphase` weights of a checked order at D = d."""
     a = [1.0]
     for n in range(order):
-        a.append(a[n] * (order - n) / (order + n + dim.d - 1.0))
-    return WeightVector(dim, a, Normalization.A0_UNITY)
+        a.append(a[n] * (order - n) / (order + n + d - 1.0))
+    return a
 
 
 def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
@@ -269,6 +299,7 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
         raise InvalidFlatness(
             f"flat_l must be an integer 0 <= L <= N-1, got L={flat_l!r}, N={order}"
         )
+    basis = _basis(order, dim)
     m_deg = order - flat_l - 1
     delta = float(flat_l - m_deg)
     alpha = dim.alpha
@@ -279,10 +310,9 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
             + 2.0 * delta * (n + alpha) * a[n]
         ) / ((order + n + 2.0 * alpha + 1.0) * (n + 2.0 * alpha + 1.0)))
     a = np.array(a)
-    basis = _basis(order, dim)
     ratio = basis.n2[0] / basis.n2
     a[0] = -float(np.sum(basis.sign[1:] * ratio[1:] * a[1:]))
-    return WeightVector(dim, a, Normalization.RAW).normalized(Normalization.G1_UNITY)
+    return WeightVector._of(dim, a, Normalization.RAW).normalized(Normalization.G1_UNITY)
 
 
 def _beta_fraction(p: float, q: float, x: float) -> float:
@@ -343,6 +373,12 @@ def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
     x0 = _real(x0, "cap boundary x0")
     if not (-1.0 < x0 < 1.0):
         raise DomainError(f"cap boundary must satisfy -1 < x0 < 1, got {x0}")
+    dim = _dimension(dim)
+    return WeightVector._of(dim, _cap(order, x0, dim), Normalization.RAW)
+
+
+def _cap(order: int, x0: float, dim: Dimension) -> np.ndarray:
+    """The `cap` weights of a checked order, boundary -1 < x0 < 1 and dim."""
     a = np.empty(order + 1)
     if dim.d == 2.0:
         a[0] = math.acos(x0)
@@ -350,11 +386,11 @@ def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
         a[0] = 1.0 - x0
     else:
         a[0] = _cap_mass(x0, dim)
-    seq = eval_sequence(x0, order + 1, dim)
+    seq = _sequence(x0, order + 1, dim)
     w0 = (1.0 - x0 * x0) ** (dim.alpha - 0.5)
     n = np.arange(1, order + 1)
     a[1:] = w0 / (2.0 * n + 2.0 * dim.alpha) * (seq[n - 1] - seq[n + 1])
-    return WeightVector(dim, a, Normalization.RAW)
+    return a
 
 
 def cap_trapezoid(order: int, spacing_deg: float, dim: Dimension) -> WeightVector:
@@ -370,6 +406,8 @@ def cap_trapezoid(order: int, spacing_deg: float, dim: Dimension) -> WeightVecto
             f"spacing must satisfy 0 < s < {180.0 / 1.375:.3f} deg, got {spacing_deg}"
         )
     s = math.radians(spacing_deg)
-    wide = cap(order, math.cos(1.375 * s / 2.0), dim)
-    narrow = cap(order, math.cos(0.75 * s / 2.0), dim)
-    return WeightVector(dim, wide.a * narrow.a, Normalization.RAW)
+    order = _integer(order, "order", 0, MAX_ORDER)
+    dim = _dimension(dim)
+    wide = _cap(order, math.cos(1.375 * s / 2.0), dim)
+    narrow = _cap(order, math.cos(0.75 * s / 2.0), dim)
+    return WeightVector._of(dim, wide * narrow, Normalization.RAW)

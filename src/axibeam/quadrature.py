@@ -20,12 +20,14 @@ degrees.  numpy is the only dependency.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, _integer, _real
-from .ultraspherical import MAX_ORDER, Dimension, _unscale, eval_sequence, norms_squared
+from .ultraspherical import (MAX_ORDER, Dimension, _cached_basis, _dimension, _sequence,
+                             _unscale)
 
 __all__ = ["integrate_axisym", "transform_coeffs"]
 
@@ -337,7 +339,7 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         of shape (..., len(x)) (the result is an array of shape (...); its rows
         share one rule, so size degree_hint for the highest degree).  Must be
         finite on the open interval: a NaN or +-inf value at a node raises
-        DomainError, as does any other shape.
+        DomainError, as do values that are not numbers and any other shape.
     dim : Dimension
     degree_hint : int
         Polynomial degree of f if f is polynomial, 0 <= degree_hint <= 2^24;
@@ -357,18 +359,32 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
                                       _real(upper, "upper bound")))
 
 
+def _real_values(combine, *args):
+    """combine(*args) on the values f(x), where numpy's TypeError or ValueError raises DomainError.
+
+    They come from values that are not numbers or do not match the nodes.
+    f is called by the caller, so its own errors pass through.
+    """
+    try:
+        return combine(*args)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"f(x) must be real numbers of shape (..., len(x)): {exc}") from exc
+
+
 def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: float):
     """(sum_i q_i f(x_i) 2^-k, k): `integrate_axisym` before its rows are scaled back.
 
     k holds one exponent per integrand row, frexp of the row's largest
     magnitude (0 for a row of zeros).  A row whose largest magnitude is not
-    finite holds a NaN or +-inf value and raises DomainError.
+    finite holds a NaN or +-inf value and raises DomainError, and so do
+    values that are not numbers.
     """
     degree_hint = _integer(degree_hint, "degree_hint", 0, _MAX_HINT)
     if not (-1.0 <= lower < upper <= 1.0):
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
+    dim = _dimension(dim)
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
-    values = np.asarray(f(x), dtype=float)
+    values = _real_values(np.asarray, f(x), float)
     if values.shape[-1:] != x.shape:
         raise DomainError(
             f"f(x) must have shape (..., len(x)) = (..., {x.size}), got {values.shape}"
@@ -388,7 +404,8 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     in `integrate_axisym`, each integral is formed on its row scaled by a
     power of two and divided by N_n^2 before it is scaled back, so gamma_n
     is inf or 0 only where it lies outside the double range.  An f that is
-    NaN or +-inf at a node raises DomainError, and so do an N past
+    NaN or +-inf at a node, not a number, or of a shape that does not
+    broadcast against the nodes raises DomainError, and so do an N past
     MAX_ORDER and a degree_hint outside -N .. 2^24 - N, before anything is
     integrated.
     """
@@ -398,7 +415,8 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     def integrand(x):
         # an infinite f(x) times P_n(x) = 0 is NaN: no warning, the NaN raises DomainError
         with np.errstate(invalid="ignore"):
-            return eval_sequence(x, max_degree, dim) * f(x)
+            return _real_values(operator.mul, _sequence(x, max_degree, dim), f(x))
 
+    # _scaled_integral checks dim before it calls the integrand
     out, k = _scaled_integral(integrand, dim, degree_hint + max_degree, -1.0, 1.0)
-    return _unscale(out / norms_squared(max_degree, dim), k)
+    return _unscale(out / _cached_basis(max_degree, dim).n2, k)

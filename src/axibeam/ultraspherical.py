@@ -15,8 +15,13 @@ integer >= 0 (`errors._integer`: an integral float such as 3.0 counts, any
 other value raises DomainError); `eval_sequence` and `derivative` take
 N <= 2^48 (past it the N + 1 values alone need 2 PiB), every other function
 N <= MAX_ORDER, `gram_front` (the Gram matrix of the front-to-back ratio)
-included.  An x is checked against [-1, 1] once per public call
-(`_clamp_argument`); the private helpers take it checked.
+included.  A dim must be a `Dimension`: any other value, a float included,
+raises DomainError (`_dimension`).  It is tested once per public call, where
+a record is looked up or the function first reads D, and so is N; the
+private helpers (`_sequence`, `_with_derivatives`) take both checked.  An x
+is checked against [-1, 1] once per public call (`_clamp_argument`, which
+`_sequence` runs for the callers of the recurrence); the other private
+helpers take it checked.
 
 The per-degree constants of one D come from one record: `_basis(N, D)` is
 an LRU of 128 entries, and an order it misses is cut from the largest live
@@ -121,9 +126,19 @@ class Dimension:
         return self.surface / self.subsurface
 
 
+def _dimension(dim) -> Dimension:
+    """dim itself when it is a `Dimension`; any other value raises DomainError.
+
+    A float is not converted: `Dimension(d)` is the one way to state a D.
+    """
+    if isinstance(dim, Dimension):
+        return dim
+    raise DomainError(f"dim must be a Dimension, got {dim!r}")
+
+
 def surface_area(dim: Dimension) -> float:
     """Surface S_{D-1} = 2 pi^(D/2) / Gamma(D/2) of the unit sphere in D dimensions."""
-    return dim.surface
+    return _dimension(dim).surface
 
 
 def _clamp_argument(x) -> np.ndarray:
@@ -344,9 +359,10 @@ def _cached_basis(order: int, dim: Dimension) -> _Basis:
 def _basis(order: int, dim: Dimension, name: str = "order") -> _Basis:
     """The cached `_Basis` of (N, D), N checked under `name` before the cache is read.
 
-    The check also makes 2.0 hash like 2.
+    The check also makes 2.0 hash like 2, and a dim that is not a
+    `Dimension` never reaches the cache.
     """
-    return _cached_basis(_integer(order, name, 0, MAX_ORDER), dim)
+    return _cached_basis(_integer(order, name, 0, MAX_ORDER), _dimension(dim))
 
 
 def gram_front(max_degree: int, dim: Dimension) -> np.ndarray:
@@ -397,7 +413,11 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
         Shape (N+1,) for scalar x, or (N+1,) + x.shape for arrays; entry n
         holds P_n(x).
     """
-    max_degree = _integer(max_degree, "max_degree", 0, _MAX_DEGREE)
+    return _sequence(x, _integer(max_degree, "max_degree", 0, _MAX_DEGREE), _dimension(dim))
+
+
+def _sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
+    """`eval_sequence` for an N and a dim its caller has checked; x is checked here."""
     x = _clamp_argument(x)
     d = dim.d
     if x.ndim == 0:
@@ -430,7 +450,7 @@ def power_series_coeffs(n: int, dim: Dimension) -> np.ndarray:
     sum can be formed: sum |c_k| grows exponentially with n.
     """
     n = _integer(n, "n", 0, MAX_ORDER)
-    two_alpha = dim.d - 2.0
+    two_alpha = _dimension(dim).d - 2.0
     c = np.zeros(n + 1, dtype=float)
     c[n] = math.prod((two_alpha + 2.0 * i) / (two_alpha + i) for i in range(1, n))
     for k in range(n - 2, -1, -2):
@@ -445,7 +465,7 @@ def beta_coeff(n: int, dim: Dimension) -> float:
     the alpha -> 0 limit of the 0/0 expression and holds for every D.
     """
     # beta_n is the last entry of the order n - 1 record
-    return float(_cached_basis(_integer(n, "n", 1, MAX_ORDER + 1) - 1, dim).beta[-1])
+    return float(_cached_basis(_integer(n, "n", 1, MAX_ORDER + 1) - 1, _dimension(dim)).beta[-1])
 
 
 def norms_squared(max_degree: int, dim: Dimension) -> np.ndarray:
@@ -472,6 +492,7 @@ def norm_squared_gamma(n: int, dim: Dimension) -> float:
     capped at MAX_ORDER: for large n the log-Gamma difference loses every digit.
     """
     n = _integer(n, "n", 0, MAX_ORDER)
+    dim = _dimension(dim)
     if n == 0:
         return dim.n0_squared
     d = dim.d
@@ -493,10 +514,10 @@ def _with_derivatives(x, max_degree: int, dim: Dimension):
 
     from P'_0 = 0 and P'_1 = 1; it holds on all of [-1, 1], endpoints included.
     As in `eval_sequence`, one loop fills Python floats for a 0-d x and an
-    array otherwise.  x and N are checked there, and the checked x is read
-    back as P_1 = x.
+    array otherwise.  N and dim are checked by the caller, x by `_sequence`,
+    and the checked x is read back as P_1 = x.
     """
-    seq = eval_sequence(x, max_degree, dim)
+    seq = _sequence(x, max_degree, dim)
     max_degree = len(seq) - 1
     d = dim.d
     if seq.ndim == 1:
@@ -654,7 +675,7 @@ def derivative(x, n: int, dim: Dimension):
     The recurrence holds at every x in [-1, 1], so the endpoint values
     P_n'(+-1) = (+-1)^(n+1) n (n + D - 2)/(D - 1) need no separate formula.
     """
-    der = _with_derivatives(x, n, dim)[1][-1]
+    der = _with_derivatives(x, _integer(n, "n", 0, _MAX_DEGREE), _dimension(dim))[1][-1]
     return float(der) if der.ndim == 0 else der
 
 
@@ -674,10 +695,10 @@ def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     """Christoffel-Darboux kernel K_N(x, x0) = sum_{n<=N} P_n(x) P_n(x0) / N_n^2, x0 one value.
 
     One series sum (`_series_sum`, x checked as in `eval_pattern`): error <= 1e-12
-    sum_n |terms| for N <= 128, any x.  x0 is checked by `eval_sequence`.
+    sum_n |terms| for N <= 128, any x.  x0 is checked by `_sequence`.
     """
     basis = _basis(max_degree, dim, "max_degree")
-    seq = eval_sequence(x0, basis.order, dim)
+    seq = _sequence(x0, basis.order, dim)
     if seq.ndim != 1:
         raise DomainError(f"x0 must be one value, got shape {seq.shape[1:]}")
     return _series_sum(seq / basis.n2, _clamp_argument(x), basis)

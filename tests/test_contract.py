@@ -23,7 +23,10 @@ a numpy integer or an integral float alike, bit for bit, and rejects any
 other value with a typed error, whatever the state of the per-(N, D) cache.
 Every real argument (a dimension, bound, offset, weight or normalization)
 takes any value that float() (or `Normalization`) reads, with the result of
-that float, and rejects any other value with DomainError.
+that float, and rejects any other value with DomainError.  Every dim argument
+takes a `Dimension` and nothing else: a float, a string or None raises
+DomainError.  An integrand that returns values that are not numbers raises
+DomainError as well.
 """
 
 from __future__ import annotations
@@ -478,3 +481,70 @@ def test_cli_contract(tmp_path):
                 value = float(cell)
                 assert math.isfinite(value) or (math.isnan(value) and column in NAN_COLUMNS), (
                     argv, column, cell)
+
+
+# (callable) -> call of one dim value; every dim is annotated `Dimension`
+DIM_ARGS = {
+    "WeightVector": lambda v: ab.WeightVector(v, [1.0, 0.5], "raw"),
+    "surface_area": ab.surface_area,
+    "eval_sequence": lambda v: ab.eval_sequence(0.3, 3, v),
+    "derivative": lambda v: ab.derivative(0.3, 3, v),
+    "cd_kernel": lambda v: ab.cd_kernel(0.3, 0.5, 3, v),
+    "value_at_zero": lambda v: ab.value_at_zero(4, v),
+    "norm_squared": lambda v: ab.norm_squared(3, v),
+    "norm_squared_gamma": lambda v: ab.norm_squared_gamma(0, v),
+    "norms_squared": lambda v: ab.norms_squared(3, v),
+    "beta_coeff": lambda v: ab.beta_coeff(3, v),
+    "power_series_coeffs": lambda v: ab.power_series_coeffs(3, v),
+    "gram_front": lambda v: ab.gram_front(3, v),
+    "basic": lambda v: ab.basic(3, v),
+    "max_re": lambda v: ab.max_re(3, v),
+    "supercardioid": lambda v: ab.supercardioid(3, v),
+    # order 11 is outside the fitted range, whose warning reads D
+    "supercardioid_approx": lambda v: [ab.supercardioid_approx(n, v) for n in (3, 11)],
+    "inphase": lambda v: ab.inphase(3, v),
+    "maxflat": lambda v: ab.maxflat(3, 1, v),
+    "cap": lambda v: ab.cap(3, 0.3, v),
+    "cap_trapezoid": lambda v: ab.cap_trapezoid(3, 20.0, v),
+    "integrate_axisym": lambda v: ab.integrate_axisym(_square, v),
+    "transform_coeffs": lambda v: ab.transform_coeffs(_square, 3, v),
+}
+# what a Dimension is not; a float is not converted
+NOT_DIMENSIONS = (3.7, np.float64(3.7), 3, "3.7", None, (3.7,))
+
+
+def test_every_dim_parameter_is_walked():
+    annotated = {name for name in set(ab.__all__) - NOT_CALLED
+                 if callable(getattr(ab, name))
+                 for p in inspect.signature(getattr(ab, name)).parameters.values()
+                 if p.annotation == "Dimension"}
+    assert set(DIM_ARGS) == annotated
+
+
+def test_dim_arguments():
+    for name, call in DIM_ARGS.items():
+        assert isinstance(_verdict(lambda: call(D37)), tuple), name
+        for value in NOT_DIMENSIONS:
+            assert _cold_and_warm(call, D37, value) == (ab.DomainError,) * 2, (name, value)
+
+
+# integrands whose values are not numbers; a typed error is the only valid outcome
+NOT_NUMBERS = {
+    "str": lambda t: "a",
+    "str array": lambda t: np.full(t.shape, "a"),
+    "str list": lambda t: ["a"] * t.size,
+    "None array": lambda t: np.full(t.shape, None, dtype=object),
+    "dict": lambda t: {},
+    "ragged": lambda t: [t, t[:1]],
+}
+
+
+def test_integrands_that_are_not_numbers_raise():
+    for name, f in NOT_NUMBERS.items():
+        calls = {
+            "integrate_axisym": lambda: ab.integrate_axisym(f, D37),
+            "integrate_axisym(0, 1)": lambda: ab.integrate_axisym(f, D37, lower=0.0),
+            "transform_coeffs": lambda: ab.transform_coeffs(f, 7, D37),
+        }
+        for label, call in calls.items():
+            assert _verdict(call) == ab.DomainError, (label, name)

@@ -1,4 +1,4 @@
-"""Import graph: the package and each CLI command load only the modules they call.
+"""Import graph and process exit: a short CLI process pays only for what it calls.
 
 `axibeam` imports `errors`, `ultraspherical`, `designs` and `metrics` eagerly
 and resolves the public names of `quadrature` and `sampling` on first access.
@@ -6,12 +6,21 @@ A short CLI process costs mostly its imports, so the child processes below
 run a command as `python -m axibeam` does (`runpy`) and list `sys.modules`
 at its exit.  Each check runs in a fresh child: this process has already
 imported whatever the other test files use.
+
+The process entry point `cli.run` freezes the heap on its way out, so the
+interpreter's exit skips a collection of the whole heap; `cli.main`, which
+callers run in their own process, leaves the collector alone.
 """
 
+import importlib
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from axibeam import cli
 
 LAZY = ("axibeam.quadrature", "axibeam.sampling")
 WEIGHTS = object()  # stands for the path of a weights file written for the test
@@ -21,8 +30,10 @@ def _run(args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
 
 
-# runs the CLI like `python -m axibeam`, then lists every module it imported
+# runs the CLI like `python -m axibeam`, then reports the number of frozen
+# objects and lists every module it imported
 RUN_CLI = """
+import gc
 import runpy
 import sys
 
@@ -30,7 +41,22 @@ sys.argv[0] = "axibeam"
 try:
     runpy.run_module("axibeam", run_name="__main__", alter_sys=True)
 finally:
-    sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)) + "\\n")
+    sys.stderr.write(f"\\nfrozen: {gc.get_freeze_count()}\\n")
+    sys.stderr.write("modules: " + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+# runs the CLI's `main` in the caller's process, as tests and the benchmark's
+# traced run do
+RUN_MAIN = """
+import gc
+import sys
+
+from axibeam.cli import main
+
+try:
+    sys.exit(main(sys.argv[1:]))
+finally:
+    sys.stderr.write(f"\\nfrozen: {gc.get_freeze_count()}\\n")
 """
 
 
@@ -38,6 +64,12 @@ def _loaded(code, *args):
     """(exit code, modules imported) of a child running `code` with args."""
     proc = _run(["-c", code, *args])
     return proc.returncode, set(proc.stderr.rpartition("modules: ")[2].split())
+
+
+def _frozen(code, *args):
+    """(exit code, objects frozen at exit) of a child running `code` with args."""
+    proc = _run(["-c", code, *args])
+    return proc.returncode, int(proc.stderr.rpartition("frozen: ")[2].split()[0])
 
 
 @pytest.mark.parametrize(
@@ -120,7 +152,43 @@ def test_package_namespace():
     assert proc.stdout.split() == ["ok"]
 
 
+EXITS = [
+    (["weights", "--design", "maxre", "--order", "3"], 0),
+    (["tdesign", "--circle", "5", "--t", "5"], 1),
+    (["weights", "--design", "basic", "--order", "129"], 2),
+    (["weights", "--design", "no-such-design"], 2),
+    (["--version"], 0),
+]
+EXIT_IDS = ["ok", "tdesign-fails", "invalid-order", "argparse-error", "version"]
+
+
+@pytest.mark.parametrize("argv, code", EXITS, ids=EXIT_IDS)
+def test_cli_process_exits_with_a_frozen_heap(argv, code):
+    got, frozen = _frozen(RUN_CLI, *argv)
+    assert got == code
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("argv, code", EXITS, ids=EXIT_IDS)
+def test_cli_main_leaves_the_collector_alone(argv, code):
+    assert _frozen(RUN_MAIN, *argv) == (code, 0)
+
+
+def test_script_target_is_the_process_entry_point(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["axibeam"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    # `python -m axibeam` calls the same function
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append(name) or 0)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("axibeam", run_name="__main__")
+    assert exit_.value.code == 0 and calls == [name]
+
+
 def test_cli_polyhedra_are_the_sampling_names():
-    from axibeam import cli, sampling
+    from axibeam import sampling
 
     assert cli._POLYHEDRA == sampling.PLATONIC_NAMES
