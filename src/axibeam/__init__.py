@@ -7,33 +7,60 @@ P/E/Q/rV/rE/FBR metrics both analytically and by quadrature, and verify
 t-design node sets on the sphere S^{D-1} exactly, for any integer D.
 
 Each module's `__all__` is its public surface and the one declaration of
-its public names.  Importing the package loads `errors`, `ultraspherical`,
-`designs` and `metrics` and republishes their `__all__` by wildcard import;
-the package `__all__` is those four lists plus the names in `_LAZY`.  The
-public names of `quadrature` (the integration oracle) and `sampling` (node
-sets and t-design checks) resolve on first access, through the module
-`__getattr__` below: no `weights`, `metrics` or `pattern` command
-calls either module, and a short CLI process spends most of its time
-importing, so each module is compiled only by a process that uses it.  When
-such a module is imported, by a first access here or by any import of it,
-all of its public names are bound in this namespace, so later reads are
-plain attribute reads.
+its public names.  Importing the package loads only `errors`, which imports
+no numpy, and republishes its `__all__` by wildcard import; the package
+`__all__` is that list plus the names in `_LAZY`.  The public names of the
+numpy modules, `ultraspherical`, `designs`, `metrics`, `quadrature` (the
+integration oracle) and `sampling` (node sets and t-design checks), resolve
+on first access, through the module `__getattr__` below.  A short CLI
+process spends most of its time importing, so `python -m axibeam` reaches
+its entry point (`__main__.run`) before numpy loads, and each module is
+compiled only by a process that uses it: no `weights`, `metrics` or
+`pattern` command imports `quadrature` or `sampling`.  When such a module
+is imported, by a first access here or by any import of it, all of its
+public names are bound in this namespace, so later reads are plain
+attribute reads.
 """
 
 import sys
 from importlib import import_module
 from types import ModuleType
 
-from . import designs, errors, metrics, ultraspherical
-from .designs import *
+from . import errors
 from .errors import *
-from .metrics import *
-from .ultraspherical import *
 
 __version__ = "0.1.0"
 
 # public names of the modules loaded on first access, by module
 _LAZY = {
+    "ultraspherical": (
+        "Dimension",
+        "beta_coeff",
+        "cd_kernel",
+        "derivative",
+        "eval_sequence",
+        "gram_front",
+        "norm_squared",
+        "norm_squared_gamma",
+        "norms_squared",
+        "power_series_coeffs",
+        "surface_area",
+        "value_at_zero",
+    ),
+    "designs": (
+        "MaxReSolution",
+        "Normalization",
+        "WeightVector",
+        "basic",
+        "cap",
+        "cap_trapezoid",
+        "inphase",
+        "max_re",
+        "maxflat",
+        "supercardioid",
+        "supercardioid_approx",
+    ),
+    "metrics": ("PatternMetrics", "compute_metrics", "compute_metrics_numeric", "eval_pattern"),
     "quadrature": ("integrate_axisym", "transform_coeffs"),
     "sampling": (
         "DiscreteMetrics",
@@ -49,9 +76,7 @@ _LAZY = {
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
 __all__ = ["__version__", *sorted(
-    name for names in (errors.__all__, ultraspherical.__all__, designs.__all__,
-                       metrics.__all__, *_LAZY.values())
-    for name in names)]
+    name for names in (errors.__all__, *_LAZY.values()) for name in names)]
 
 
 class _Package(ModuleType):

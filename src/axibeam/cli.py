@@ -13,15 +13,16 @@ or 3 by its type alone (`_EXIT_CODES`).  Arguments that size arrays are capped
 
 A short command costs mostly its imports, so each command imports only what
 it calls: `sampling` is imported by `tdesign`, `json` by `--format json`, and
-no command imports `quadrature`.  The process entry point `run` (for
-`python -m axibeam` and the `axibeam` script) also spares the exit a
-collection of the whole heap.
+no command imports `quadrature`.  The process entry point, `run` in
+`axibeam/__main__.py` (for `python -m axibeam` and the `axibeam` script),
+imports this module with the cyclic collector paused and freezes the heap
+on the way out; `main` leaves the collector alone, so it can be called in
+any process.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import sys
 
@@ -387,23 +388,7 @@ def main(argv=None) -> int:
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
-def run() -> int:
-    """The process entry point: `main()` on sys.argv, then `gc.freeze()` on the way out.
+if __name__ == "__main__":  # pragma: no cover  (`python -m axibeam.cli`)
+    from axibeam.__main__ import run
 
-    At exit CPython collects the whole numpy + axibeam heap (about 20 ms on a
-    2-vCPU Xeon), more than a short command's own work.  Frozen objects are
-    never collected, so the exit skips that pass; it still runs atexit
-    handlers, flushes stdout and stderr and tears the modules down.  What
-    the freeze drops is the finalization of cyclic garbage made before it,
-    which Python does not promise at exit anyway.  `finally` covers
-    argparse's SystemExit too.  `main` leaves the collector alone, so it can
-    be called in any process.
-    """
-    try:
-        return main()
-    finally:
-        gc.freeze()
-
-
-if __name__ == "__main__":  # pragma: no cover
     sys.exit(run())

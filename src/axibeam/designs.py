@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer, _real
+from .errors import (DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer, _real,
+                     _Record)
 from .ultraspherical import (MAX_ORDER, Dimension, _basis, _cached_basis, _dimension,
                              _sequence, _unscale, _with_derivatives)
 
@@ -64,44 +64,41 @@ class Normalization(str, Enum):
                           f"got {value!r}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Record):
     """Design weights a_0..a_N for one dimension, tagged with their scaling.
 
     The weights must be finite reals; NaN, an infinite weight or one that
     float() cannot read raises DomainError, and so does a dim that is not a
-    `Dimension`.
+    `Dimension`.  a is stored as a read-only float array; two vectors are
+    equal when their dims, weights and tags are, and a vector is unhashable.
     The tag is taken on trust: `normalized(kind)` rescales only weights whose
     tag differs from kind, so `WeightVector(Dimension(3), [2, 1],
     "a0").normalized("a0").a` stays [2, 1].
     """
 
-    dim: Dimension
-    a: np.ndarray
-    normalization: Normalization
+    _fields = ("dim", "a", "normalization")
+    _arrays = frozenset({"a"})
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        _dimension(self.dim)
-        self._read_weights()
+    def __init__(self, dim: Dimension, a, normalization: Normalization) -> None:
+        _dimension(dim)
+        self._read_weights(dim, a, normalization)
 
     @classmethod
     def _of(cls, dim: Dimension, a, normalization: Normalization) -> "WeightVector":
         """WeightVector(dim, a, normalization) for a dim its caller has checked.
 
         The designs test their dim once, where they first read it; this
-        builds their result without `__post_init__`'s second test.
+        builds their result without `__init__`'s second test.
         """
         self = cls.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "normalization", normalization)
-        self._read_weights()
+        self._read_weights(dim, a, normalization)
         return self
 
-    def _read_weights(self) -> None:
-        """Check a and the tag, then store a as a read-only float array and the tag as a member."""
+    def _read_weights(self, dim: Dimension, a, normalization) -> None:
+        """Check a and the tag; store dim, a as a read-only float array, the tag as a member."""
         try:
-            arr = np.array(self.a, dtype=float, ndmin=1)
+            arr = np.array(a, dtype=float, ndmin=1)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"weights must be real numbers: {exc}") from exc
         if arr.ndim != 1 or arr.size == 0:
@@ -111,11 +108,14 @@ class WeightVector:
         peak = float(np.maximum.reduce(np.abs(arr)))
         if not math.isfinite(peak):
             raise DomainError("weights must be finite")
-        object.__setattr__(self, "_peak", peak)
         arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-        if not isinstance(self.normalization, Normalization):
-            object.__setattr__(self, "normalization", Normalization(self.normalization))
+        if not isinstance(normalization, Normalization):
+            normalization = Normalization(normalization)
+        fields = self.__dict__
+        fields["dim"] = dim
+        fields["a"] = arr
+        fields["normalization"] = normalization
+        fields["_peak"] = peak
 
     @property
     def order(self) -> int:
@@ -175,20 +175,24 @@ class WeightVector:
             return WeightVector._of(self.dim, a / g1, kind)
 
 
-@dataclass(frozen=True)
-class MaxReSolution:
+class MaxReSolution(_Record):
     """Max-rE weights together with the root that generated them.
 
     r_e_max is the largest root of P_{N+1}; it equals the rE metric of the
     weights.  It lies in (0, 1) for every N >= 1 (for N = 0 the only root of
     P_1 is 0 and the weights degenerate to the omnidirectional pattern).
     iterations counts the Newton steps that polish the eigenvalue estimate of
-    r; it is always 1.
+    r; it is always 1.  Unhashable, as its weights are.
     """
 
-    weights: WeightVector
-    r_e_max: float
-    iterations: int
+    _fields = ("weights", "r_e_max", "iterations")
+    __hash__ = None
+
+    def __init__(self, weights: WeightVector, r_e_max: float, iterations: int) -> None:
+        fields = self.__dict__
+        fields["weights"] = weights
+        fields["r_e_max"] = r_e_max
+        fields["iterations"] = iterations
 
 
 def basic(order: int, dim: Dimension) -> WeightVector:

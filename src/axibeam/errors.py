@@ -1,4 +1,8 @@
-"""Exception and warning types, the integer and real argument checks, the input-file reader."""
+"""Exception and warning types, the record base, the argument checks, the input-file reader.
+
+Imports no numpy: the package loads this module eagerly, and `python -m
+axibeam` reaches its entry point before numpy loads.
+"""
 
 import numbers
 import operator
@@ -37,6 +41,51 @@ class NormError(AxibeamError, ValueError):
 
 class RangeWarning(UserWarning):
     """An empirical fit is being evaluated outside its fitted range."""
+
+
+class _Record:
+    """Base of the package's immutable records (`Dimension`, `WeightVector`, ...).
+
+    A record names its fields in `_fields`, in order, and its own `__init__`
+    writes them into the instance `__dict__`.  This base gives the repr
+    `Name(field=value, ...)`; equality between two records of one class,
+    field by field, with the fields in `_arrays` (numpy arrays) compared by
+    value; and a hash of the field values.  A record that holds an array,
+    itself or through another record, sets `__hash__ = None`.  Assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple = ()
+    _arrays: frozenset = frozenset()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is theirs:
+                continue
+            if name in self._arrays:
+                import numpy  # loaded already: it built the array
+
+                if not numpy.array_equal(mine, theirs):
+                    return False
+            elif not mine == theirs:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _integer(value, name: str, low: int, high: int | None = None) -> int:

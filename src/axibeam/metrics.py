@@ -8,19 +8,16 @@ independent oracle, so the two paths must agree for any valid weight vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .designs import WeightVector
-from .errors import DomainError
+from .errors import DomainError, _Record
 from .ultraspherical import _clamp_argument, _series_sum, _unscale
 
 __all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
 
 
-@dataclass(frozen=True)
-class PatternMetrics:
+class PatternMetrics(_Record):
     """Scalar metrics of one axisymmetric pattern.
 
     p is the linear loudness (equals a_0), e the energy, q the directivity
@@ -30,12 +27,17 @@ class PatternMetrics:
     symmetry axis, so only magnitudes are reported.
     """
 
-    p: float
-    e: float
-    q: float
-    r_v: float | None
-    r_e: float
-    fbr: float
+    _fields = ("p", "e", "q", "r_v", "r_e", "fbr")
+
+    def __init__(self, p: float, e: float, q: float, r_v: float | None, r_e: float,
+                 fbr: float) -> None:
+        fields = self.__dict__
+        fields["p"] = p
+        fields["e"] = e
+        fields["q"] = q
+        fields["r_v"] = r_v
+        fields["r_e"] = r_e
+        fields["fbr"] = fbr
 
 
 def eval_pattern(weights: WeightVector, x):

@@ -339,7 +339,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         of shape (..., len(x)) (the result is an array of shape (...); its rows
         share one rule, so size degree_hint for the highest degree).  Must be
         finite on the open interval: a NaN or +-inf value at a node raises
-        DomainError, as do values that are not numbers and any other shape.
+        DomainError, as do values that are not real numbers (complex ones
+        included) and any other shape.
     dim : Dimension
     degree_hint : int
         Polynomial degree of f if f is polynomial, 0 <= degree_hint <= 2^24;
@@ -371,20 +372,30 @@ def _real_values(combine, *args):
         raise DomainError(f"f(x) must be real numbers of shape (..., len(x)): {exc}") from exc
 
 
+def _float_array(values) -> np.ndarray:
+    """values as a float array; complex values raise TypeError, for `_real_values`.
+
+    np.asarray would drop their imaginary parts with a ComplexWarning only.
+    """
+    if np.iscomplexobj(values):
+        raise TypeError("got complex values")
+    return np.asarray(values, float)
+
+
 def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: float):
     """(sum_i q_i f(x_i) 2^-k, k): `integrate_axisym` before its rows are scaled back.
 
     k holds one exponent per integrand row, frexp of the row's largest
     magnitude (0 for a row of zeros).  A row whose largest magnitude is not
     finite holds a NaN or +-inf value and raises DomainError, and so do
-    values that are not numbers.
+    values that are not real numbers, complex ones included.
     """
     degree_hint = _integer(degree_hint, "degree_hint", 0, _MAX_HINT)
     if not (-1.0 <= lower < upper <= 1.0):
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
     dim = _dimension(dim)
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
-    values = _real_values(np.asarray, f(x), float)
+    values = _real_values(_float_array, f(x))
     if values.shape[-1:] != x.shape:
         raise DomainError(
             f"f(x) must have shape (..., len(x)) = (..., {x.size}), got {values.shape}"
@@ -404,7 +415,7 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     in `integrate_axisym`, each integral is formed on its row scaled by a
     power of two and divided by N_n^2 before it is scaled back, so gamma_n
     is inf or 0 only where it lies outside the double range.  An f that is
-    NaN or +-inf at a node, not a number, or of a shape that does not
+    NaN or +-inf at a node, complex, not a number, or of a shape that does not
     broadcast against the nodes raises DomainError, and so do an N past
     MAX_ORDER and a degree_hint outside -N .. 2^24 - N, before anything is
     integrated.

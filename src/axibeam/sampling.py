@@ -15,12 +15,11 @@ the t-design property guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import WeightVector
-from .errors import DomainError, NormError, ParseError, _file_lines, _integer, _real
+from .errors import DomainError, NormError, ParseError, _file_lines, _integer, _real, _Record
 from .ultraspherical import (_MAX_DEGREE, MAX_DIMENSION, Dimension, _series_sum, _unscale,
                              eval_sequence)
 
@@ -53,27 +52,28 @@ _MAX_DIM = int(MAX_DIMENSION)
 _BLOCK_VALUES = 1 << 22  # floats that `tdesign_check` holds at once
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(_Record):
     """1 <= L <= MAX_NODES (2048) unit direction vectors in D ambient dimensions.
 
     D is an integer 2 <= D <= 64; an integral float such as 3.0 is stored as
     the int 3.  Coordinates that are not finite numbers, and two directions
-    closer than 1e-9 rad (duplicates), raise DomainError.
+    closer than 1e-9 rad (duplicates), raise DomainError.  nodes is stored
+    as a read-only (L, D) float array; two sets are equal when their D,
+    nodes and labels are, and a set is unhashable.
     """
 
-    dim: int
-    nodes: np.ndarray
-    label: str = ""
+    _fields = ("dim", "nodes", "label")
+    _arrays = frozenset({"nodes"})
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _integer(self.dim, "ambient dimension", 2, _MAX_DIM))
+    def __init__(self, dim: int, nodes, label: str = "") -> None:
+        dim = _integer(dim, "ambient dimension", 2, _MAX_DIM)
         try:
-            pts = np.atleast_2d(np.asarray(self.nodes, dtype=float)).copy()
+            pts = np.atleast_2d(np.asarray(nodes, dtype=float)).copy()
         except (TypeError, ValueError) as exc:
             raise DomainError("node coordinates must be finite real numbers") from exc
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DomainError(f"nodes must be an (L, {self.dim}) array")
+        if pts.ndim != 2 or pts.shape[1] != dim:
+            raise DomainError(f"nodes must be an (L, {dim}) array")
         _integer(pts.shape[0], "node count", 1, MAX_NODES)
         if not np.all(np.isfinite(pts)):
             raise DomainError("node coordinates must be finite")
@@ -86,15 +86,17 @@ class NodeSet:
             if np.any(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1) <= _DUPLICATE_CHORD):
                 raise DomainError("node set contains duplicate directions")
         pts.setflags(write=False)
-        object.__setattr__(self, "nodes", pts)
+        fields = self.__dict__
+        fields["dim"] = dim
+        fields["nodes"] = pts
+        fields["label"] = label
 
     @property
     def count(self) -> int:
         return self.nodes.shape[0]
 
 
-@dataclass(frozen=True)
-class TDesignReport:
+class TDesignReport(_Record):
     """Outcome of a t-design check.
 
     per_degree_errors[i] is the worst deviation of the degree-(i+1) node sum
@@ -103,22 +105,31 @@ class TDesignReport:
     t_claimed stayed below the pass tolerance.
     """
 
-    t_claimed: int
-    max_abs_error: float
-    per_degree_errors: tuple
-    passed: bool
+    _fields = ("t_claimed", "max_abs_error", "per_degree_errors", "passed")
+
+    def __init__(self, t_claimed: int, max_abs_error: float, per_degree_errors: tuple,
+                 passed: bool) -> None:
+        fields = self.__dict__
+        fields["t_claimed"] = t_claimed
+        fields["max_abs_error"] = max_abs_error
+        fields["per_degree_errors"] = per_degree_errors
+        fields["passed"] = passed
 
 
-@dataclass(frozen=True)
-class DiscreteMetrics:
+class DiscreteMetrics(_Record):
     """P, E, rV, rE formed from node sums, with the aiming error of each vector."""
 
-    p: float
-    e: float
-    r_v: float | None
-    r_e: float
-    r_v_misaim_rad: float | None
-    r_e_misaim_rad: float | None
+    _fields = ("p", "e", "r_v", "r_e", "r_v_misaim_rad", "r_e_misaim_rad")
+
+    def __init__(self, p: float, e: float, r_v: float | None, r_e: float,
+                 r_v_misaim_rad: float | None, r_e_misaim_rad: float | None) -> None:
+        fields = self.__dict__
+        fields["p"] = p
+        fields["e"] = e
+        fields["r_v"] = r_v
+        fields["r_e"] = r_e
+        fields["r_v_misaim_rad"] = r_v_misaim_rad
+        fields["r_e_misaim_rad"] = r_e_misaim_rad
 
 
 def circle_nodes(count: int, offset_rad: float = 0.0) -> NodeSet:

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _integer, _real, _Record
 
 __all__ = [
     "Dimension",
@@ -88,23 +87,32 @@ def _sphere_surface(d: float) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(_Record):
     """Space dimension 2 <= D <= MAX_DIMENSION (64) with alpha = (D-2)/2.
 
     alpha is always computed from d, never stored, so the two cannot drift
     apart.  Non-integer dimensions are allowed; they interpolate between the
     Chebyshev (D=2) and Legendre (D=3) families.  Other D, and a d that
-    float() cannot read, raise DomainError.
+    float() cannot read, raise DomainError.  Two dimensions with one d are
+    equal and hash alike, so a Dimension keys the record caches.
     """
 
-    d: float
+    _fields = ("d",)
 
-    def __post_init__(self) -> None:
-        d = _real(self.d, "dimension")
-        if not 2.0 <= d <= MAX_DIMENSION:
-            raise DomainError(f"dimension must lie in [2, {MAX_DIMENSION:g}], got {self.d!r}")
-        object.__setattr__(self, "d", d)
+    def __init__(self, d: float) -> None:
+        value = _real(d, "dimension")
+        if not 2.0 <= value <= MAX_DIMENSION:
+            raise DomainError(f"dimension must lie in [2, {MAX_DIMENSION:g}], got {d!r}")
+        self.__dict__["d"] = value
+
+    def __eq__(self, other):
+        # `_Record`'s, for one float field: the record caches hash and compare keys
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.d,))
 
     @property
     def alpha(self) -> float:

@@ -25,8 +25,8 @@ Every real argument (a dimension, bound, offset, weight or normalization)
 takes any value that float() (or `Normalization`) reads, with the result of
 that float, and rejects any other value with DomainError.  Every dim argument
 takes a `Dimension` and nothing else: a float, a string or None raises
-DomainError.  An integrand that returns values that are not numbers raises
-DomainError as well.
+DomainError.  An integrand that returns values that are not real numbers,
+complex ones included, raises DomainError as well.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ import io
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 import axibeam as ab
 from axibeam.cli import main
+from axibeam.errors import _Record
 from axibeam.sampling import MAX_NODES
 from axibeam.ultraspherical import MAX_ORDER, _cached_basis
 
@@ -60,14 +60,39 @@ NOT_CALLED = {
 
 
 def _leaves(value):
-    """The floats of a result: numbers, arrays, tuples and dataclass fields, in order."""
+    """The floats of a result: numbers, arrays, tuples and record fields, in order."""
     if value is None or isinstance(value, (str, bool)):
         return []
-    if is_dataclass(value):
-        return [x for f in fields(value) for x in _leaves(getattr(value, f.name))]
+    if isinstance(value, _Record):
+        return [x for name in value._fields for x in _leaves(getattr(value, name))]
     if isinstance(value, (tuple, list)):
         return [x for v in value for x in _leaves(v)]
     return np.asarray(value, dtype=float).ravel().tolist()
+
+
+def test_leaves_reach_every_record_field():
+    d2 = ab.Dimension(2.0)
+    vec = ab.WeightVector(d2, [1.0, 0.5], "raw")
+    sol = ab.max_re(1, d2)
+    ring = ab.circle_nodes(3)
+    met = ab.compute_metrics(vec)
+    report = ab.tdesign_check(ring, 2)
+    disc = ab.discrete_metrics(vec, ring, [1.0, 0.0])
+    cases = [
+        (d2, [2.0]),
+        (vec, [2.0, 1.0, 0.5]),
+        (sol, [2.0, *sol.weights.a.tolist(), sol.r_e_max, 1.0]),
+        (met, [met.p, met.e, met.q, met.r_v, met.r_e, met.fbr]),
+        (ring, [2.0, *ring.nodes.ravel().tolist()]),
+        (report, [2.0, report.max_abs_error, *report.per_degree_errors]),
+        (disc, [v for v in (disc.p, disc.e, disc.r_v, disc.r_e, disc.r_v_misaim_rad,
+                            disc.r_e_misaim_rad) if v is not None]),
+    ]
+    records = {name for name in ab.__all__
+               if isinstance(getattr(ab, name), type) and issubclass(getattr(ab, name), _Record)}
+    assert {type(record).__name__ for record, _ in cases} == records
+    for record, floats in cases:
+        assert _leaves(record) == floats, type(record).__name__
 
 
 def _outcome(call, allow_range_warning=False):
@@ -536,6 +561,10 @@ NOT_NUMBERS = {
     "None array": lambda t: np.full(t.shape, None, dtype=object),
     "dict": lambda t: {},
     "ragged": lambda t: [t, t[:1]],
+    # float() of a complex value would drop its imaginary part
+    "complex": lambda t: 1j * t + 1,
+    "complex list": lambda t: [1j] * t.size,
+    "complex scalar": lambda t: 1j,
 }
 
 

@@ -1,25 +1,30 @@
-"""Import graph and process exit: a short CLI process pays only for what it calls.
+"""Import graph and process life: a short CLI process pays only for what it calls.
 
-`axibeam` imports `errors`, `ultraspherical`, `designs` and `metrics` eagerly
-and resolves the public names of `quadrature` and `sampling` on first access.
-A short CLI process costs mostly its imports, so the child processes below
-run a command as `python -m axibeam` does (`runpy`) and list `sys.modules`
-at its exit.  Each check runs in a fresh child: this process has already
-imported whatever the other test files use.
+`import axibeam` loads only `errors`, which imports no numpy, and resolves
+the public names of `ultraspherical`, `designs`, `metrics`, `quadrature`
+and `sampling` on first access.  A short CLI process costs mostly its
+imports, so the child processes below run a command as `python -m axibeam`
+does (`runpy`) and report on the process at its exit: every module it
+imported, how many collections the cyclic collector ran once the entry
+point's module began to run, whether numpy was loaded at that moment, and
+how many objects were frozen.  Each check runs in a fresh child: this
+process has already imported whatever the other test files use.
 
-The process entry point `cli.run` freezes the heap on its way out, so the
-interpreter's exit skips a collection of the whole heap; `cli.main`, which
-callers run in their own process, leaves the collector alone.
+The process entry point `axibeam.__main__.run` pauses the collector before
+it imports the CLI and freezes the heap on its way out, so neither the
+imports nor the interpreter's exit run a collection; `cli.main`, which
+callers run in their own process, leaves the collector as it found it.
 """
 
+import gc
 import importlib
-import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from axibeam import __main__ as entry
 from axibeam import cli
 
 LAZY = ("axibeam.quadrature", "axibeam.sampling")
@@ -30,19 +35,44 @@ def _run(args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
 
 
-# runs the CLI like `python -m axibeam`, then reports the number of frozen
-# objects and lists every module it imported
-RUN_CLI = """
+# The head of a child that runs the CLI: an audit hook notes the first time
+# the code of `axibeam/__main__.py` runs (collections so far, numpy loaded
+# or not), a collector callback counts collections, and an atexit handler
+# ends stderr with the report, as `key: value` lines.
+PROBE = """
+import atexit
 import gc
-import runpy
 import sys
 
+collections = []
+entry = []
+
+
+def on_exec(event, args):
+    if event == "exec" and not entry and args[0].co_filename.endswith("__main__.py"):
+        entry.append((len(collections), "numpy" in sys.modules))
+
+
+def report():
+    (before, numpy), = entry or [(None, None)]
+    sys.stderr.write("\\n--report--\\n"
+                     f"frozen: {gc.get_freeze_count()}\\n"
+                     f"collections: {None if before is None else len(collections) - before}\\n"
+                     f"numpy at entry: {numpy}\\n"
+                     f"modules: {' '.join(sorted(sys.modules))}\\n")
+
+
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(1))
+sys.addaudithook(on_exec)
+atexit.register(report)
 sys.argv[0] = "axibeam"
-try:
-    runpy.run_module("axibeam", run_name="__main__", alter_sys=True)
-finally:
-    sys.stderr.write(f"\\nfrozen: {gc.get_freeze_count()}\\n")
-    sys.stderr.write("modules: " + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+# runs the CLI like `python -m axibeam`
+RUN_CLI = PROBE + """
+import runpy
+
+runpy.run_module("axibeam", run_name="__main__", alter_sys=True)
 """
 
 # runs the CLI's `main` in the caller's process, as tests and the benchmark's
@@ -56,20 +86,15 @@ from axibeam.cli import main
 try:
     sys.exit(main(sys.argv[1:]))
 finally:
-    sys.stderr.write(f"\\nfrozen: {gc.get_freeze_count()}\\n")
+    sys.stderr.write(f"\\n--report--\\nfrozen: {gc.get_freeze_count()}\\n")
 """
 
 
-def _loaded(code, *args):
-    """(exit code, modules imported) of a child running `code` with args."""
+def _child(code, *args):
+    """(exit code, stdout, {key: value}) of a child running `code` with args, from its report."""
     proc = _run(["-c", code, *args])
-    return proc.returncode, set(proc.stderr.rpartition("modules: ")[2].split())
-
-
-def _frozen(code, *args):
-    """(exit code, objects frozen at exit) of a child running `code` with args."""
-    proc = _run(["-c", code, *args])
-    return proc.returncode, int(proc.stderr.rpartition("frozen: ")[2].split()[0])
+    report = proc.stderr.rpartition("\n--report--\n")[2]
+    return proc.returncode, proc.stdout, dict(line.split(": ", 1) for line in report.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -92,11 +117,16 @@ def test_cli_command_loads_only_what_it_calls(argv, code, loads, skips, tmp_path
     weights = tmp_path / "weights.csv"
     weights.write_text("n,a_n\n0,1\n1,0.5\n")
     argv = [str(weights) if arg is WEIGHTS else arg for arg in argv]
-    got, modules = _loaded(RUN_CLI, *argv)
+    got, _, report = _child(RUN_CLI, *argv)
+    modules = set(report["modules"].split())
     assert got == code
     assert "axibeam.cli" in modules
     assert {m for m in loads if m not in modules} == set()
-    assert {m for m in skips if m in modules} == set()
+    # no record is a generated dataclass
+    assert {m for m in (*skips, "dataclasses") if m in modules} == set()
+    # the entry point runs before numpy loads, and from then on nothing collects
+    assert report["numpy at entry"] == "False"
+    assert report["collections"] == "0"
 
 
 PACKAGE_CHECKS = """
@@ -105,12 +135,14 @@ import sys
 
 import axibeam as ab
 
-assert not [m for m in ("axibeam.quadrature", "axibeam.sampling", "json") if m in sys.modules]
-assert "axibeam.metrics" in sys.modules
+assert not [m for m in ("numpy", "axibeam.ultraspherical", "axibeam.designs",
+                        "axibeam.metrics", "axibeam.quadrature", "axibeam.sampling",
+                        "json", "dataclasses") if m in sys.modules]
 assert not [n for n in ab.__all__ if n not in dir(ab)]
-# the front-to-back Gram matrix is read from an eager module
+# the front-to-back Gram matrix loads its own module, and no other lazy one
 ab.gram_front(4, ab.Dimension(3))
-assert "axibeam.quadrature" not in sys.modules
+assert "axibeam.ultraspherical" in sys.modules
+assert not [m for m in ("axibeam.quadrature", "axibeam.sampling") if m in sys.modules]
 # a module's names are bound when the module is imported, so a function
 # patched in the module afterwards is not what the package holds
 quadrature = importlib.import_module("axibeam.quadrature")
@@ -124,14 +156,17 @@ for name in set(ab.__all__) - {"__version__"}:
     obj = getattr(ab, name)
     assert getattr(sys.modules[obj.__module__], name) is obj, name
 assert ab.quadrature is quadrature and ab.sampling is sys.modules["axibeam.sampling"]
+modules = {m: sys.modules[f"axibeam.{m}"] for m in ab._LAZY}
 # a lazy name that its module no longer exports is stale
 assert not [(m, n) for m, names in ab._LAZY.items() for n in names
-            if n not in sys.modules[f"axibeam.{m}"].__all__]
+            if n not in modules[m].__all__]
+# the package republishes every public name of the modules it used to load eagerly
+assert not [(m, n) for m in ("ultraspherical", "designs", "metrics")
+            for n in modules[m].__all__ if n not in ab._LAZY[m]]
 # each public name is declared once, in its own module's __all__
-eager = [sys.modules[f"axibeam.{m}"].__all__
-         for m in ("errors", "ultraspherical", "designs", "metrics")]
-assert sum(map(len, eager)) == len(set().union(*eager))
-assert set(ab.__all__) == {"__version__"}.union(*eager, *ab._LAZY.values())
+declared = [ab.errors.__all__, *(ab._LAZY.values())]
+assert sum(map(len, declared)) == len(set().union(*declared))
+assert set(ab.__all__) == {"__version__"}.union(*declared)
 namespace = {}
 exec("from axibeam import *", namespace)
 assert not [n for n in ab.__all__ if n not in namespace]
@@ -164,28 +199,48 @@ EXIT_IDS = ["ok", "tdesign-fails", "invalid-order", "argparse-error", "version"]
 
 @pytest.mark.parametrize("argv, code", EXITS, ids=EXIT_IDS)
 def test_cli_process_exits_with_a_frozen_heap(argv, code):
-    got, frozen = _frozen(RUN_CLI, *argv)
+    got, _, report = _child(RUN_CLI, *argv)
     assert got == code
-    assert frozen > 0
+    assert int(report["frozen"]) > 0
+    assert report["collections"] == "0"
 
 
 @pytest.mark.parametrize("argv, code", EXITS, ids=EXIT_IDS)
 def test_cli_main_leaves_the_collector_alone(argv, code):
-    assert _frozen(RUN_MAIN, *argv) == (code, 0)
+    got, _, report = _child(RUN_MAIN, *argv)
+    assert (got, report["frozen"]) == (code, "0")
 
 
-def test_script_target_is_the_process_entry_point(monkeypatch):
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", EXITS, ids=EXIT_IDS)
+def test_cli_main_keeps_the_collector_state(argv, code, enabled, capsys):
+    was = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        try:
+            assert cli.main(argv) == code
+        except SystemExit as exc:  # argparse's exits, --version included
+            assert exc.code == code
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_script_target_is_the_process_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["axibeam"]
     module, _, name = target.partition(":")
-    assert getattr(importlib.import_module(module), name) is cli.run
-    # `python -m axibeam` calls the same function
-    calls = []
-    monkeypatch.setattr(cli, "run", lambda: calls.append(name) or 0)
-    with pytest.raises(SystemExit) as exit_:
-        runpy.run_module("axibeam", run_name="__main__")
-    assert exit_.value.code == 0 and calls == [name]
+    assert getattr(importlib.import_module(module), name) is entry.run
+    # the script, as its generated wrapper runs it, is `python -m axibeam`
+    script = PROBE + f"from {module} import {name}\nsys.exit({name}())\n"
+    argv = ["metrics", "--design", "maxre", "--orders", "1..3"]
+    got, out, report = _child(script, *argv)
+    assert (got, out) == _child(RUN_CLI, *argv)[:2]
+    assert (report["numpy at entry"], report["collections"]) == ("False", "0")
+    assert int(report["frozen"]) > 0
 
 
 def test_cli_polyhedra_are_the_sampling_names():
