@@ -6,20 +6,20 @@ supercardioid, inphase, max-flat, spherical caps), compute their
 P/E/Q/rV/rE/FBR metrics both analytically and by quadrature, and verify
 t-design node sets on the sphere S^{D-1} exactly, for any integer D.
 
-Each module's `__all__` is its public surface and the one declaration of
-its public names.  Importing the package loads only `errors`, which imports
-no numpy, and republishes its `__all__` by wildcard import; the package
-`__all__` is that list plus the names in `_LAZY`.  The public names of the
-numpy modules, `ultraspherical`, `designs`, `metrics`, `quadrature` (the
-integration oracle) and `sampling` (node sets and t-design checks), resolve
-on first access, through the module `__getattr__` below.  A short CLI
-process spends most of its time importing, so `python -m axibeam` reaches
-its entry point (`__main__.run`) before numpy loads, and each module is
-compiled only by a process that uses it: no `weights`, `metrics` or
-`pattern` command imports `quadrature` or `sampling`.  When such a module
-is imported, by a first access here or by any import of it, all of its
-public names are bound in this namespace, so later reads are plain
-attribute reads.
+Importing the package loads only `errors`, which imports no numpy, and
+republishes its `__all__` by wildcard import; the package `__all__` is that
+list plus the names in `_LAZY`.  `_LAZY` below is the one declaration of the
+public names of the numpy modules, `ultraspherical`, `designs`, `metrics`,
+`quadrature` (the integration oracle) and `sampling` (node sets and
+t-design checks): each module's `__all__` is read from it (`sampling` adds
+two constants).  Those names resolve on first access, through the module
+`__getattr__` below.  A short CLI process spends most of its time
+importing, so `python -m axibeam` reaches its entry point (`__main__.run`)
+before numpy loads, and each module is compiled only by a process that
+uses it: no `weights`, `metrics` or `pattern` command imports `quadrature`
+or `sampling`.  When such a module is imported, by a first access here or
+by any import of it, all of its public names are bound in this namespace,
+so later reads are plain attribute reads.
 """
 
 import sys
@@ -31,7 +31,8 @@ from .errors import *
 
 __version__ = "0.1.0"
 
-# public names of the modules loaded on first access, by module
+# public names of the modules loaded on first access, by module; each
+# module's `__all__` reads its own entry
 _LAZY = {
     "ultraspherical": (
         "Dimension",

@@ -43,15 +43,13 @@ from .designs import (
 )
 from .errors import AxibeamError, DomainError, NormError, ParseError, _file_lines, _integer
 from .metrics import compute_metrics, eval_pattern
-from .ultraspherical import MAX_DIMENSION, MAX_ORDER, Dimension
+from .ultraspherical import MAX_CELLS, MAX_DIMENSION, MAX_ORDER, Dimension
 
 _DB_FLOOR = -120.0
 
 # Caps on the arguments that size arrays (a largest pattern holds 1.3e7 values).
 _MAX_SAMPLES = 100_000
 _MAX_T = 256
-# (t+1) * nodes^2 polynomial values, which `tdesign_check` takes in blocks of 2^22
-_MAX_TDESIGN_CELLS = 1 << 27
 
 # `sampling.PLATONIC_NAMES`, spelt out so that building the parser does not import `sampling`
 _POLYHEDRA = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
@@ -304,7 +302,8 @@ def _cmd_tdesign(ns) -> int:
         nodes = sampling.circle_nodes(ns.circle, math.radians(ns.offset_deg))
     else:
         nodes = sampling.load_nodes(ns.nodes_file, dim=ns.node_dim)
-    _integer((ns.t + 1) * nodes.count**2, "(t+1)*nodes^2", 1, _MAX_TDESIGN_CELLS)
+    # (t+1) * nodes^2 polynomial values, which `tdesign_check` takes in blocks of 2^22
+    _integer((ns.t + 1) * nodes.count**2, "(t+1)*nodes^2", 1, MAX_CELLS)
     report = sampling.tdesign_check(nodes, ns.t)
     prov = _provenance(
         "tdesign",

@@ -12,8 +12,9 @@ and its power-law approximation, the sidelobe-free higher-order cardioid
 spherical-cap windows.  Every generator checks its order 0 <= N <= MAX_ORDER
 (128) before any work (`errors._integer`: 3.0 counts, 2.5 raises DomainError),
 and reads a real argument (cap's x0, cap_trapezoid's spacing) by float()
-(`errors._real`: "0.5" counts, None raises DomainError).  A dim must be a
-`Dimension`; any other value, a float included, raises DomainError.
+(`ultraspherical._real`: "0.5" counts, None and complex values raise
+DomainError).  A dim must be a `Dimension`; any other value, a float
+included, raises DomainError.
 """
 
 from __future__ import annotations
@@ -25,24 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer, _real,
-                     _Record)
-from .ultraspherical import (MAX_ORDER, Dimension, _basis, _cached_basis, _dimension,
-                             _sequence, _unscale, _with_derivatives)
+from . import _LAZY
+from .errors import DomainError, InvalidFlatness, RangeWarning, ZeroPressure, _integer, _Record
+from .ultraspherical import (MAX_ORDER, Dimension, _basis, _cached_basis, _dimension, _real,
+                             _reals, _sequence, _unscale, _with_derivatives)
 
-__all__ = [
-    "Normalization",
-    "WeightVector",
-    "MaxReSolution",
-    "basic",
-    "max_re",
-    "supercardioid",
-    "supercardioid_approx",
-    "inphase",
-    "maxflat",
-    "cap",
-    "cap_trapezoid",
-]
+__all__ = list(_LAZY["designs"])
 
 
 class Normalization(str, Enum):
@@ -67,10 +56,11 @@ class Normalization(str, Enum):
 class WeightVector(_Record):
     """Design weights a_0..a_N for one dimension, tagged with their scaling.
 
-    The weights must be finite reals; NaN, an infinite weight or one that
-    float() cannot read raises DomainError, and so does a dim that is not a
-    `Dimension`.  a is stored as a read-only float array; two vectors are
-    equal when their dims, weights and tags are, and a vector is unhashable.
+    The weights must be finite reals; NaN, an infinite or complex weight or
+    one that is not a number raises DomainError, and so does a dim that is
+    not a `Dimension`.  a is stored as a read-only float array; two vectors
+    are equal when their dims, weights and tags are, and a vector is
+    unhashable.
     The tag is taken on trust: `normalized(kind)` rescales only weights whose
     tag differs from kind, so `WeightVector(Dimension(3), [2, 1],
     "a0").normalized("a0").a` stays [2, 1].
@@ -82,25 +72,8 @@ class WeightVector(_Record):
 
     def __init__(self, dim: Dimension, a, normalization: Normalization) -> None:
         _dimension(dim)
-        self._read_weights(dim, a, normalization)
-
-    @classmethod
-    def _of(cls, dim: Dimension, a, normalization: Normalization) -> "WeightVector":
-        """WeightVector(dim, a, normalization) for a dim its caller has checked.
-
-        The designs test their dim once, where they first read it; this
-        builds their result without `__init__`'s second test.
-        """
-        self = cls.__new__(cls)
-        self._read_weights(dim, a, normalization)
-        return self
-
-    def _read_weights(self, dim: Dimension, a, normalization) -> None:
-        """Check a and the tag; store dim, a as a read-only float array, the tag as a member."""
-        try:
-            arr = np.array(a, dtype=float, ndmin=1)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"weights must be real numbers: {exc}") from exc
+        # a copy: the caller's array is never made read-only
+        arr = np.array(_reals(a, "weights"), ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("weights must be a non-empty 1-d sequence")
         # max |a_n|, not finite exactly when a weight is not (NaN and +-inf
@@ -162,17 +135,17 @@ class WeightVector(_Record):
         """
         kind = Normalization(kind)
         if kind is Normalization.RAW or kind is self.normalization:
-            return WeightVector._of(self.dim, self.a, kind)
+            return WeightVector(self.dim, self.a, kind)
         if kind is Normalization.A0_UNITY:
             if self.a[0] == 0.0:
                 raise ZeroPressure("cannot normalize to a_0 = 1 when a_0 = 0")
-            return WeightVector._of(self.dim, self.a / self.a[0], kind)
+            return WeightVector(self.dim, self.a / self.a[0], kind)
         _, a, c, _ = self._scaled
         g1 = float(c.sum())
         if g1 == 0.0:
             raise DomainError("cannot normalize to g(1) = 1 when g(1) = 0")
         with np.errstate(over="ignore"):
-            return WeightVector._of(self.dim, a / g1, kind)
+            return WeightVector(self.dim, a / g1, kind)
 
 
 class MaxReSolution(_Record):
@@ -214,7 +187,7 @@ def max_re(order: int, dim: Dimension) -> MaxReSolution:
     seq, der = _with_derivatives(r, basis.order + 1, dim)
     r -= float(seq[-1] / der[-1])
     weights = _sequence(r, basis.order, dim)
-    return MaxReSolution(WeightVector._of(dim, weights, Normalization.A0_UNITY), r, 1)
+    return MaxReSolution(WeightVector(dim, weights, Normalization.A0_UNITY), r, 1)
 
 
 def supercardioid(order: int, dim: Dimension) -> WeightVector:
@@ -237,7 +210,7 @@ def supercardioid(order: int, dim: Dimension) -> WeightVector:
     spread = order * (order + dim.d - 1.0) - n * (n + dim.d - 1.0)
     _, vecs = np.linalg.eigh(np.diag(basis.off * spread, -1))
     a = np.sqrt(basis.n2) * vecs[:, -1]
-    return WeightVector._of(dim, a / a[0], Normalization.A0_UNITY)
+    return WeightVector(dim, a / a[0], Normalization.A0_UNITY)
 
 
 def supercardioid_approx(order: int, dim: Dimension) -> WeightVector:
@@ -258,7 +231,7 @@ def supercardioid_approx(order: int, dim: Dimension) -> WeightVector:
         )
     exponent = (0.73 * order + 0.67 * d - 1.11) / (order + 1.11 * d - 1.5)
     a = np.array(_inphase(order, d)) ** exponent
-    return WeightVector._of(dim, a, Normalization.A0_UNITY)
+    return WeightVector(dim, a, Normalization.A0_UNITY)
 
 
 def inphase(order: int, dim: Dimension) -> WeightVector:
@@ -271,7 +244,7 @@ def inphase(order: int, dim: Dimension) -> WeightVector:
     """
     order = _integer(order, "order", 0, MAX_ORDER)
     d = _dimension(dim).d
-    return WeightVector._of(dim, _inphase(order, d), Normalization.A0_UNITY)
+    return WeightVector(dim, _inphase(order, d), Normalization.A0_UNITY)
 
 
 def _inphase(order: int, d: float) -> list:
@@ -316,7 +289,7 @@ def maxflat(order: int, flat_l: int, dim: Dimension) -> WeightVector:
     a = np.array(a)
     ratio = basis.n2[0] / basis.n2
     a[0] = -float(np.sum(basis.sign[1:] * ratio[1:] * a[1:]))
-    return WeightVector._of(dim, a, Normalization.RAW).normalized(Normalization.G1_UNITY)
+    return WeightVector(dim, a, Normalization.RAW).normalized(Normalization.G1_UNITY)
 
 
 def _beta_fraction(p: float, q: float, x: float) -> float:
@@ -378,7 +351,7 @@ def cap(order: int, x0: float, dim: Dimension) -> WeightVector:
     if not (-1.0 < x0 < 1.0):
         raise DomainError(f"cap boundary must satisfy -1 < x0 < 1, got {x0}")
     dim = _dimension(dim)
-    return WeightVector._of(dim, _cap(order, x0, dim), Normalization.RAW)
+    return WeightVector(dim, _cap(order, x0, dim), Normalization.RAW)
 
 
 def _cap(order: int, x0: float, dim: Dimension) -> np.ndarray:
@@ -414,4 +387,4 @@ def cap_trapezoid(order: int, spacing_deg: float, dim: Dimension) -> WeightVecto
     dim = _dimension(dim)
     wide = _cap(order, math.cos(1.375 * s / 2.0), dim)
     narrow = _cap(order, math.cos(0.75 * s / 2.0), dim)
-    return WeightVector._of(dim, wide * narrow, Normalization.RAW)
+    return WeightVector(dim, wide * narrow, Normalization.RAW)

@@ -1,7 +1,8 @@
-"""Exception and warning types, the record base, the argument checks, the input-file reader.
+"""Exception and warning types, the record base, the integer check, the input-file reader.
 
 Imports no numpy: the package loads this module eagerly, and `python -m
-axibeam` reaches its entry point before numpy loads.
+axibeam` reaches its entry point before numpy loads.  So real arguments are
+read in `ultraspherical` (`_real`, `_reals`), which imports numpy.
 """
 
 import numbers
@@ -104,19 +105,6 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
         bound = "" if high is None else f" and <= {high}"
         raise DomainError(f"{name} must be an integer >= {low}{bound}, got {value!r}")
     return number
-
-
-def _real(value, name: str) -> float:
-    """float(value); a value that float() cannot read (None, "abc", [0.5], 1j) raises DomainError.
-
-    The package's one check of a scalar real parameter (an x, which may be an
-    array, is read by `ultraspherical._clamp_argument`); each caller checks
-    the range on the float it returns.
-    """
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
 
 
 def _file_lines(path):

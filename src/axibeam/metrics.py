@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _LAZY
 from .designs import WeightVector
 from .errors import DomainError, _Record
 from .ultraspherical import _clamp_argument, _series_sum, _unscale
 
-__all__ = ["PatternMetrics", "eval_pattern", "compute_metrics", "compute_metrics_numeric"]
+__all__ = list(_LAZY["metrics"])
 
 
 class PatternMetrics(_Record):

@@ -20,16 +20,16 @@ degrees.  numpy is the only dependency.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real
-from .ultraspherical import (MAX_ORDER, Dimension, _cached_basis, _dimension, _sequence,
-                             _unscale)
+from . import _LAZY
+from .errors import DomainError, _integer
+from .ultraspherical import (MAX_ORDER, Dimension, _cached_basis, _dimension, _real, _reals,
+                             _sequence, _unscale)
 
-__all__ = ["integrate_axisym", "transform_coeffs"]
+__all__ = list(_LAZY["quadrature"])
 
 
 def _read_only(*arrays) -> tuple:
@@ -347,7 +347,8 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
         sizes the rule as max(64, degree_hint + ceil(D) + 16) nodes.
     lower, upper : float
         Integration bounds, -1 <= lower < upper <= 1; other bounds, and
-        values that float() cannot read, raise DomainError.
+        values that are not real numbers, complex ones included, raise
+        DomainError.
 
     Each integrand row is scaled by the exact power of two 2^-k that brings
     its largest magnitude into [0.5, 1) before the rule is applied, and the
@@ -358,28 +359,6 @@ def integrate_axisym(f, dim: Dimension, degree_hint: int = 0,
     """
     return _unscale(*_scaled_integral(f, dim, degree_hint, _real(lower, "lower bound"),
                                       _real(upper, "upper bound")))
-
-
-def _real_values(combine, *args):
-    """combine(*args) on the values f(x), where numpy's TypeError or ValueError raises DomainError.
-
-    They come from values that are not numbers or do not match the nodes.
-    f is called by the caller, so its own errors pass through.
-    """
-    try:
-        return combine(*args)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"f(x) must be real numbers of shape (..., len(x)): {exc}") from exc
-
-
-def _float_array(values) -> np.ndarray:
-    """values as a float array; complex values raise TypeError, for `_real_values`.
-
-    np.asarray would drop their imaginary parts with a ComplexWarning only.
-    """
-    if np.iscomplexobj(values):
-        raise TypeError("got complex values")
-    return np.asarray(values, float)
 
 
 def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: float):
@@ -395,7 +374,7 @@ def _scaled_integral(f, dim: Dimension, degree_hint: int, lower: float, upper: f
         raise DomainError(f"invalid integration bounds [{lower}, {upper}]")
     dim = _dimension(dim)
     x, q = _rule(dim, _node_count(degree_hint, dim), lower, upper)
-    values = _real_values(_float_array, f(x))
+    values = _reals(f(x), "f(x)")
     if values.shape[-1:] != x.shape:
         raise DomainError(
             f"f(x) must have shape (..., len(x)) = (..., {x.size}), got {values.shape}"
@@ -424,9 +403,14 @@ def transform_coeffs(f, max_degree: int, dim: Dimension, degree_hint: int = 0) -
     degree_hint = _integer(degree_hint, "degree_hint", -max_degree, _MAX_HINT - max_degree)
 
     def integrand(x):
+        seq = _sequence(x, max_degree, dim)
+        values = _reals(f(x), "f(x)")
         # an infinite f(x) times P_n(x) = 0 is NaN: no warning, the NaN raises DomainError
-        with np.errstate(invalid="ignore"):
-            return _real_values(operator.mul, _sequence(x, max_degree, dim), f(x))
+        try:
+            with np.errstate(invalid="ignore"):
+                return seq * values
+        except ValueError as exc:
+            raise DomainError(f"f(x) must broadcast against the nodes: {exc}") from exc
 
     # _scaled_integral checks dim before it calls the integrand
     out, k = _scaled_integral(integrand, dim, degree_hint + max_degree, -1.0, 1.0)

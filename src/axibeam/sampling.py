@@ -18,23 +18,13 @@ import math
 
 import numpy as np
 
+from . import _LAZY
 from .designs import WeightVector
-from .errors import DomainError, NormError, ParseError, _file_lines, _integer, _real, _Record
-from .ultraspherical import (_MAX_DEGREE, MAX_DIMENSION, Dimension, _series_sum, _unscale,
-                             eval_sequence)
+from .errors import DomainError, NormError, ParseError, _file_lines, _integer, _Record
+from .ultraspherical import (_MAX_DEGREE, MAX_CELLS, MAX_DIMENSION, Dimension, _real, _reals,
+                             _series_sum, _unscale, eval_sequence)
 
-__all__ = [
-    "NodeSet",
-    "TDesignReport",
-    "DiscreteMetrics",
-    "circle_nodes",
-    "platonic",
-    "load_nodes",
-    "tdesign_check",
-    "discrete_metrics",
-    "PASS_TOLERANCE",
-    "MAX_NODES",
-]
+__all__ = [*_LAZY["sampling"], "PASS_TOLERANCE", "MAX_NODES"]
 
 # Degree sums of an exact design land below 1e-13, near-misses at 1e-3 or
 # worse, so the pass threshold is insensitive over many orders of magnitude.
@@ -57,9 +47,10 @@ class NodeSet(_Record):
 
     D is an integer 2 <= D <= 64; an integral float such as 3.0 is stored as
     the int 3.  Coordinates that are not finite numbers, and two directions
-    closer than 1e-9 rad (duplicates), raise DomainError.  nodes is stored
-    as a read-only (L, D) float array; two sets are equal when their D,
-    nodes and labels are, and a set is unhashable.
+    closer than 1e-9 rad (duplicates), raise DomainError; complex coordinates
+    count as not finite.  nodes is stored as a read-only (L, D) float array;
+    two sets are equal when their D, nodes and labels are, and a set is
+    unhashable.
     """
 
     _fields = ("dim", "nodes", "label")
@@ -68,10 +59,7 @@ class NodeSet(_Record):
 
     def __init__(self, dim: int, nodes, label: str = "") -> None:
         dim = _integer(dim, "ambient dimension", 2, _MAX_DIM)
-        try:
-            pts = np.atleast_2d(np.asarray(nodes, dtype=float)).copy()
-        except (TypeError, ValueError) as exc:
-            raise DomainError("node coordinates must be finite real numbers") from exc
+        pts = np.atleast_2d(_reals(nodes, "node coordinates")).copy()
         if pts.ndim != 2 or pts.shape[1] != dim:
             raise DomainError(f"nodes must be an (L, {dim}) array")
         _integer(pts.shape[0], "node count", 1, MAX_NODES)
@@ -265,12 +253,15 @@ def tdesign_check(nodes: NodeSet, t: int) -> TDesignReport:
     integral of P_n, which vanishes for n >= 1; by the addition theorem (see
     the module docstring) the verdict is exact.  The cost is O(t L^2) time,
     taken in blocks of node rows that hold at most 2^22 floats at once while
-    (t + 4) L <= 2^22.  t = 0 has no degree to check, so its report is
-    (0, 0.0, (), True).  The P_n come from `eval_sequence`, not the per-(N, D)
-    record, so t is held to its ceiling 2^48, not to `MAX_ORDER`; the CLI
-    caps it at 256.
+    (t + 4) L <= 2^22; a (t + 4) L past the budget MAX_CELLS (2^27) raises
+    DomainError before anything is allocated.  t = 0 has no degree to check,
+    so its report is (0, 0.0, (), True).  The P_n come from `eval_sequence`,
+    not the per-(N, D) record, so t is held to its ceiling 2^48, not to
+    `MAX_ORDER`; the CLI caps it at 256.
     """
     t = _integer(t, "t", 0, _MAX_DEGREE)
+    # one row of a block, (t + 4) L values, and so the t + 1 of `worst` too
+    _integer((t + 4) * nodes.count, "(t+4)*nodes", 1, MAX_CELLS)
     dim = Dimension(nodes.dim)
     pts = nodes.nodes
     # a block of rows holds t + 4 arrays of rows x L floats: the dot
@@ -327,10 +318,8 @@ def discrete_metrics(weights: WeightVector, nodes: NodeSet, aim) -> DiscreteMetr
         raise DomainError(
             f"weights dimension D={weights.dim.d} does not match {nodes.dim}-d nodes"
         )
-    try:
-        aim = np.ascontiguousarray(aim, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"aim must be a {nodes.dim}-vector of numbers") from exc
+    # contiguous, so that its norm is summed as for any other aim
+    aim = np.ascontiguousarray(_reals(aim, f"aim, a {nodes.dim}-vector,"))
     if aim.shape != (nodes.dim,):
         raise DomainError(f"aim must be a {nodes.dim}-vector")
     norm = _norm(aim)

@@ -13,15 +13,18 @@ basis for D <= 3, through the connection P_n = sum_m C[m, n] T_m, and by
 Clenshaw's recurrence above (see `_series_sum`).  A degree N or n is an
 integer >= 0 (`errors._integer`: an integral float such as 3.0 counts, any
 other value raises DomainError); `eval_sequence` and `derivative` take
-N <= 2^48 (past it the N + 1 values alone need 2 PiB), every other function
-N <= MAX_ORDER, `gram_front` (the Gram matrix of the front-to-back ratio)
-included.  A dim must be a `Dimension`: any other value, a float included,
-raises DomainError (`_dimension`).  It is tested once per public call, where
-a record is looked up or the function first reads D, and so is N; the
-private helpers (`_sequence`, `_with_derivatives`) take both checked.  An x
-is checked against [-1, 1] once per public call (`_clamp_argument`, which
-`_sequence` runs for the callers of the recurrence); the other private
-helpers take it checked.
+N <= 2^48 and hold at most (N + 1) x.size <= MAX_CELLS (2^27) values,
+every other function N <= MAX_ORDER, `gram_front` (the Gram matrix of the
+front-to-back ratio) included.  A dim must be a `Dimension`: any other
+value, a float included, raises DomainError (`_dimension`).  It is tested
+once per public call, where a record is looked up or the function first
+reads D, and so is N; the private helpers (`_sequence`,
+`_with_derivatives`) take both checked.  An x is checked against [-1, 1]
+once per public call (`_clamp_argument`, which `_sequence` runs for the
+callers of the recurrence); the other private helpers take it checked.  A
+real argument of the package becomes a float here and nowhere else: a
+scalar by `_real`, an array by `_reals`, and either refuses a complex
+value.
 
 The per-degree constants of one D come from one record: `_basis(N, D)` is
 an LRU of 128 entries, and an order it misses is cut from the largest live
@@ -39,22 +42,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real, _Record
+from . import _LAZY
+from .errors import DomainError, _integer, _Record
 
-__all__ = [
-    "Dimension",
-    "surface_area",
-    "eval_sequence",
-    "power_series_coeffs",
-    "beta_coeff",
-    "norm_squared",
-    "norms_squared",
-    "norm_squared_gamma",
-    "derivative",
-    "value_at_zero",
-    "cd_kernel",
-    "gram_front",
-]
+__all__ = list(_LAZY["ultraspherical"])
 
 # math.gamma in the sphere surfaces overflows from D ~ 343; at D = 64 the
 # quadrature oracle still matches the closed-form metrics to about 1e-8.
@@ -66,6 +57,11 @@ MAX_ORDER = 128
 # Highest degree of the recurrences themselves: N + 1 values of P_n, even at
 # one x, then take more than 2^48 doubles (2 PiB), which no machine holds.
 _MAX_DEGREE = 2**48
+
+# Most values (2^27 doubles, 1 GiB) that one call holds at once, checked
+# before anything is allocated: (N + 1) x.size for the recurrences,
+# (t + 4) L for `sampling.tdesign_check`, (t + 1) L^2 for the CLI's `tdesign`.
+MAX_CELLS = 1 << 27
 
 # |x| may overshoot 1 by at most this much before it is an error.
 _X_CLAMP = 1e-12
@@ -92,9 +88,9 @@ class Dimension(_Record):
 
     alpha is always computed from d, never stored, so the two cannot drift
     apart.  Non-integer dimensions are allowed; they interpolate between the
-    Chebyshev (D=2) and Legendre (D=3) families.  Other D, and a d that
-    float() cannot read, raise DomainError.  Two dimensions with one d are
-    equal and hash alike, so a Dimension keys the record caches.
+    Chebyshev (D=2) and Legendre (D=3) families.  Other D, and a d that is
+    not a real number (`_real`), raise DomainError.  Two dimensions with one
+    d are equal and hash alike, so a Dimension keys the record caches.
     """
 
     _fields = ("d",)
@@ -149,24 +145,61 @@ def surface_area(dim: Dimension) -> float:
     return _dimension(dim).surface
 
 
-def _clamp_argument(x) -> np.ndarray:
+def _real(value, name: str) -> float:
+    """float(value) for a real scalar; any other value (None, "abc", [0.5], 1j) raises DomainError.
+
+    The package's one reader of a scalar real parameter; each caller checks
+    the range on the float it returns.  A string that float() reads counts.
+    A complex value, numpy's included, is refused, where float() would drop
+    the imaginary part of a numpy one with a ComplexWarning only; a float
+    or an int skips that test.
+    """
+    if type(value) is float or type(value) is int:
+        return float(value)
+    try:
+        if np.iscomplexobj(value):
+            raise TypeError("complex value")
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """values as a float array; a complex value or one that is not a number raises DomainError.
+
+    The package's one reader of a real array argument (an x, the weights,
+    the nodes, an aim, an integrand's values).  A float array comes back
+    as it is, never copied; any other real array is converted as
+    np.asarray(values, dtype=float) would convert it.  A complex array is
+    refused, where that conversion would drop its imaginary parts with a
+    ComplexWarning only.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError("got complex values")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be finite real numbers: {exc}") from exc
+
+
+def _clamp_argument(x, name: str = "x") -> np.ndarray:
     """x as a float array in [-1, 1]: the one check of x, run once per public call.
 
     An overshoot of at most 1e-12 is clipped into a new array; a larger one,
-    NaN, +-inf or a non-number raises DomainError.  The private helpers that
-    receive x (`_series_sum`, `_chebyshev_sum`) take it checked.
+    NaN, +-inf, a complex value or a non-number raises DomainError.  The
+    private helpers that receive x (`_series_sum`, `_chebyshev_sum`) take it
+    checked.  Errors name the argument as `name`.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"x must be a real number or an array of them: {exc}") from exc
+    x = _reals(x, name)
     # inside [-1, 1] already (NaN fails both tests): x as it is, never written
     if x.size and -1.0 <= np.minimum.reduce(x, None) and np.maximum.reduce(x, None) <= 1.0:
         return x
     # written as a negated <= so that NaN fails the test as well
     if not (np.abs(x) <= 1.0 + _X_CLAMP).all():
         bad = np.max(np.abs(x))
-        raise DomainError(f"x must be finite with |x| <= 1 (got max |x| = {bad!r})")
+        raise DomainError(f"{name} must be finite with |{name}| <= 1 "
+                          f"(got max |{name}| = {bad!r})")
     return x.clip(-1.0, 1.0)
 
 
@@ -410,9 +443,9 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
     ----------
     x : float or array_like
         Evaluation point(s) in [-1, 1] (an overshoot below 1e-12 is clamped);
-        a non-numeric, NaN or infinite value raises DomainError.
+        a non-numeric, complex, NaN or infinite value raises DomainError.
     max_degree : int
-        Highest degree 0 <= N <= 2^48.
+        Highest degree 0 <= N <= 2^48, with (N + 1) x.size <= MAX_CELLS (2^27).
     dim : Dimension
 
     Returns
@@ -424,9 +457,15 @@ def eval_sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
     return _sequence(x, _integer(max_degree, "max_degree", 0, _MAX_DEGREE), _dimension(dim))
 
 
-def _sequence(x, max_degree: int, dim: Dimension) -> np.ndarray:
-    """`eval_sequence` for an N and a dim its caller has checked; x is checked here."""
-    x = _clamp_argument(x)
+def _sequence(x, max_degree: int, dim: Dimension, name: str = "x") -> np.ndarray:
+    """`eval_sequence` for an N and a dim its caller has checked; x is checked here, as `name`.
+
+    The N + 1 values at each point, or N + 1 steps for an empty x, must fit
+    the budget MAX_CELLS: past it DomainError is raised before anything is
+    allocated.
+    """
+    x = _clamp_argument(x, name)
+    _integer((max_degree + 1) * max(1, x.size), "(N+1)*x.size", 1, MAX_CELLS)
     d = dim.d
     if x.ndim == 0:
         x, out = float(x), [0.0] * (max_degree + 1)
@@ -706,7 +745,7 @@ def cd_kernel(x, x0: float, max_degree: int, dim: Dimension):
     sum_n |terms| for N <= 128, any x.  x0 is checked by `_sequence`.
     """
     basis = _basis(max_degree, dim, "max_degree")
-    seq = _sequence(x0, basis.order, dim)
+    seq = _sequence(x0, basis.order, dim, "x0")
     if seq.ndim != 1:
         raise DomainError(f"x0 must be one value, got shape {seq.shape[1:]}")
     return _series_sum(seq / basis.n2, _clamp_argument(x), basis)

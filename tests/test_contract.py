@@ -21,9 +21,12 @@ are a pattern with g(1) = 1, times a scale from the same table, and their
 Every integer argument (an order, degree, L, t or node count) takes an int,
 a numpy integer or an integral float alike, bit for bit, and rejects any
 other value with a typed error, whatever the state of the per-(N, D) cache.
-Every real argument (a dimension, bound, offset, weight or normalization)
-takes any value that float() (or `Normalization`) reads, with the result of
-that float, and rejects any other value with DomainError.  Every dim argument
+Every real argument (a dimension, bound, offset, x, weight, node coordinate,
+aim or normalization) takes any value that float() (or `Normalization`)
+reads, an array of such values where the argument is an array, with the
+result of that float, and rejects any other value with DomainError: a
+complex value too, a numpy scalar or array included, whose imaginary part
+float() would drop with a ComplexWarning only.  Every dim argument
 takes a `Dimension` and nothing else: a float, a string or None raises
 DomainError.  An integrand that returns values that are not real numbers,
 complex ones included, raises DomainError as well.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -308,6 +312,7 @@ def test_non_finite_integrands_raise():
                 assert got is None, f"{label}({name}, D={d}): {got}"
 
 
+D3 = ab.Dimension(3.0)
 D37 = ab.Dimension(3.7)
 CUBE = ab.platonic("cube")
 
@@ -397,10 +402,41 @@ def test_integer_arguments():
             assert _cold_and_warm(call, k, value) == (error, error), (name, param, value)
 
 
+def test_largest_degrees_stay_within_the_budget():
+    # DEGREE_MAX passes the integer check, but its N + 1 values would take
+    # 2 PiB: past the budget of MAX_CELLS values the call raises DomainError
+    # before anything is allocated, not a bare MemoryError
+    for key in (("eval_sequence", "max_degree"), ("derivative", "n"), ("tdesign_check", "t")):
+        call = INTEGER_ARGS[key][0]
+        tracemalloc.start()
+        try:
+            verdict = _verdict(lambda: call(DEGREE_MAX))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == ab.DomainError, key
+        assert peak < 1 << 20, (key, peak)
+
+
+def _complex(k):
+    """Numpy complex forms of k, a number or a nested list of numbers: a scalar or
+    an array of each precision, one with an imaginary part and one without."""
+    if np.ndim(k) == 0:
+        return np.complex128(k + 0.5j), np.complex64(k)
+    return np.asarray(k) + 0.5j, np.asarray(k, dtype=np.complex64)
+
+
 def _scalar(call, k):
     """A REAL_ARGS entry: the numpy float, 0-d array and string forms of k read as k,
-    and what float() cannot read, NaN included, raises DomainError."""
-    return call, k, (np.float64(k), np.array(k), str(k)), ("abc", None, [k], 1j, math.nan)
+    and what float() cannot read, NaN and complex values included, raises DomainError."""
+    return (call, k, (np.float64(k), np.array(k), str(k)),
+            ("abc", None, [k], 1j, math.nan, *_complex(k)))
+
+
+def _points(call, k):
+    """A REAL_ARGS entry for an x, which may be an array: the forms of k that
+    `_scalar` reads as k, and complex scalars and arrays."""
+    return call, k, (np.float64(k), np.array(k), str(k)), (*_complex(k), *_complex([k, k]))
 
 
 # (callable, real parameter) -> (call of one value, a valid value, values that
@@ -408,6 +444,10 @@ def _scalar(call, k):
 # vector takes the same forms per element
 REAL_ARGS = {
     ("Dimension", "d"): _scalar(ab.Dimension, 3.7),
+    ("eval_sequence", "x"): _points(lambda v: ab.eval_sequence(v, 3, D37), 0.3),
+    ("derivative", "x"): _points(lambda v: ab.derivative(v, 3, D37), 0.3),
+    ("eval_pattern", "x"): _points(lambda v: ab.eval_pattern(ab.basic(3, D37), v), 0.3),
+    ("cd_kernel", "x"): _points(lambda v: ab.cd_kernel(v, 0.5, 3, D37), 0.3),
     ("cap", "x0"): _scalar(lambda v: ab.cap(3, v, D37), 0.3),
     ("cap_trapezoid", "spacing_deg"): _scalar(lambda v: ab.cap_trapezoid(3, v, D37), 20.0),
     ("cd_kernel", "x0"): _scalar(lambda v: ab.cd_kernel(0.3, v, 3, D37), 0.5),
@@ -418,13 +458,22 @@ REAL_ARGS = {
         lambda v: ab.integrate_axisym(_square, D37, 0, -1.0, v), 0.5),
     ("WeightVector", "a"): (lambda v: ab.WeightVector(D37, v, "raw"), [1.0, 0.5],
                             (np.array([1.0, 0.5]), ("1.0", "0.5"), [np.float64(1.0), 0.5]),
-                            (["a"], "abc", [[1.0], [1.0, 0.5]], [1j, 0.5], [math.nan])),
+                            (["a"], "abc", [[1.0], [1.0, 0.5]], [1j, 0.5], [math.nan],
+                             [np.complex128(1.0), 0.5], *_complex([1.0, 0.5]))),
+    ("NodeSet", "nodes"): (lambda v: ab.NodeSet(2, v), [[1.0, 0.0], [0.0, 1.0]],
+                           (np.array([[1.0, 0.0], [0.0, 1.0]]), [("1", "0"), ("0", "1")]),
+                           ([[np.complex64(1.0), 0.0], [0.0, 1.0]],
+                            *_complex([[1.0, 0.0], [0.0, 1.0]]))),
+    ("discrete_metrics", "aim"): (
+        lambda v: ab.discrete_metrics(ab.basic(2, D3), CUBE, v), [0.0, 0.0, 1.0],
+        (np.array([0.0, 0.0, 1.0]), ("0", "0", "1")),
+        ([0.0, 0.0, np.complex128(1.0)], *_complex([0.0, 0.0, 1.0]))),
     ("WeightVector", "normalization"): (
         lambda v: ab.WeightVector(D37, [1.0, 0.5], v), "g1", (ab.Normalization.G1_UNITY,),
-        ("xyz", None, ["g1"], 1j, math.nan)),
+        ("xyz", None, ["g1"], 1j, math.nan, *_complex(1.0))),
     ("WeightVector.normalized", "kind"): (
         lambda v: ab.WeightVector(D37, [1.0, 0.5], "raw").normalized(v), "a0",
-        (ab.Normalization.A0_UNITY,), ("xyz", None, ["a0"], 1j, math.nan)),
+        (ab.Normalization.A0_UNITY,), ("xyz", None, ["a0"], 1j, math.nan, *_complex(1.0))),
 }
 
 
@@ -433,9 +482,12 @@ def test_every_real_parameter_is_walked():
                  if callable(getattr(ab, name))
                  for p in inspect.signature(getattr(ab, name)).parameters.values()
                  if p.annotation == "float"}
-    weights = {("WeightVector", "a"), ("WeightVector", "normalization"),
-               ("WeightVector.normalized", "kind")}
-    assert set(REAL_ARGS) == annotated | weights
+    # the array arguments and the tags carry no float annotation
+    arrays = {("eval_sequence", "x"), ("derivative", "x"), ("eval_pattern", "x"),
+              ("cd_kernel", "x"), ("WeightVector", "a"), ("NodeSet", "nodes"),
+              ("discrete_metrics", "aim"), ("WeightVector", "normalization"),
+              ("WeightVector.normalized", "kind")}
+    assert set(REAL_ARGS) == annotated | arrays
 
 
 def test_real_arguments():

@@ -156,14 +156,7 @@ for name in set(ab.__all__) - {"__version__"}:
     obj = getattr(ab, name)
     assert getattr(sys.modules[obj.__module__], name) is obj, name
 assert ab.quadrature is quadrature and ab.sampling is sys.modules["axibeam.sampling"]
-modules = {m: sys.modules[f"axibeam.{m}"] for m in ab._LAZY}
-# a lazy name that its module no longer exports is stale
-assert not [(m, n) for m, names in ab._LAZY.items() for n in names
-            if n not in modules[m].__all__]
-# the package republishes every public name of the modules it used to load eagerly
-assert not [(m, n) for m in ("ultraspherical", "designs", "metrics")
-            for n in modules[m].__all__ if n not in ab._LAZY[m]]
-# each public name is declared once, in its own module's __all__
+# each public name is declared once: in `errors.__all__` or in `_LAZY`
 declared = [ab.errors.__all__, *(ab._LAZY.values())]
 assert sum(map(len, declared)) == len(set().union(*declared))
 assert set(ab.__all__) == {"__version__"}.union(*declared)

@@ -27,9 +27,7 @@ other keys.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
@@ -39,7 +37,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from tier1_wall import alternate, extract  # noqa: E402
+from tier1_wall import alternate, extract, merge_into  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 NODES_FILE = "octahedron.csv"
@@ -153,15 +151,9 @@ def main() -> int:
                   f"collections {row[side]['collections']}")
         print(f"  change/parent {row['change_over_parent']:.3f}")
     if args.into:
-        data = json.loads(args.into.read_text()) if args.into.exists() else {}
-        data["cli_wall"] = {
+        merge_into(args.into, "cli_wall", {
             "note": __doc__.split("\n\n", 2)[2].replace("\n", " ").strip(),
-            "parent": args.parent, "pairs": len(runs["parent"]),
-            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                        "processor": platform.processor() or platform.machine()},
-            "rows": table,
-        }
-        args.into.write_text(json.dumps(data, indent=1) + "\n")
+            "parent": args.parent, "pairs": len(runs["parent"]), "rows": table})
     return 0
 
 

@@ -1,6 +1,6 @@
 """Per-layer times of the single-vector read path of two source trees, in alternating child runs.
 
-    python tools/layer_times.py --parent REV_OR_DIR [--change DIR] [--pairs N] [--json PATH]
+    python tools/layer_times.py --parent REV_OR_DIR [--change DIR] [--pairs N] [--into FILE]
                                 [--layers LAYER[,LAYER...]]
 
 The first layers are those of one operation of perfbench's `batch`
@@ -61,7 +61,10 @@ and prints each repeat's time per call.  The sides alternate which one runs
 first in each pair of runs, so slow spells of a shared machine fall on both.
 Printed per cell: the median and quartiles in microseconds of each side's
 repeats pooled over its runs, the ratio of the medians, change over parent,
-and each side's digits where the cell reads them.
+and each side's digits where the cell reads them.  `--into FILE` stores the
+same cells under the key `layer_times` of the JSON object in FILE, as
+`tools/cli_wall.py --into` does: the file is created if needed and its
+other keys are kept.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from tier1_wall import ROOT, alternate, tree_env  # noqa: E402
+from tier1_wall import ROOT, alternate, merge_into, tree_env  # noqa: E402
 
 PAIRS = ((4, 3.0), (6, 2.0), (8, 2.5), (12, 3.0), (16, 2.0), (24, 2.5), (32, 3.0))
 LONG_ORDER, LONG_D, LONG_POINTS, LONG_STRIDE, LONG_NUMBER = 128, 3.0, 100_000, 100, 5
@@ -325,7 +328,8 @@ def main() -> int:
     parser.add_argument("--change", default=str(ROOT), help="source tree (default: this one)")
     parser.add_argument("--pairs", type=int, default=4,
                         help="alternating pairs of runs, rounded up to an even count")
-    parser.add_argument("--json", help="also write the summary to this file")
+    parser.add_argument("--into", type=Path,
+                        help="JSON file to store the cells in (key layer_times)")
     parser.add_argument("--layers", type=layer_list, default=LAYERS,
                         help=f"comma-separated layers to time (default: {','.join(LAYERS)})")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -348,8 +352,10 @@ def main() -> int:
             print(f"{layer:9s} {label:17s} parent {pm:8.2f} [{p1:.2f}, {p3:.2f}]  "
                   f"change {cm:8.2f} [{c1:.2f}, {c3:.2f}]  ratio {cell['ratio']:.3f}"
                   + (f"  digits {digits['parent']} -> {digits['change']}" if digits else ""))
-    if args.json:
-        Path(args.json).write_text(json.dumps(summary, indent=1) + "\n")
+    if args.into:
+        merge_into(args.into, "layer_times", {
+            "parent": args.parent, "pairs": len(runs["parent"]), "layers": list(args.layers),
+            "cells": summary})
     return 0
 
 

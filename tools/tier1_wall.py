@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
+import platform
 import re
 import statistics
 import subprocess
@@ -95,6 +97,18 @@ def alternate(parent: str, change: str, pairs: int, run, describe) -> dict:
                 runs[name].append(result)
                 print(f"pair {pair + 1} {name}: {describe(result)}", flush=True)
     return runs
+
+
+def merge_into(path: Path, key: str, block: dict) -> None:
+    """Store block, with the machine it was measured on, under key in the JSON object in path.
+
+    The file is created if needed, and its other keys are kept.
+    """
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data[key] = {**block, "machine": {
+        "nproc": os.cpu_count(), "python": platform.python_version(),
+        "processor": platform.processor() or platform.machine()}}
+    path.write_text(json.dumps(data, indent=1) + "\n")
 
 
 def report(name: str, runs: list) -> None:
